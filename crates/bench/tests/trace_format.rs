@@ -7,6 +7,19 @@
 //! (the build environment has no serde): it accepts exactly the JSON
 //! grammar, so a stray comma or an unescaped quote in a span name fails
 //! the test the same way it would fail the trace viewer.
+//!
+//! The trace collector is process-global, so each test holds a
+//! test-binary-wide lock while it uses it: one test's `trace_stop` would
+//! otherwise end and drain the other's trace.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the tests' use of the global trace collector. The guarded
+/// data is `()`, so a guard poisoned by a failing test is recovered.
+fn trace_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Parses one JSON value starting at `i`; returns the index past it.
 fn parse_value(s: &[u8], i: usize) -> Result<usize, String> {
@@ -142,6 +155,7 @@ fn assert_valid_json(s: &str) {
 
 #[test]
 fn trace_of_a_real_run_is_wellformed_trace_event_json() {
+    let _guard = trace_lock();
     ksa_obs::trace_start();
     let results = ksa_bench::run_experiments(&["rounds"]);
     let doc = ksa_obs::trace_stop();
@@ -166,5 +180,6 @@ fn trace_of_a_real_run_is_wellformed_trace_event_json() {
 fn empty_trace_is_wellformed_too() {
     // Without trace_start (or with obs compiled out) the export is still
     // a valid, loadable document.
+    let _guard = trace_lock();
     assert_valid_json(&ksa_obs::trace_stop());
 }

@@ -18,13 +18,15 @@
 //! machinery in `ksa_topology::chain`.
 
 use crate::text::{push_label, push_nums, Cursor};
-use crate::{strictly_ascending, symm_diff, CertError};
-use std::collections::BTreeSet;
+use crate::{strictly_ascending, CertError};
 
 /// Hard cap on closure size the checker will rebuild (faces across all
 /// dimensions). Way above anything the experiments emit; guards the
 /// offline checker against adversarial blowup.
 const MAX_CLOSURE_FACES: usize = 5_000_000;
+
+/// Buffered faces below which [`face_closure`] does not compact.
+const COMPACT_FLOOR: usize = 1 << 16;
 
 /// An echelon basis + row-combination witness for `rank ∂_k = rank`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,71 +144,132 @@ impl HomologyCert {
 }
 
 /// Rebuild the face closure of `facets`, sorted per dimension. Returns
-/// `closure[d]` = the strictly sorted list of `d`-simplexes.
-fn face_closure(facets: &[Vec<u32>]) -> Result<Vec<Vec<Vec<u32>>>, CertError> {
+/// `closure[d]` = the `d`-simplexes as one flat buffer of strictly
+/// sorted, deduplicated rows of stride `d + 1`.
+///
+/// Subsets are appended unsorted and compacted (sort + dedup) whenever
+/// the buffered total passes twice the larger of the last distinct count
+/// and [`COMPACT_FLOOR`], so memory follows the distinct closure (and
+/// hence `MAX_CLOSURE_FACES`), never the raw subset count of duplicated
+/// facets. The cap counts distinct faces, as a set would, so duplicated
+/// facets never trip it; the verdict and message are those of a
+/// set-based closure that stops at the first face past the cap.
+fn face_closure(facets: &[Vec<u32>]) -> Result<Vec<Vec<u32>>, CertError> {
     let dim = facets.iter().map(|f| f.len() - 1).max().unwrap_or(0);
-    let mut by_dim: Vec<BTreeSet<Vec<u32>>> = vec![BTreeSet::new(); dim + 1];
-    let mut total = 0usize;
+    let mut by_dim: Vec<Vec<u32>> = vec![Vec::new(); dim + 1];
+    // Faces held in `by_dim` (distinct up to the last compaction).
+    let mut held = 0usize;
+    let mut distinct = 0usize;
+    let too_many = || {
+        CertError::TooLarge(format!(
+            "face closure exceeds {MAX_CLOSURE_FACES} simplexes"
+        ))
+    };
     for f in facets {
         if f.len() > 25 {
+            // A set-based closure would already have failed on the cap
+            // if the facets before this one exceed it.
+            if compact(&mut by_dim) > MAX_CLOSURE_FACES {
+                return Err(too_many());
+            }
             return Err(CertError::TooLarge(format!(
                 "facet with {} vertices (subset closure would blow up)",
                 f.len()
             )));
         }
         for mask in 1u32..(1u32 << f.len()) {
-            let face: Vec<u32> = f
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| (mask >> i) & 1 == 1)
-                .map(|(_, &v)| v)
-                .collect();
-            let d = face.len() - 1;
-            if by_dim[d].insert(face) {
-                total += 1;
-                if total > MAX_CLOSURE_FACES {
-                    return Err(CertError::TooLarge(format!(
-                        "face closure exceeds {MAX_CLOSURE_FACES} simplexes"
-                    )));
+            let d = mask.count_ones() as usize - 1;
+            by_dim[d].extend(
+                f.iter()
+                    .enumerate()
+                    .filter(|&(i, _)| (mask >> i) & 1 == 1)
+                    .map(|(_, &v)| v),
+            );
+            held += 1;
+            if held > 2 * distinct.max(COMPACT_FLOOR) {
+                distinct = compact(&mut by_dim);
+                held = distinct;
+                if distinct > MAX_CLOSURE_FACES {
+                    return Err(too_many());
                 }
             }
         }
     }
-    Ok(by_dim
-        .into_iter()
-        .map(|set| set.into_iter().collect())
-        .collect())
+    if compact(&mut by_dim) > MAX_CLOSURE_FACES {
+        return Err(too_many());
+    }
+    Ok(by_dim)
 }
 
-/// Assemble the sparse GF(2) boundary rows `∂_k`: one row per
-/// `k`-simplex, listing the indices of its `k+1` facets in the sorted
-/// `(k−1)`-simplex list.
-fn boundary_rows(k_simplexes: &[Vec<u32>], km1_simplexes: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    k_simplexes
-        .iter()
-        .map(|s| {
-            let mut row: Vec<u32> = (0..s.len())
-                .map(|drop| {
-                    let face: Vec<u32> = s
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| i != drop)
-                        .map(|(_, &v)| v)
-                        .collect();
-                    km1_simplexes
-                        .binary_search(&face)
-                        .expect("closure contains every face") as u32
-                })
-                .collect();
-            row.sort_unstable();
-            row
-        })
-        .collect()
+/// Sort and deduplicate every dimension's rows in place; returns the
+/// distinct face count across all dimensions.
+fn compact(by_dim: &mut [Vec<u32>]) -> usize {
+    let mut total = 0;
+    for (d, flat) in by_dim.iter_mut().enumerate() {
+        let mut rows: Vec<&[u32]> = flat.chunks_exact(d + 1).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        total += rows.len();
+        *flat = rows.concat();
+    }
+    total
 }
 
-/// Verify one [`RankWitness`] against independently rebuilt rows.
-fn verify_witness(w: &RankWitness, rows: &[Vec<u32>], ncols: usize) -> Result<(), CertError> {
+/// Index of `key` among the sorted stride-`key.len()` rows of `flat`.
+fn find_row(flat: &[u32], key: &[u32]) -> Option<usize> {
+    let stride = key.len();
+    let (mut lo, mut hi) = (0, flat.len() / stride);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match flat[mid * stride..(mid + 1) * stride].cmp(key) {
+            std::cmp::Ordering::Less => lo = mid + 1,
+            std::cmp::Ordering::Greater => hi = mid,
+            std::cmp::Ordering::Equal => return Some(mid),
+        }
+    }
+    None
+}
+
+/// Assemble the GF(2) boundary rows `∂_k` as one flat buffer of stride
+/// `k + 1`: row `i` lists, ascending, the indices of the `k`-simplex
+/// `i`'s facets in the sorted `(k−1)`-simplex list.
+///
+/// Dropping a later vertex of a sorted simplex gives a lexicographically
+/// smaller face, so visiting the dropped position from last to first
+/// yields the indices already ascending.
+fn boundary_rows(k_simplexes: &[u32], km1_simplexes: &[u32], k: usize) -> Vec<u32> {
+    let mut rows = Vec::with_capacity(k_simplexes.len());
+    let mut face = vec![0u32; k];
+    for s in k_simplexes.chunks_exact(k + 1) {
+        for drop in (0..=k).rev() {
+            face[..drop].copy_from_slice(&s[..drop]);
+            face[drop..].copy_from_slice(&s[drop + 1..]);
+            let col = find_row(km1_simplexes, &face).expect("closure contains every face");
+            rows.push(col as u32);
+        }
+    }
+    rows
+}
+
+/// Flip the bits of `cols` in the parity bitset.
+fn xor_into(bits: &mut [u64], cols: &[u32]) {
+    for &c in cols {
+        bits[c as usize / 64] ^= 1 << (c % 64);
+    }
+}
+
+/// Verify one [`RankWitness`] against independently rebuilt rows (`rows`
+/// flat with stride `k + 1`, over `ncols` columns).
+///
+/// Linear in the nonzeros it touches: `lead_of[c]` names the basis row
+/// whose leading column is `c` (`u32::MAX` when none), and one reusable
+/// parity bitset of `ncols` bits accumulates every XOR, returning to all
+/// zeros after each accepted combo and each vanishing row.
+fn verify_witness(w: &RankWitness, rows: &[u32], ncols: usize) -> Result<(), CertError> {
     let k = w.k;
+    let stride = k as usize + 1;
+    let nrows = rows.len() / stride;
+    let row = |r: usize| &rows[r * stride..(r + 1) * stride];
     if w.basis.len() != w.rank as usize || w.combo.len() != w.rank as usize {
         return Err(CertError::Reject(format!(
             "rank witness for ∂_{k} claims rank {} but carries {} basis / {} combo rows",
@@ -215,9 +278,10 @@ fn verify_witness(w: &RankWitness, rows: &[Vec<u32>], ncols: usize) -> Result<()
             w.combo.len()
         )));
     }
+    let mut bits = vec![0u64; ncols.div_ceil(64)];
     // Each basis row: well-formed, reproduced by its combo, leading
     // columns pairwise distinct (echelon shape ⇒ independence).
-    let mut leading: Vec<u32> = Vec::with_capacity(w.basis.len());
+    let mut lead_of = vec![u32::MAX; ncols];
     for (i, (basis, combo)) in w.basis.iter().zip(&w.combo).enumerate() {
         if basis.is_empty()
             || !strictly_ascending(basis)
@@ -229,42 +293,67 @@ fn verify_witness(w: &RankWitness, rows: &[Vec<u32>], ncols: usize) -> Result<()
         }
         if combo.is_empty()
             || !strictly_ascending(combo)
-            || combo.iter().any(|&r| r as usize >= rows.len())
+            || combo.iter().any(|&r| r as usize >= nrows)
         {
             return Err(CertError::Reject(format!(
-                "∂_{k} combo {i} is not a nonempty ascending row-index list below {}",
-                rows.len()
+                "∂_{k} combo {i} is not a nonempty ascending row-index list below {nrows}"
             )));
         }
-        let mut acc: Vec<u32> = Vec::new();
+        // The cited rows XOR the basis row is zero iff they are equal.
+        // Only words some cited row or the basis row touches can be
+        // nonzero; check and clear exactly those.
         for &r in combo {
-            acc = symm_diff(&acc, &rows[r as usize]);
+            xor_into(&mut bits, row(r as usize));
         }
-        if acc != *basis {
+        xor_into(&mut bits, basis);
+        let mut equal = true;
+        let touched = combo.iter().flat_map(|&r| row(r as usize)).chain(basis);
+        for &c in touched {
+            let word = &mut bits[c as usize / 64];
+            equal &= *word == 0;
+            *word = 0;
+        }
+        if !equal {
             return Err(CertError::Reject(format!(
                 "∂_{k} basis row {i} is not the XOR of its cited boundary rows"
             )));
         }
-        if leading.contains(&basis[0]) {
+        let lead = &mut lead_of[basis[0] as usize];
+        if *lead != u32::MAX {
             return Err(CertError::Reject(format!(
                 "∂_{k} basis rows share leading column {} (not echelon)",
                 basis[0]
             )));
         }
-        leading.push(basis[0]);
+        *lead = i as u32;
     }
     // Every original row must reduce to zero against the basis, which
-    // bounds the rank from above by the witnessed value.
-    for (ri, row) in rows.iter().enumerate() {
-        let mut acc = row.clone();
-        while let Some(&lead) = acc.first() {
-            let Some(bi) = leading.iter().position(|&l| l == lead) else {
+    // bounds the rank from above by the witnessed value. A basis row
+    // only has columns at or after its leading one, so each step clears
+    // the lowest set bit and sets only higher ones: the scan for the
+    // next leading column never moves back, and it stops at the highest
+    // word any XOR reached.
+    for ri in 0..nrows {
+        let r = row(ri);
+        xor_into(&mut bits, r);
+        let mut word = r[0] as usize / 64;
+        let mut top = r[stride - 1] as usize / 64;
+        while word <= top {
+            if bits[word] == 0 {
+                word += 1;
+                continue;
+            }
+            let lead = word * 64 + bits[word].trailing_zeros() as usize;
+            let bi = lead_of[lead];
+            if bi == u32::MAX {
                 return Err(CertError::Reject(format!(
                     "∂_{k} row {ri} does not reduce to zero against the basis \
                      (leading column {lead} uncovered): rank is higher than claimed"
                 )));
-            };
-            acc = symm_diff(&acc, &w.basis[bi]);
+            }
+            let b = &w.basis[bi as usize];
+            xor_into(&mut bits, b);
+            top = top.max(b[b.len() - 1] as usize / 64);
         }
     }
     Ok(())
@@ -320,12 +409,12 @@ pub fn check_homology(cert: &HomologyCert) -> Result<(), CertError> {
                 w.k
             )));
         }
-        let rows = boundary_rows(&closure[k], &closure[k - 1]);
-        verify_witness(w, &rows, closure[k - 1].len())?;
+        let rows = boundary_rows(&closure[k], &closure[k - 1], k);
+        verify_witness(w, &rows, closure[k - 1].len() / k)?;
         rank[k] = w.rank as u64;
     }
     for k in 0..=dim {
-        let c_k = closure[k].len() as u64;
+        let c_k = (closure[k].len() / (k + 1)) as u64;
         let expect = c_k
             .checked_sub(rank[k] + rank[k + 1])
             .ok_or_else(|| CertError::Reject(format!("ranks exceed chain dimension at k = {k}")))?;

@@ -160,35 +160,6 @@ impl Cert {
     }
 }
 
-/// Sorted-slice symmetric difference (GF(2) row addition / set XOR).
-///
-/// Shared by the homology witness checks and the boundary-row replay;
-/// exposed so adversarial tests can build witnesses without the chain
-/// engine.
-pub fn symm_diff(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 pub(crate) fn strictly_ascending(xs: &[u32]) -> bool {
     xs.windows(2).all(|w| w[0] < w[1])
 }
@@ -196,13 +167,6 @@ pub(crate) fn strictly_ascending(xs: &[u32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn symm_diff_is_xor() {
-        assert_eq!(symm_diff(&[1, 3, 5], &[3, 4]), vec![1, 4, 5]);
-        assert_eq!(symm_diff(&[], &[2]), vec![2]);
-        assert_eq!(symm_diff(&[2], &[2]), Vec::<u32>::new());
-    }
 
     #[test]
     fn parse_rejects_bad_header() {

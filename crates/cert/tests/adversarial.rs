@@ -56,8 +56,82 @@ fn consensus_cert() -> SolvabilityCert {
     }
 }
 
+/// A 70-vertex path as a 1-dimensional complex: contractible, and its
+/// ∂₁ rows `[i, i+1]` are already an echelon basis. The 70 columns span
+/// two 64-bit words, so a column in the second word can differ from
+/// every row that a combo cites.
+fn long_path_cert() -> HomologyCert {
+    const N: u32 = 70;
+    HomologyCert {
+        label: "path-70".into(),
+        facets: (0..N - 1).map(|i| vec![i, i + 1]).collect(),
+        betti: vec![0, 0],
+        connectivity: 1,
+        ranks: vec![RankWitness {
+            k: 1,
+            rank: N - 1,
+            basis: (0..N - 1).map(|i| vec![i, i + 1]).collect(),
+            combo: (0..N - 1).map(|i| vec![i]).collect(),
+        }],
+    }
+}
+
+/// The full simplex on `m` vertices, given as `copies` copies of its one
+/// facet: contractible, with the witness rank ∂_k = C(m−1, k) made of the
+/// boundary rows of the k-simplexes containing vertex `m − 1` (their
+/// leading columns, the simplex minus that vertex, are distinct).
+fn full_simplex_cert(m: u32, copies: usize) -> HomologyCert {
+    // The sorted d-simplexes, per d, as the checker orders them.
+    let mut faces: Vec<Vec<Vec<u32>>> = vec![Vec::new(); m as usize];
+    for mask in 1u32..(1 << m) {
+        let face: Vec<u32> = (0..m).filter(|&v| (mask >> v) & 1 == 1).collect();
+        faces[face.len() - 1].push(face);
+    }
+    for list in &mut faces {
+        list.sort();
+    }
+    let ranks = (1..m as usize)
+        .map(|k| {
+            let (mut basis, mut combo) = (Vec::new(), Vec::new());
+            for (t, s) in faces[k].iter().enumerate() {
+                if s.last() != Some(&(m - 1)) {
+                    continue;
+                }
+                let mut row: Vec<u32> = (0..s.len())
+                    .map(|drop| {
+                        let mut face = s.clone();
+                        face.remove(drop);
+                        faces[k - 1].binary_search(&face).unwrap() as u32
+                    })
+                    .collect();
+                row.sort_unstable();
+                basis.push(row);
+                combo.push(vec![t as u32]);
+            }
+            RankWitness {
+                k: k as u32,
+                rank: basis.len() as u32,
+                basis,
+                combo,
+            }
+        })
+        .collect();
+    HomologyCert {
+        label: format!("simplex-{m} x{copies}"),
+        facets: vec![(0..m).collect(); copies],
+        betti: vec![0; m as usize],
+        connectivity: i64::from(m) - 1,
+        ranks,
+    }
+}
+
 fn rejected(result: Result<(), CertError>) -> bool {
     matches!(result, Err(CertError::Reject(_)))
+}
+
+/// Rejected, and for the reason that names `needle`.
+fn rejected_for(result: Result<(), CertError>, needle: &str) -> bool {
+    matches!(result, Err(CertError::Reject(msg)) if msg.contains(needle))
 }
 
 #[test]
@@ -106,6 +180,100 @@ fn homology_accepts_then_rejects_rank_off_by_one() {
     let mut conn_lie = good;
     conn_lie.connectivity = 1;
     assert!(rejected(check_homology(&conn_lie)));
+}
+
+#[test]
+fn homology_rejects_basis_column_at_ncols() {
+    // ncols is the vertex count (3 for the circle, 70 for the path), the
+    // first column past the leading-column index.
+    let good = circle_cert();
+    assert_eq!(check_homology(&good), Ok(()));
+    let mut bad = good;
+    bad.ranks[0].basis[1] = vec![1, 3];
+    assert!(rejected_for(check_homology(&bad), "column list below 3"));
+    let good = long_path_cert();
+    assert_eq!(check_homology(&good), Ok(()));
+    let mut bad = good;
+    bad.ranks[0].basis[68] = vec![68, 70];
+    assert!(rejected_for(check_homology(&bad), "column list below 70"));
+}
+
+#[test]
+fn homology_rejects_shared_leading_column() {
+    let good = circle_cert();
+    assert_eq!(check_homology(&good), Ok(()));
+    // Rows 0 and 1 ([0,1] and [0,2]) are each honest combos, but both
+    // lead with column 0: not echelon, so not proven independent.
+    let mut bad = good;
+    bad.ranks[0].basis = vec![vec![0, 1], vec![0, 2]];
+    bad.ranks[0].combo = vec![vec![0], vec![1]];
+    assert!(rejected_for(check_homology(&bad), "share leading column 0"));
+}
+
+#[test]
+fn homology_rejects_basis_column_no_cited_row_touches() {
+    let good = long_path_cert();
+    assert_eq!(check_homology(&good), Ok(()));
+    // Row 0 is [0, 1]; column 69 lies in the second bitset word, which
+    // no cited row reaches.
+    let mut bad = good;
+    bad.ranks[0].basis[0] = vec![0, 1, 69];
+    assert!(rejected_for(
+        check_homology(&bad),
+        "basis row 0 is not the XOR"
+    ));
+    // The same extra column inside the cited row's word.
+    let mut bad = circle_cert();
+    bad.ranks[0].basis[0] = vec![0, 1, 2];
+    assert!(rejected_for(
+        check_homology(&bad),
+        "basis row 0 is not the XOR"
+    ));
+}
+
+#[test]
+fn homology_rejects_combo_index_at_row_count() {
+    let good = circle_cert();
+    assert_eq!(check_homology(&good), Ok(()));
+    let mut bad = good;
+    bad.ranks[0].combo[1] = vec![3];
+    assert!(rejected_for(check_homology(&bad), "row-index list below 3"));
+}
+
+#[test]
+fn homology_rejects_empty_basis_row() {
+    let good = long_path_cert();
+    assert_eq!(check_homology(&good), Ok(()));
+    let mut bad = good;
+    bad.ranks[0].basis[0].clear();
+    assert!(rejected_for(
+        check_homology(&bad),
+        "basis row 0 is not a nonempty"
+    ));
+}
+
+#[test]
+fn homology_closure_rejects_a_26_vertex_facet() {
+    assert_eq!(check_homology(&full_simplex_cert(4, 1)), Ok(()));
+    let mut bad = full_simplex_cert(4, 1);
+    bad.facets.push((0..26).collect());
+    assert!(matches!(
+        check_homology(&bad),
+        Err(CertError::TooLarge(msg)) if msg.contains("26 vertices")
+    ));
+}
+
+#[test]
+fn homology_closure_cap_counts_distinct_faces() {
+    // The checker's closure cap (faces across all dimensions).
+    const MAX_CLOSURE_FACES: usize = 5_000_000;
+    let once = full_simplex_cert(10, 1);
+    assert_eq!(check_homology(&once), Ok(()));
+    // Enough copies that the raw subset count passes the cap, while the
+    // distinct closure stays at 1023 faces.
+    let copies = MAX_CLOSURE_FACES / 1023 + 1;
+    assert!(copies * 1023 > MAX_CLOSURE_FACES);
+    assert_eq!(check_homology(&full_simplex_cert(10, copies)), Ok(()));
 }
 
 #[test]

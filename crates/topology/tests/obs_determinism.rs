@@ -11,9 +11,11 @@
 //! *not* compared — it is scheduling-dependent by design; only the
 //! namespace split makes the deterministic diff meaningful.
 //!
-//! The counters are process-global, so every measured section takes a
-//! test-binary-wide lock: a concurrent test's counts bleeding into a
-//! delta would be indistinguishable from a real determinism bug.
+//! The counters are process-global, so every test takes a
+//! test-binary-wide lock before any setup that could count (building an
+//! input complex enumerates facets too): a concurrent test's counts
+//! bleeding into a delta would be indistinguishable from a real
+//! determinism bug.
 
 #![cfg(all(feature = "parallel", feature = "obs"))]
 
@@ -27,7 +29,7 @@ use ksa_topology::pseudosphere::Pseudosphere;
 use ksa_topology::rounds::{protocol_complex_rounds, protocol_complex_rounds_seq};
 use ksa_topology::simplex::{Simplex, Vertex};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 const BUDGET: u128 = 10_000_000;
 
@@ -38,12 +40,12 @@ fn pools() -> &'static [ThreadPool] {
     POOLS.get_or_init(|| [1, 2, 8].into_iter().map(ThreadPool::new).collect())
 }
 
-/// Serializes measured sections (see module docs).
+/// Serializes whole tests (see module docs). The guarded data is `()`,
+/// so a guard poisoned by one failing case is recovered rather than
+/// failing every test after it.
 fn counter_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .expect("counter lock")
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The deterministic-tier delta produced by `work`.
@@ -111,6 +113,7 @@ proptest! {
         bits in prop::collection::vec(prop::collection::vec(any::<bool>(), 6), 6),
     ) {
         use ksa_topology::gf2::Gf2Matrix;
+        let _guard = counter_lock();
         let build = || {
             let mut m = Gf2Matrix::zero(6, 6);
             for (r, row) in bits.iter().enumerate() {
@@ -122,7 +125,6 @@ proptest! {
             }
             m
         };
-        let _guard = counter_lock();
         let seq = det_delta(|| {
             build().rank_seq();
         });
@@ -146,6 +148,7 @@ proptest! {
     fn enumeration_counters_identical_across_pool_sizes(
         views in prop::collection::vec(prop::collection::btree_set(0u32..4, 1..=3), 3..=4),
     ) {
+        let _guard = counter_lock();
         let ps = Pseudosphere::new(
             views
                 .into_iter()
@@ -154,7 +157,6 @@ proptest! {
                 .collect(),
         )
         .unwrap();
-        let _guard = counter_lock();
         let mut reference: Option<Vec<(&'static str, u64)>> = None;
         for pool in pools() {
             let delta = det_delta(|| {
@@ -178,10 +180,10 @@ proptest! {
     /// budget admissions): parallel == sequential == every pool size.
     #[test]
     fn rounds_counters_identical_across_pool_sizes(gens in random_generators()) {
+        let _guard = counter_lock();
         let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
             .unwrap()
             .to_complex();
-        let _guard = counter_lock();
         let reference = det_delta(|| {
             protocol_complex_rounds_seq(&gens, &input, 2, BUDGET).unwrap();
         });
@@ -205,12 +207,12 @@ proptest! {
 /// differently run to run.
 #[test]
 fn repeated_runs_on_one_pool_are_stable() {
+    let _guard = counter_lock();
     let gens = vec![ksa_graphs::families::cycle(3).unwrap()];
     let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
         .unwrap()
         .to_complex();
     let pool = &pools()[2]; // 8 workers on a smaller CI box
-    let _guard = counter_lock();
     let mut reference: Option<Vec<(&'static str, u64)>> = None;
     for _ in 0..5 {
         let delta = det_delta(|| {
