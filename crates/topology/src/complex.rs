@@ -25,6 +25,33 @@ use ksa_exec::prelude::*;
 #[cfg(feature = "parallel")]
 const PAR_FACET_GRAIN: usize = 16;
 
+/// The inclusion-maximal simplexes among `candidates`, longest first:
+/// empty and duplicate candidates are dropped, and so is every candidate
+/// contained in another. A simplex contains a *distinct* simplex only if
+/// it is strictly longer, so each candidate is tested against the kept
+/// simplexes longer than it — none at all when every candidate has one
+/// length.
+pub(crate) fn maximal_simplexes<V: View>(
+    candidates: impl IntoIterator<Item = Simplex<V>>,
+) -> Vec<Simplex<V>> {
+    let mut sorted: Vec<Simplex<V>> = candidates.into_iter().filter(|s| !s.is_empty()).collect();
+    sorted.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+    sorted.dedup();
+    let mut kept: Vec<Simplex<V>> = Vec::with_capacity(sorted.len());
+    // `kept[..longer]` holds the kept simplexes strictly longer than `s`;
+    // lengths only decrease, so the prefix only grows.
+    let mut longer = 0;
+    for s in sorted {
+        while longer < kept.len() && kept[longer].len() > s.len() {
+            longer += 1;
+        }
+        if !kept[..longer].iter().any(|k| k.contains(&s)) {
+            kept.push(s);
+        }
+    }
+    kept
+}
+
 /// A simplicial complex, stored by facets.
 ///
 /// The empty complex (no simplexes at all) is allowed and has dimension
@@ -61,25 +88,15 @@ impl<V: View> Complex<V> {
     /// Builds a complex from candidate facets, dropping empty simplexes and
     /// simplexes dominated by others (so `facets()` is truly the facet
     /// set).
+    ///
+    /// Cost: O(F log F) for F candidates of one length (every pure
+    /// complex, e.g. each round of a protocol complex); otherwise each
+    /// candidate is compared only against the strictly longer kept
+    /// simplexes.
     pub fn from_facets<I: IntoIterator<Item = Simplex<V>>>(candidates: I) -> Self {
-        let mut uniq: BTreeSet<Simplex<V>> =
-            candidates.into_iter().filter(|s| !s.is_empty()).collect();
-        // Remove dominated simplexes. Sorting by length descending lets us
-        // keep only maximal ones with a quadratic scan over the (usually
-        // short) kept list.
-        let mut by_len: Vec<Simplex<V>> = uniq.iter().cloned().collect();
-        by_len.sort_by_key(|s| std::cmp::Reverse(s.len()));
-        let mut kept: Vec<Simplex<V>> = Vec::new();
-        'outer: for s in by_len {
-            for k in &kept {
-                if k.contains(&s) {
-                    continue 'outer;
-                }
-            }
-            kept.push(s);
+        Complex {
+            facets: maximal_simplexes(candidates).into_iter().collect(),
         }
-        uniq = kept.into_iter().collect();
-        Complex { facets: uniq }
     }
 
     /// Iterates over the facets (inclusion-maximal simplexes).

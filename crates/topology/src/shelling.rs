@@ -36,7 +36,7 @@
 //! on cancellation — so every table entry is an instance fact, valid
 //! for every strategy.
 
-use crate::complex::Complex;
+use crate::complex::{maximal_simplexes, Complex};
 use crate::error::TopologyError;
 use crate::simplex::{Simplex, View};
 use std::collections::HashMap;
@@ -46,28 +46,10 @@ use std::collections::HashMap;
 /// `dim(new) − 1`.
 fn step_ok<V: View>(prior: &[Simplex<V>], new: &Simplex<V>) -> bool {
     let d = new.dim();
-    // Maximal intersections with earlier facets.
-    let mut inters: Vec<Simplex<V>> = prior
-        .iter()
-        .map(|p| p.intersection(new))
-        .filter(|s| !s.is_empty())
-        .collect();
-    if inters.is_empty() {
-        return false;
-    }
-    // Keep only maximal ones.
-    inters.sort_by_key(|s| std::cmp::Reverse(s.len()));
-    let mut maximal: Vec<Simplex<V>> = Vec::new();
-    'outer: for s in inters {
-        for m in &maximal {
-            if m.contains(&s) {
-                continue 'outer;
-            }
-        }
-        maximal.push(s);
-    }
-    // Pure of dimension d − 1: every maximal intersection is a (d−1)-face.
-    maximal.iter().all(|s| s.dim() == d - 1)
+    // Maximal intersections with earlier facets: there must be one, and
+    // each must be a (d−1)-face.
+    let maximal = maximal_simplexes(prior.iter().map(|p| p.intersection(new)));
+    !maximal.is_empty() && maximal.iter().all(|s| s.dim() == d - 1)
 }
 
 /// Verifies that `order` is a shelling order of the pure complex it spans.

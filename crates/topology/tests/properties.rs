@@ -9,6 +9,7 @@ use ksa_topology::pseudosphere::Pseudosphere;
 use ksa_topology::simplex::{Simplex, Vertex};
 use ksa_topology::uninterpreted::{closed_above_pseudosphere, uninterpreted_simplex};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a small complex over colors 0..5 with u8 views.
 fn small_complex() -> impl Strategy<Value = Complex<u8>> {
@@ -19,6 +20,46 @@ fn small_complex() -> impl Strategy<Value = Complex<u8>> {
     });
     let _ = vertex;
     prop::collection::vec(simplex, 1..6).prop_map(Complex::from_facets)
+}
+
+/// Strategy: a multiset of candidate facets over colors 0..5 with u8
+/// views — lengths 0–4 (empty simplexes included), duplicates, faces of
+/// other candidates, and half the time all of one length (pure).
+fn candidate_facets() -> impl Strategy<Value = Vec<Simplex<u8>>> {
+    (any::<bool>(), 0usize..=4).prop_flat_map(|(pure, len)| {
+        let size: prop::collection::SizeRange = if pure { len.into() } else { (0..=4).into() };
+        let simplex = prop::collection::btree_map(0usize..5, 0u8..3, size).prop_map(|m| {
+            Simplex::new(m.into_iter().map(|(c, v)| Vertex::new(c, v)).collect())
+                .expect("btree keys are distinct colors")
+        });
+        prop::collection::vec(simplex, 0..10).prop_perturb(move |base, mut rng| {
+            let mut cands = base.clone();
+            for s in &base {
+                if rng.below(3) == 0 {
+                    cands.push(s.clone());
+                }
+                if !pure && rng.below(2) == 0 {
+                    let colors: Vec<usize> = s.colors().filter(|_| rng.below(2) == 0).collect();
+                    cands.push(s.restrict_colors(&colors));
+                }
+            }
+            for i in (1..cands.len()).rev() {
+                cands.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            cands
+        })
+    })
+}
+
+/// The naive all-pairs maximal filter: the sequential oracle of
+/// `Complex::from_facets`. A non-empty candidate is a facet iff no
+/// distinct candidate contains it.
+fn maximal_oracle(cands: &[Simplex<u8>]) -> BTreeSet<Simplex<u8>> {
+    cands
+        .iter()
+        .filter(|s| !s.is_empty() && !cands.iter().any(|t| t != *s && t.contains(s)))
+        .cloned()
+        .collect()
 }
 
 fn small_digraph() -> impl Strategy<Value = Digraph> {
@@ -185,5 +226,17 @@ proptest! {
         ).expect("distinct");
         let c = interpreted_pseudosphere(&g, &tau).to_complex();
         prop_assert!(homological_connectivity(&c) >= g.n() as isize - 2);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn from_facets_matches_all_pairs_oracle(cands in candidate_facets()) {
+        let c = Complex::from_facets(cands.clone());
+        let facets: BTreeSet<Simplex<u8>> = c.facets().cloned().collect();
+        prop_assert_eq!(facets, maximal_oracle(&cands));
+        prop_assert_eq!(Complex::from_facets(c.facets().cloned()), c);
     }
 }
