@@ -167,9 +167,7 @@ fn round_sweep_impl(
         None => protocol_complex_rounds(model.generators(), &input, rounds, budget)?,
     };
     // One chain-engine sweep over all rounds: each round's Betti numbers
-    // and connectivity share a single closure/rank pass, and reduced row
-    // bases carry over between rounds whenever the complexes embed
-    // (DESIGN.md §7.3).
+    // and connectivity share a single closure/rank pass.
     let homology = match cancel {
         Some(token) => rc.homology_sweep_cancellable(token)?,
         None => rc.homology_sweep(),
@@ -208,10 +206,10 @@ fn round_sweep_impl(
 /// the returned report is re-derived through the *certified* Betti
 /// path ([`ksa_topology::chain::reduced_betti_certified`]), whose
 /// witness a standalone checker can re-verify from the facet list
-/// alone. The report is bit-identical to the uncertified sweep — the
-/// certified path runs the same engine in the same canonical order, it
-/// just cannot reuse reduced bases across rounds, so it trades the
-/// sweep's carry-over for per-round witnesses.
+/// alone. The report is bit-identical to the uncertified sweep — ranks
+/// are properties of the matrices — but every rank, `∂_1` included, is
+/// reduced by the witness-recording echelon rather than the sweep's
+/// cheaper kernels.
 ///
 /// Certificates are labelled `"<label> r=<round>"`, round 1 first.
 ///

@@ -1,14 +1,13 @@
 //! Rayon-style parallel iterators over the work-stealing pool.
 //!
-//! The API surface (traits, method set, determinism guarantees) is
-//! deliberately identical to the workspace's `vendor/rayon` shim, so the
-//! same call sites compile against either: `map`/`filter`/`collect`
+//! The API surface (traits, method set) follows rayon's, so call sites
+//! read as they would against rayon: `map`/`filter`/`collect`
 //! preserve input order, reductions combine partial results in input
 //! order (deterministic for associative operators), and `any`/`find_any`
 //! cooperatively early-exit through a shared flag.
 //!
-//! Where the shim splits a workload into one static chunk per core, this
-//! implementation splits **adaptively**: work is divided by recursive
+//! Rather than one static chunk per core, this implementation splits
+//! **adaptively**: work is divided by recursive
 //! [`crate::join`], halving down to a grain sized for the pool and
 //! splitting even finer while workers are observed idle. Idle workers
 //! steal the biggest outstanding half, so irregular per-item costs (a

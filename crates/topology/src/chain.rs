@@ -1,6 +1,6 @@
 //! The flat chain-complex engine: integer-id simplex arenas, sparse
 //! boundary reduction, early-exit connectivity, and rank reuse across
-//! skeleta and growing complexes (DESIGN.md §7).
+//! skeleta (DESIGN.md §7).
 //!
 //! [`crate::homology`] and [`crate::connectivity`] used to re-derive the
 //! face closure per query, index simplexes through
@@ -14,14 +14,17 @@
 //!   sorted, deduplicated flat `Vec<u32>` of its dimension's chunks. No
 //!   per-simplex hashing anywhere — faces are resolved by binary search
 //!   over the sorted bucket below.
-//! * **Sparse boundary reduction** — boundary operators are assembled as
-//!   sparse rows (the `k+1` face column ids of each `k`-simplex) and
-//!   ranked by an echelon-basis elimination (`Echelon`). The matrices are
-//!   ultra-sparse (`k+1` entries per row) with low fill-in on the
-//!   protocol complexes of the experiments, which makes this an order of
-//!   magnitude faster than dense bit-packed elimination
+//! * **Sparse boundary reduction** — boundary operators `∂_k`, `k ≥ 2`,
+//!   are assembled as sparse rows (the `k+1` face column ids of each
+//!   `k`-simplex) and ranked by an echelon-basis elimination (`Echelon`).
+//!   The matrices are ultra-sparse (`k+1` entries per row) with low
+//!   fill-in on the protocol complexes of the experiments, which makes
+//!   this an order of magnitude faster than dense bit-packed elimination
 //!   ([`crate::gf2::Gf2Matrix`] remains the dense engine and the
-//!   cross-check oracle).
+//!   cross-check oracle). `∂_1` is the incidence matrix of the
+//!   1-skeleton, whose rank over any field is `|V| − #components`, so it
+//!   is ranked by a union-find over the edge arena instead: the echelon
+//!   walked whole paths there, one fresh row per step (DESIGN.md §7.1).
 //! * **Laziness** — ranks are computed per dimension on demand and
 //!   cached, so [`ChainComplex::connectivity_up_to`] reduces `∂_1, ∂_2,
 //!   …` dimension by dimension and stops at the first non-zero Betti
@@ -31,15 +34,6 @@
 //!   parent for `j ≤ k`, so [`ChainComplex::skeleton_betti`] and
 //!   [`ChainComplex::skeleton_connectivity`] answer skeleton queries from
 //!   the parent's cached ranks without re-closing any faces.
-//! * **Cross-step rank reuse** — [`ChainSweep`] feeds a *sequence* of
-//!   complexes (the round sweep of [`crate::rounds`]) through the engine
-//!   and carries the reduced row bases forward whenever one step's
-//!   simplexes embed into the next step's (the boundary rows of the
-//!   shared simplexes are identical, so the echelon basis resumes with
-//!   only the fresh rows). When the embedding fails — measured to be the
-//!   common case for iterated-interpretation complexes, whose interned
-//!   ids reshuffle every round — it falls back to a fresh per-complex
-//!   reduction and says so.
 //!
 //! Determinism (DESIGN.md §4): with the `parallel` feature the closure
 //! enumeration fans out per facet and full-Betti queries fan out per
@@ -54,7 +48,6 @@ use crate::complex::Complex;
 use crate::connectivity::Connectivity;
 use crate::simplex::{Vertex, View};
 use ksa_obs::Counter;
-use std::collections::HashMap;
 
 #[cfg(feature = "parallel")]
 use ksa_exec::prelude::*;
@@ -132,7 +125,7 @@ fn sort_dedup_chunks(data: Vec<u32>, stride: usize) -> Vec<u32> {
 }
 
 /// A GF(2) row-echelon basis over sparse rows (ascending `u32` column
-/// ids), the shared rank kernel of [`ChainComplex`] and [`ChainSweep`].
+/// ids), the rank kernel of [`ChainComplex`] for `∂_k`, `k ≥ 2`.
 ///
 /// `absorb` reduces an incoming row against the basis by its
 /// leading column and either inserts it (rank grows) or cancels it to
@@ -144,21 +137,27 @@ fn sort_dedup_chunks(data: Vec<u32>, stride: usize) -> Vec<u32> {
 struct Echelon {
     rows: Vec<Vec<u32>>,
     /// `pivot_of[col]`: index into `rows` of the basis row leading with
-    /// `col`, or `u32::MAX`. Grows on demand (the sweep's column space
-    /// is open-ended).
+    /// `col`, or `u32::MAX`. [`Echelon::new`] sizes it to the column
+    /// count; `WitnessEchelon` starts from `default()` and grows it.
     pivot_of: Vec<u32>,
 }
 
 impl Echelon {
-    /// Absorbs one sparse row; returns whether the rank grew.
+    /// An empty basis over `cols` columns.
+    fn new(cols: usize) -> Self {
+        Echelon {
+            rows: Vec::new(),
+            pivot_of: vec![u32::MAX; cols],
+        }
+    }
+
+    /// Absorbs one sparse row, whose column ids must lie below the count
+    /// given to [`Echelon::new`]; returns whether the rank grew.
     fn absorb(&mut self, mut row: Vec<u32>) -> bool {
         loop {
             let Some(&lead) = row.first() else {
                 return false;
             };
-            if self.pivot_of.len() <= lead as usize {
-                self.pivot_of.resize(lead as usize + 1, u32::MAX);
-            }
             let p = self.pivot_of[lead as usize];
             if p == u32::MAX {
                 self.pivot_of[lead as usize] = self.rows.len() as u32;
@@ -384,12 +383,46 @@ impl ChainComplex {
     /// the parallel Betti fan-out can share `&self`).
     fn compute_rank(&self, k: usize) -> usize {
         let _span = ksa_obs::span("chain", || "rank_reduce").arg("dim", k as u64);
-        let mut ech = Echelon::default();
-        for row in self.boundary_rows(k) {
-            ech.absorb(row);
-        }
+        let rank = if k == 1 {
+            self.edge_rank()
+        } else {
+            let mut ech = Echelon::new(self.simplex_count(k - 1));
+            for row in self.boundary_rows(k) {
+                ech.absorb(row);
+            }
+            ech.rank()
+        };
         ksa_obs::count(Counter::RanksComputed, 1);
-        ech.rank()
+        rank
+    }
+
+    /// The rank of `∂_1`: `|V| − #components` of the 1-skeleton over any
+    /// field, i.e. the number of edges a union-find (path halving)
+    /// merges on. `arenas[0]` is exactly `0..|V|`, so edge chunks are
+    /// vertex indices already. The boundary counters advance as if the
+    /// incidence rows had been assembled (one row, two entries per edge),
+    /// so the deterministic tier means what it does for `k ≥ 2`.
+    fn edge_rank(&self) -> usize {
+        fn find(parent: &mut [u32], mut x: u32) -> u32 {
+            while parent[x as usize] != x {
+                parent[x as usize] = parent[parent[x as usize] as usize];
+                x = parent[x as usize];
+            }
+            x
+        }
+        let edges = &self.arenas[1].data;
+        let mut parent: Vec<u32> = (0..self.simplex_count(0) as u32).collect();
+        let mut rank = 0;
+        for e in edges.chunks_exact(2) {
+            let (a, b) = (find(&mut parent, e[0]), find(&mut parent, e[1]));
+            if a != b {
+                parent[a as usize] = b;
+                rank += 1;
+            }
+        }
+        ksa_obs::count(Counter::BoundaryRows, (edges.len() / 2) as u64);
+        ksa_obs::count(Counter::BoundaryNnz, edges.len() as u64);
+        rank
     }
 
     /// Reduces `∂_k` like [`ChainComplex::compute_rank`] while
@@ -416,7 +449,7 @@ impl ChainComplex {
     }
 
     /// The cached rank of `∂_k`, reducing it on first use.
-    fn rank_boundary(&mut self, k: usize) -> usize {
+    pub(crate) fn rank_boundary(&mut self, k: usize) -> usize {
         if let Some(r) = self.ranks[k] {
             return r;
         }
@@ -529,27 +562,6 @@ impl ChainComplex {
         }
         Connectivity::AtLeast(cap)
     }
-
-    /// Re-keys the arenas into a caller-supplied vertex-id space: chunk
-    /// values map through `map` and chunks re-sort under the new ids.
-    /// Used by [`ChainSweep`] to compare arenas across complexes.
-    fn rekeyed_arenas(&self, map: &[u32]) -> Vec<Arena> {
-        self.arenas
-            .iter()
-            .map(|a| {
-                let mut data = Vec::with_capacity(a.data.len());
-                for i in 0..a.count() {
-                    let mut chunk: Vec<u32> = a.row(i).iter().map(|&v| map[v as usize]).collect();
-                    chunk.sort_unstable();
-                    data.extend(chunk);
-                }
-                Arena {
-                    stride: a.stride,
-                    data: sort_dedup_chunks(data, a.stride),
-                }
-            })
-            .collect()
-    }
 }
 
 /// Certified reduced Betti computation: the Betti vector of `complex`
@@ -649,302 +661,6 @@ fn closure_seq(facet_ids: &[Vec<u32>], dim: usize) -> Vec<Vec<u32>> {
     acc
 }
 
-/// One step of a [`ChainSweep`]: the complex's homology verdicts plus
-/// whether the engine resumed the previous step's row bases.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepStep {
-    /// The reduced Z/2 Betti numbers of this step's complex.
-    pub betti: Vec<usize>,
-    /// The homological connectivity verdict (derived from `betti`, so
-    /// identical to [`crate::connectivity::connectivity`] on the same
-    /// complex).
-    pub connectivity: Connectivity,
-    /// Whether this step's ranks resumed the previous step's reduced row
-    /// bases (the cross-step embedding held) instead of reducing from
-    /// scratch.
-    pub resumed: bool,
-}
-
-/// Rank reuse across a *sequence* of complexes (the round sweep): when
-/// step `t`'s simplexes all appear in step `t+1` — checked exactly, per
-/// dimension, in a shared vertex-id space — the boundary rows of the
-/// shared simplexes are identical, so step `t`'s echelon bases absorb
-/// only the fresh rows and the ranks resume instead of restarting.
-///
-/// When the embedding fails (iterated-interpretation complexes re-intern
-/// their views every round, so their raw id patterns rarely nest — see
-/// DESIGN.md §7.3), the step falls back to a fresh [`ChainComplex`]
-/// reduction; the subset check is a linear merge over the arenas, so the
-/// fallback costs no more than not having a sweep at all. Either way the
-/// verdicts are exactly those of the per-complex engine.
-///
-/// # Examples
-///
-/// ```
-/// use ksa_topology::chain::ChainSweep;
-/// use ksa_topology::complex::Complex;
-/// use ksa_topology::simplex::{Simplex, Vertex};
-///
-/// let tri = |a: usize, b: usize, c: usize| {
-///     Simplex::new(vec![
-///         Vertex::new(a, ()), Vertex::new(b, ()), Vertex::new(c, ()),
-///     ]).unwrap()
-/// };
-/// // A growing filtration: each step contains the previous one.
-/// let steps = [
-///     Complex::from_facets(vec![tri(0, 1, 2)]),
-///     Complex::from_facets(vec![tri(0, 1, 2), tri(1, 2, 3)]),
-///     Complex::from_facets(vec![tri(0, 1, 2), tri(1, 2, 3), tri(2, 3, 4)]),
-/// ];
-/// let mut sweep = ChainSweep::new();
-/// let first = sweep.push(&steps[0]);
-/// let second = sweep.push(&steps[1]);
-/// let third = sweep.push(&steps[2]);
-/// assert!(!first.resumed);  // nothing to resume from
-/// assert!(!second.resumed); // first embedding step builds the bases…
-/// assert!(third.resumed);   // …which later steps extend in place
-/// assert_eq!(third.betti, vec![0, 0, 0]); // glued disks stay acyclic
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ChainSweep<V: View> {
-    /// Global vertex interner (append-only, first-appearance order), the
-    /// shared id space that makes arenas comparable across steps.
-    vert_ids: HashMap<Vertex<V>, u32>,
-    /// Previous step's arenas, re-keyed to global vertex ids.
-    prev: Option<Vec<Arena>>,
-    /// Per-dimension global column interners (dimension `k` holds the
-    /// `k`-simplexes seen as *faces*, i.e. columns of some `∂_{k+1}`).
-    cols: Vec<HashMap<Vec<u32>, u32>>,
-    /// Warm per-dimension bases spanning exactly the previous step's
-    /// boundary rows; `None` while cold (after a fallback).
-    bases: Option<Vec<Echelon>>,
-    /// Cooperative cancellation, polled before every rank reduction
-    /// (`None` = never polled, zero overhead).
-    cancel: Option<ksa_graphs::cancel::CancelToken>,
-}
-
-impl<V: View> ChainSweep<V> {
-    /// A fresh sweep with no history.
-    pub fn new() -> Self {
-        ChainSweep {
-            vert_ids: HashMap::new(),
-            prev: None,
-            cols: Vec::new(),
-            bases: None,
-            cancel: None,
-        }
-    }
-
-    /// A fresh sweep that polls `cancel` before every boundary-rank
-    /// reduction — the engine's per-unit-of-work checkpoint. Use
-    /// [`try_push`](Self::try_push) to observe the interruption; a token
-    /// that never fires leaves every step bit-identical to an
-    /// uncancellable sweep.
-    pub fn with_cancel(cancel: ksa_graphs::cancel::CancelToken) -> Self {
-        ChainSweep {
-            cancel: Some(cancel),
-            ..ChainSweep::new()
-        }
-    }
-
-    fn checkpoint(&self) -> Result<(), ksa_graphs::cancel::Interrupted> {
-        match &self.cancel {
-            Some(token) => token.checkpoint(),
-            None => Ok(()),
-        }
-    }
-
-    /// Feeds the next complex of the sequence through the engine.
-    ///
-    /// # Panics
-    ///
-    /// If a token installed via [`with_cancel`](Self::with_cancel) has
-    /// fired — cancellable callers use [`try_push`](Self::try_push).
-    pub fn push(&mut self, complex: &Complex<V>) -> SweepStep {
-        self.try_push(complex)
-            .expect("cancellable sweeps must use try_push")
-    }
-
-    /// [`push`](Self::push), stopping at the next per-rank-reduction
-    /// checkpoint once the sweep's token has fired. An interruption may
-    /// leave the warm bases discarded (the engine goes cold), which is
-    /// harmless: a fired token stays fired, so every later push reports
-    /// the same interruption at its entry checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// The token's [`Interrupted`](ksa_graphs::cancel::Interrupted)
-    /// reason; infallible for sweeps built with [`new`](Self::new).
-    pub fn try_push(
-        &mut self,
-        complex: &Complex<V>,
-    ) -> Result<SweepStep, ksa_graphs::cancel::Interrupted> {
-        self.checkpoint()?;
-        let mut chain = ChainComplex::from_complex(complex);
-        if chain.is_void() {
-            self.prev = Some(Vec::new());
-            self.bases = None;
-            return Ok(SweepStep {
-                betti: Vec::new(),
-                connectivity: Connectivity::Empty,
-                resumed: false,
-            });
-        }
-
-        // Re-key this step's arenas into the sweep-global vertex space.
-        let verts = complex.vertices();
-        let map: Vec<u32> = verts
-            .iter()
-            .map(|v| {
-                let next = self.vert_ids.len() as u32;
-                *self.vert_ids.entry(v.clone()).or_insert(next)
-            })
-            .collect();
-        let cur = chain.rekeyed_arenas(&map);
-        let dim = cur.len() - 1;
-
-        let embeds = self.prev.as_ref().is_some_and(|prev| {
-            prev.len() <= cur.len()
-                && prev
-                    .iter()
-                    .zip(&cur)
-                    .all(|(p, c)| chunks_subset(&p.data, &c.data, p.stride))
-        });
-
-        let step = if embeds {
-            // Resume the bases when they survived from the last step
-            // (warm ⇒ they span exactly the previous step's boundary
-            // rows), or build them from scratch on the first embedding
-            // step after a cold start — either way by absorbing this
-            // step's rows that are not already in the span.
-            let warm = self.bases.is_some();
-            let mut bases = self.bases.take().unwrap_or_default();
-            bases.resize_with(dim + 1, Echelon::default);
-            if self.cols.len() < dim {
-                self.cols.resize_with(dim, HashMap::new);
-            }
-            let empty = Arena {
-                stride: 0,
-                data: Vec::new(),
-            };
-            for k in 1..=dim {
-                self.checkpoint()?;
-                let _span = ksa_obs::span("chain", || "rank_resume").arg("dim", k as u64);
-                let prev_k = self.prev.as_ref().and_then(|p| p.get(k)).unwrap_or(&empty);
-                let skip_shared = warm && prev_k.count() > 0;
-                // Both arenas are sorted, so skipping the already-absorbed
-                // shared chunks is a single linear merge: `j` chases the
-                // current row through the previous arena.
-                let mut j = 0usize;
-                let (mut fresh_rows, mut fresh_nnz) = (0u64, 0u64);
-                for i in 0..cur[k].count() {
-                    let chunk = cur[k].row(i);
-                    if skip_shared {
-                        while j < prev_k.count() && prev_k.row(j) < chunk {
-                            j += 1;
-                        }
-                        if j < prev_k.count() && prev_k.row(j) == chunk {
-                            j += 1;
-                            continue; // already absorbed in an earlier step
-                        }
-                    }
-                    let mut row: Vec<u32> = (0..chunk.len())
-                        .map(|skip| {
-                            let face: Vec<u32> = chunk
-                                .iter()
-                                .enumerate()
-                                .filter(|&(m, _)| m != skip)
-                                .map(|(_, &v)| v)
-                                .collect();
-                            let next = self.cols[k - 1].len() as u32;
-                            *self.cols[k - 1].entry(face).or_insert(next)
-                        })
-                        .collect();
-                    row.sort_unstable();
-                    fresh_rows += 1;
-                    fresh_nnz += row.len() as u64;
-                    bases[k].absorb(row);
-                }
-                ksa_obs::count(Counter::BoundaryRows, fresh_rows);
-                ksa_obs::count(Counter::BoundaryNnz, fresh_nnz);
-                ksa_obs::count(Counter::RanksComputed, 1);
-            }
-            // Betti from the resumed ranks; rank ∂_0 = 1, ∂_{dim+1} = 0.
-            let rank = |k: usize| -> usize {
-                if k == 0 {
-                    1
-                } else if k > dim {
-                    0
-                } else {
-                    bases[k].rank()
-                }
-            };
-            let betti: Vec<usize> = (0..=dim)
-                .map(|k| cur[k].count() - rank(k) - rank(k + 1))
-                .collect();
-            self.bases = Some(bases);
-            let connectivity = Connectivity::from_reduced_betti(&betti);
-            SweepStep {
-                betti,
-                connectivity,
-                resumed: warm,
-            }
-        } else {
-            // Fallback: fresh per-complex reduction, bases go cold.
-            self.bases = None;
-            if self.cancel.is_some() {
-                // Cancellable sweeps keep the per-rank-reduction poll
-                // granularity: warm each dimension's cached rank one at
-                // a time (checkpoint between), then read the identical
-                // Betti vector off the caches.
-                for k in 1..=chain.dim() as usize {
-                    self.checkpoint()?;
-                    chain.rank_boundary(k);
-                }
-            }
-            let betti = chain.reduced_betti();
-            let connectivity = Connectivity::from_reduced_betti(&betti);
-            SweepStep {
-                betti,
-                connectivity,
-                resumed: false,
-            }
-        };
-
-        self.prev = Some(cur);
-        Ok(step)
-    }
-}
-
-/// Whether every `stride`-chunk of sorted flat `a` appears in sorted flat
-/// `b` (a linear merge).
-fn chunks_subset(a: &[u32], b: &[u32], stride: usize) -> bool {
-    if stride == 0 {
-        return a.is_empty();
-    }
-    let (na, nb) = (a.len() / stride, b.len() / stride);
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < na {
-        let ca = &a[i * stride..(i + 1) * stride];
-        loop {
-            if j == nb {
-                return false;
-            }
-            let cb = &b[j * stride..(j + 1) * stride];
-            match cb.cmp(ca) {
-                std::cmp::Ordering::Less => j += 1,
-                std::cmp::Ordering::Equal => {
-                    j += 1;
-                    break;
-                }
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        i += 1;
-    }
-    true
-}
-
 /// Maps a complex straight to its chain engine — sugar for
 /// [`ChainComplex::from_complex`].
 impl<V: View> From<&Complex<V>> for ChainComplex {
@@ -1027,6 +743,49 @@ mod tests {
     }
 
     #[test]
+    fn edge_rank_is_vertices_minus_components() {
+        let edges =
+            |es: &[[usize; 2]]| -> Vec<Simplex<u32>> { es.iter().map(|e| simplex(e)).collect() };
+        // (complex, rank ∂_1, b̃)
+        let cases = vec![
+            // Isolated 0-dim facets beside an edge: 3 vertices, 2 components.
+            (
+                Complex::from_facets(vec![simplex(&[0, 1]), simplex(&[2]), simplex(&[3])]),
+                1,
+                vec![2, 0],
+            ),
+            // Several components: a 7-vertex forest of 3 trees.
+            (
+                Complex::from_facets(edges(&[[0, 1], [2, 3], [4, 5], [5, 6]])),
+                4,
+                vec![2, 0],
+            ),
+            // A pure 1-complex with one cycle (a triangle with a tail).
+            (
+                Complex::from_facets(edges(&[[0, 1], [1, 2], [0, 2], [2, 3]])),
+                3,
+                vec![0, 1],
+            ),
+        ];
+        for (c, rank, betti) in cases {
+            let mut chain = ChainComplex::from_complex(&c);
+            assert_eq!(chain.rank_boundary(1), rank, "{c:?}");
+            assert_eq!(chain.reduced_betti(), betti, "{c:?}");
+            assert_eq!(betti, reduced_betti_numbers_seq(&c), "{c:?}");
+        }
+        // A single vertex has no ∂_1: its rank is the fixed 0 of
+        // `∂_{dim+1}`, never reduced.
+        let mut point = ChainComplex::from_complex(&Complex::of_simplex(simplex(&[0])));
+        assert_eq!(point.ranks, vec![Some(1), Some(0)]);
+        assert_eq!(point.reduced_betti(), vec![0]);
+        // Isolated points only: dimension 0, no edges either.
+        let points = Complex::from_facets(vec![simplex(&[0]), simplex(&[1]), simplex(&[2])]);
+        let mut chain = ChainComplex::from_complex(&points);
+        assert_eq!(chain.ranks, vec![Some(1), Some(0)]);
+        assert_eq!(chain.reduced_betti(), vec![2]);
+    }
+
+    #[test]
     fn void_complex() {
         let mut chain = ChainComplex::from_complex(&Complex::<u32>::void());
         assert!(chain.is_void());
@@ -1080,76 +839,5 @@ mod tests {
                 "k = {k}"
             );
         }
-    }
-
-    #[test]
-    fn sweep_resumes_on_a_growing_filtration() {
-        // Grow a triangulated strip one triangle at a time.
-        let steps: Vec<Complex<u32>> = (1..=4)
-            .map(|t| Complex::from_facets((0..t).map(|i| simplex(&[i, i + 1, i + 2]))))
-            .collect();
-        let mut sweep = ChainSweep::new();
-        for (t, c) in steps.iter().enumerate() {
-            let step = sweep.push(c);
-            assert_eq!(step.betti, reduced_betti_numbers_seq(c), "step {t}");
-            // Step 0 has no history and step 1 builds the bases; from
-            // step 2 on the warm bases resume.
-            assert_eq!(step.resumed, t > 1, "step {t}");
-            assert_eq!(
-                step.connectivity,
-                crate::connectivity::connectivity(c),
-                "step {t}"
-            );
-        }
-    }
-
-    #[test]
-    fn sweep_falls_back_when_the_embedding_breaks() {
-        let mut sweep = ChainSweep::new();
-        let a = Complex::boundary_of(&simplex(&[0, 1, 2]));
-        let b = Complex::boundary_of(&simplex(&[3, 4, 5])); // disjoint from a
-        assert!(!sweep.push(&a).resumed);
-        let second = sweep.push(&b); // a ⊄ b: fallback
-        assert!(!second.resumed);
-        assert_eq!(second.betti, reduced_betti_numbers_seq(&b));
-        // Growing again from b: the first embedding step warms the
-        // bases, the next one resumes them.
-        let c = b.union(&Complex::of_simplex(simplex(&[3, 4, 5])));
-        let third = sweep.push(&c);
-        assert!(!third.resumed);
-        assert_eq!(third.betti, reduced_betti_numbers_seq(&c));
-        let d = c.union(&Complex::of_simplex(simplex(&[5, 6])));
-        let fourth = sweep.push(&d);
-        assert!(fourth.resumed);
-        assert_eq!(fourth.betti, reduced_betti_numbers_seq(&d));
-    }
-
-    #[test]
-    fn sweep_handles_dimension_growth() {
-        let mut sweep = ChainSweep::new();
-        let edge = Complex::of_simplex(simplex(&[0, 1]));
-        let filled = edge.union(&Complex::of_simplex(simplex(&[0, 1, 2])));
-        let bigger = filled.union(&Complex::of_simplex(simplex(&[2, 3])));
-        assert!(!sweep.push(&edge).resumed);
-        let step = sweep.push(&filled);
-        assert!(!step.resumed); // warms the bases across the new dim 2
-        assert_eq!(step.betti, reduced_betti_numbers_seq(&filled));
-        let step = sweep.push(&bigger);
-        assert!(step.resumed);
-        assert_eq!(step.betti, reduced_betti_numbers_seq(&bigger));
-    }
-
-    #[test]
-    fn sweep_void_steps() {
-        let mut sweep = ChainSweep::new();
-        let void = Complex::<u32>::void();
-        let step = sweep.push(&void);
-        assert_eq!(step.betti, Vec::<usize>::new());
-        assert_eq!(step.connectivity, Connectivity::Empty);
-        // A void step resets history; the next complex reduces fresh.
-        let c = Complex::boundary_of(&simplex(&[0, 1, 2]));
-        let step = sweep.push(&c);
-        assert!(!step.resumed);
-        assert_eq!(step.betti, reduced_betti_numbers_seq(&c));
     }
 }

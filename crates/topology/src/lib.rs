@@ -15,8 +15,8 @@
 //!   (Def 4.5) and their intersection law (Lemma 4.6);
 //! * [`chain`] — the flat chain-complex engine: integer-id simplex
 //!   arenas, sparse boundary reduction with per-dimension rank caching,
-//!   early-exit connectivity, and rank reuse across skeleta and growing
-//!   complex sequences (DESIGN.md §7);
+//!   early-exit connectivity, and rank reuse across skeleta
+//!   (DESIGN.md §7);
 //! * [`homology`] / [`connectivity`] — reduced Z/2 Betti numbers and the
 //!   homological connectivity checks used as the computational proxy for
 //!   the paper's homotopy connectivity (see DESIGN.md for the

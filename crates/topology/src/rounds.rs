@@ -28,7 +28,9 @@
 //! are bit-identical at any `KSA_THREADS`, proptest-pinned at pool sizes
 //! 1/2/8.
 
+use crate::chain::ChainComplex;
 use crate::complex::Complex;
+use crate::connectivity::Connectivity;
 use crate::error::TopologyError;
 use crate::intern::{InternedView, ViewTable};
 use crate::interpretation::FlatView;
@@ -40,6 +42,18 @@ use ksa_obs::Counter;
 
 #[cfg(feature = "parallel")]
 use ksa_exec::prelude::*;
+
+/// One round of [`RoundsComplex::homology_sweep`]: that round's
+/// homology verdicts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepStep {
+    /// The reduced Z/2 Betti numbers of the round's complex.
+    pub betti: Vec<usize>,
+    /// The homological connectivity verdict (derived from `betti`, so
+    /// identical to [`crate::connectivity::connectivity`] on the same
+    /// complex).
+    pub connectivity: Connectivity,
+}
 
 /// The result of an `r`-round iterated interpretation: one interned
 /// complex and one view table per round, plus the table of input views
@@ -96,30 +110,24 @@ impl<V: View> RoundsComplex<V> {
         self.input_table.len() + self.tables.iter().map(ViewTable::len).sum::<usize>()
     }
 
-    /// The homology of every round's complex, round 1 first, computed on
-    /// one [`ChainSweep`](crate::chain::ChainSweep): each round's Betti
-    /// numbers and connectivity come from a single shared chain build
-    /// (no separate closure/rank passes per query), and the sweep
-    /// carries its reduced row bases forward across rounds where one
-    /// round's boundary rows embed into the next round's
-    /// ([`SweepStep::resumed`](crate::chain::SweepStep)). Canonical
-    /// re-interning usually reshuffles the ids between rounds, in which
-    /// case the embedding check fails and each round reduces fresh —
-    /// DESIGN.md §7.3 records the measured behavior.
+    /// The homology of every round's complex, round 1 first: one
+    /// [`ChainComplex`] per round, whose Betti numbers and connectivity
+    /// share a single closure and rank pass (DESIGN.md §7.3).
     ///
     /// Verdicts are bit-identical to calling
     /// [`reduced_betti_numbers`](crate::homology::reduced_betti_numbers)
     /// and [`connectivity`](crate::connectivity::connectivity) on each
     /// round's complex (proptest-pinned in `tests/chain_engine.rs`).
-    pub fn homology_sweep(&self) -> Vec<crate::chain::SweepStep> {
-        let mut sweep = crate::chain::ChainSweep::new();
-        self.complexes.iter().map(|c| sweep.push(c)).collect()
+    pub fn homology_sweep(&self) -> Vec<SweepStep> {
+        self.sweep(None)
+            .expect("a sweep without a token is never interrupted")
     }
 
     /// [`homology_sweep`](Self::homology_sweep) with a cooperative
-    /// [`CancelToken`], polled before every boundary-rank reduction
-    /// (the sweep's units of work). A token that never fires leaves the
-    /// steps bit-identical to [`homology_sweep`](Self::homology_sweep).
+    /// [`CancelToken`], polled before each round and before every
+    /// boundary-rank reduction (the sweep's units of work). A token that
+    /// never fires leaves the steps bit-identical to
+    /// [`homology_sweep`](Self::homology_sweep).
     ///
     /// # Errors
     ///
@@ -128,11 +136,34 @@ impl<V: View> RoundsComplex<V> {
     pub fn homology_sweep_cancellable(
         &self,
         cancel: &CancelToken,
-    ) -> Result<Vec<crate::chain::SweepStep>, TopologyError> {
-        let mut sweep = crate::chain::ChainSweep::with_cancel(cancel.clone());
+    ) -> Result<Vec<SweepStep>, TopologyError> {
+        self.sweep(Some(cancel))
+    }
+
+    /// The per-round loop behind both sweeps.
+    fn sweep(&self, cancel: Option<&CancelToken>) -> Result<Vec<SweepStep>, TopologyError> {
+        let checkpoint = || cancel.map_or(Ok(()), CancelToken::checkpoint);
         self.complexes
             .iter()
-            .map(|c| sweep.try_push(c).map_err(TopologyError::from))
+            .map(|complex| {
+                checkpoint()?;
+                let mut chain = ChainComplex::from_complex(complex);
+                if cancel.is_some() {
+                    // Warm each dimension's cached rank one at a time,
+                    // polling between, so `reduced_betti` only reads the
+                    // cache (and cannot fan out past a fired token).
+                    for k in 1..=chain.dim().max(0) as usize {
+                        checkpoint()?;
+                        chain.rank_boundary(k);
+                    }
+                }
+                let betti = chain.reduced_betti();
+                let connectivity = Connectivity::from_reduced_betti(&betti);
+                Ok(SweepStep {
+                    betti,
+                    connectivity,
+                })
+            })
             .collect()
     }
 
@@ -322,8 +353,9 @@ fn round_step<'a>(
 /// Shared driver for the sequential and parallel entry points. The
 /// per-round iteration is the pipeline's coarse poll point: a fired
 /// [`CancelToken`] stops before the next round's fan-out (finer polls —
-/// per rank reduction — live in the [`ChainSweep`](crate::chain::ChainSweep)
-/// that consumes the result).
+/// per rank reduction — live in
+/// [`RoundsComplex::homology_sweep_cancellable`], which consumes the
+/// result).
 fn rounds_driver<V: View>(
     gens: &[Digraph],
     input: &Complex<V>,
@@ -431,6 +463,7 @@ mod tests {
     use super::*;
     use crate::interpretation::protocol_complex_one_round;
     use crate::pseudosphere::Pseudosphere;
+    use ksa_graphs::cancel::Deadline;
     use ksa_graphs::families;
 
     fn binary_inputs(n: usize) -> Complex<u32> {
@@ -533,6 +566,25 @@ mod tests {
         let par = protocol_complex_rounds(&gens, &input, 2, 10_000_000u128).unwrap();
         let seq = protocol_complex_rounds_seq(&gens, &input, 2, 10_000_000u128).unwrap();
         assert_eq!(par, seq);
+    }
+
+    #[test]
+    fn fired_token_interrupts_the_homology_sweep() {
+        // Build first, so the interruption comes from the sweep's own
+        // polls rather than the construction's.
+        let gens = vec![families::cycle(3).unwrap()];
+        let rc = protocol_complex_rounds(&gens, &binary_inputs(3), 2, 10_000_000u128).unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        assert_eq!(
+            rc.homology_sweep_cancellable(&token),
+            Err(TopologyError::Cancelled)
+        );
+        let expired = CancelToken::with_deadline(Deadline::in_millis(0));
+        assert_eq!(
+            rc.homology_sweep_cancellable(&expired),
+            Err(TopologyError::DeadlineExceeded)
+        );
     }
 
     #[test]

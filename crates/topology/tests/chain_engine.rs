@@ -7,19 +7,23 @@
 //!   `connectivity(c)` verdict;
 //! * skeleton-reuse queries == homology of the materialized
 //!   `c.skeleton(k)`;
-//! * `ChainSweep` verdicts == per-complex verdicts, on growing
-//!   filtrations (where the bases resume) and on arbitrary sequences
-//!   (where the embedding check must fall back).
+//! * every `RoundsComplex::homology_sweep` step == the per-complex
+//!   references of its round, and the cancellable sweep under a silent
+//!   token == the plain one.
 
 #![cfg(feature = "parallel")]
 
 use ksa_exec::ThreadPool;
-use ksa_topology::chain::{ChainComplex, ChainSweep};
+use ksa_graphs::cancel::CancelToken;
+use ksa_graphs::Digraph;
+use ksa_topology::chain::ChainComplex;
 use ksa_topology::complex::Complex;
 use ksa_topology::connectivity::{
     connectivity, connectivity_seq, connectivity_up_to, Connectivity,
 };
-use ksa_topology::homology::{reduced_betti_numbers, reduced_betti_numbers_seq};
+use ksa_topology::homology::reduced_betti_numbers_seq;
+use ksa_topology::pseudosphere::Pseudosphere;
+use ksa_topology::rounds::protocol_complex_rounds;
 use ksa_topology::simplex::{Simplex, Vertex};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -39,6 +43,18 @@ fn small_complex() -> impl Strategy<Value = Complex<u8>> {
     });
     prop::collection::vec(simplex, 1..7).prop_map(Complex::from_facets)
 }
+
+/// Strategy: up to two generator digraphs on 3 processes.
+fn random_generators() -> impl Strategy<Value = Vec<Digraph>> {
+    let graph = prop::collection::btree_set((0usize..3, 0usize..3), 0..7)
+        .prop_map(|edges| Digraph::from_edges(3, &edges.into_iter().collect::<Vec<_>>()).unwrap());
+    prop::collection::vec(graph, 1..=2)
+}
+
+/// Facet budget for the sweep proptest: sparse generators whose second
+/// round blows up are rejected rather than left to dominate the suite
+/// (the dense `_seq` references are the slow side).
+const SWEEP_BUDGET: u128 = 10_000;
 
 /// The truncation of a full connectivity verdict at `k`: what
 /// `connectivity_up_to` promises to return (its documented semantics).
@@ -97,47 +113,41 @@ proptest! {
         }
     }
 
-    /// A growing filtration (each step unions one more facet): the sweep
-    /// must resume its bases from step 2 on and still reproduce the
-    /// per-complex verdicts exactly.
+    /// The round sweep: every step equals the references of its round's
+    /// complex at every pool size, and a silent token changes nothing.
     #[test]
-    fn sweep_on_growing_filtrations(c in small_complex()) {
-        let facets: Vec<Simplex<u8>> = c.facets().cloned().collect();
-        let steps: Vec<Complex<u8>> = (1..=facets.len())
-            .map(|t| Complex::from_facets(facets[..t].iter().cloned()))
+    fn homology_sweep_matches_per_round_references(
+        gens in random_generators(),
+        rounds in 1usize..=2,
+    ) {
+        let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
+            .unwrap()
+            .to_complex();
+        let built = protocol_complex_rounds(&gens, &input, rounds, SWEEP_BUDGET);
+        prop_assume!(built.is_ok());
+        let rc = built.unwrap();
+        let reference: Vec<_> = rc
+            .complexes()
+            .iter()
+            .map(|c| (reduced_betti_numbers_seq(c), connectivity_seq(c)))
             .collect();
+        let token = CancelToken::new();
         for pool in pools() {
-            let results = pool.install(|| {
-                let mut sweep = ChainSweep::new();
-                steps.iter().map(|s| sweep.push(s)).collect::<Vec<_>>()
+            let (steps, silent) = pool.install(|| {
+                (rc.homology_sweep(), rc.homology_sweep_cancellable(&token))
             });
-            for (t, (step, complex)) in results.iter().zip(&steps).enumerate() {
+            prop_assert_eq!(steps.len(), rounds);
+            for (t, (step, (betti, conn))) in steps.iter().zip(&reference).enumerate() {
                 prop_assert_eq!(
-                    &step.betti,
-                    &reduced_betti_numbers_seq(complex),
-                    "pool size {}, step {t}", pool.num_threads()
+                    &step.betti, betti,
+                    "pool size {}, round {}", pool.num_threads(), t + 1
                 );
                 prop_assert_eq!(
-                    step.connectivity,
-                    connectivity_seq(complex),
-                    "pool size {}, step {t}", pool.num_threads()
+                    step.connectivity, *conn,
+                    "pool size {}, round {}", pool.num_threads(), t + 1
                 );
-                if t > 1 {
-                    prop_assert!(step.resumed, "pool size {}, step {t}", pool.num_threads());
-                }
             }
-        }
-    }
-
-    /// Arbitrary (non-nesting) sequences: the embedding check must fall
-    /// back rather than resume into wrong ranks.
-    #[test]
-    fn sweep_on_arbitrary_sequences(cs in prop::collection::vec(small_complex(), 1..4)) {
-        let mut sweep = ChainSweep::new();
-        for (t, c) in cs.iter().enumerate() {
-            let step = sweep.push(c);
-            prop_assert_eq!(&step.betti, &reduced_betti_numbers(c), "step {t}");
-            prop_assert_eq!(step.connectivity, connectivity_seq(c), "step {t}");
+            prop_assert_eq!(silent.unwrap(), steps, "pool size {}", pool.num_threads());
         }
     }
 }

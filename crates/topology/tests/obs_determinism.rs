@@ -21,6 +21,7 @@
 
 use ksa_exec::ThreadPool;
 use ksa_graphs::Digraph;
+use ksa_topology::chain::ChainComplex;
 use ksa_topology::complex::Complex;
 use ksa_topology::connectivity::{connectivity, connectivity_seq};
 use ksa_topology::homology::{reduced_betti_numbers, reduced_betti_numbers_seq};
@@ -226,4 +227,31 @@ fn repeated_runs_on_one_pool_are_stable() {
             Some(r) => assert_eq!(&delta, r, "deterministic tier unstable across reruns"),
         }
     }
+}
+
+/// `∂_1` is ranked by union-find, yet it counts as its assembled
+/// incidence rows would: on the boundary of the tetrahedron the closure
+/// has 4 + 6 + 4 faces, `∂_1` and `∂_2` have 6 + 4 rows with 12 + 12
+/// entries, and two ranks are computed.
+#[test]
+fn sphere_betti_counts_its_boundary_work() {
+    let _guard = counter_lock();
+    let tet = Simplex::new((0..4).map(|c| Vertex::new(c, 0u8)).collect()).unwrap();
+    let c = Complex::boundary_of(&tet);
+    let delta = det_delta(|| {
+        assert_eq!(
+            ChainComplex::from_complex(&c).reduced_betti(),
+            vec![0, 0, 1]
+        );
+    });
+    let nonzero: Vec<(&str, u64)> = delta.into_iter().filter(|&(_, v)| v != 0).collect();
+    assert_eq!(
+        nonzero,
+        vec![
+            ("faces_closed", 14),
+            ("boundary_rows", 10),
+            ("boundary_nnz", 24),
+            ("ranks_computed", 2),
+        ]
+    );
 }
