@@ -296,10 +296,9 @@ fn main() -> ExitCode {
         ksa_obs::trace_start();
     }
 
-    // Whole experiments fan out as `ksa-exec` tasks (under the default
-    // `parallel` feature); results come back in input order, so the
-    // printed reports and the JSON payload are independent of the thread
-    // count.
+    // Whole experiments fan out as `ksa-exec` tasks; results come back
+    // in input order, so the printed reports and the JSON payload are
+    // independent of the thread count.
     let mut all_ok = true;
     let mut results: Vec<(ExperimentOutcome, ExperimentTiming)> = Vec::new();
     for (id, (result, timing)) in ids

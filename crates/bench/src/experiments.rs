@@ -459,7 +459,7 @@ pub fn rounds() -> R {
     ] {
         let model = registry_model(name)?;
         let (sweep, certs) =
-            cross_check_round_sweep_certified(&model, 1, rounds, 100_000_000u128, name)?;
+            cross_check_round_sweep_certified(&model, 1, rounds, 100_000_000u128, name, None)?;
         for row in &sweep.per_round {
             out.line(format!(
                 "{name:<16} {:>3} {:>8} {:>7} {:>6} {:>9}  {:?}",

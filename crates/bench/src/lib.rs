@@ -7,6 +7,8 @@
 
 pub mod experiments;
 
+use ksa_exec::prelude::*;
+
 /// Outcome of one experiment.
 #[derive(Debug, Clone)]
 pub struct ExperimentOutcome {
@@ -211,7 +213,7 @@ pub struct ExperimentTiming {
 /// Runs the given experiments and returns `(outcome-or-error, timing)`
 /// per id, **in input order**.
 ///
-/// With the `parallel` feature each experiment is a `ksa-exec` task —
+/// Each experiment is a `ksa-exec` task —
 /// whole experiments race on the work-stealing pool while their inner hot
 /// loops (homology, checker, solvability) fan out further on the same
 /// engine. Results merge in input order and every experiment is
@@ -242,14 +244,10 @@ pub fn run_experiments_with_models(
     let timed = |id: &&str| {
         let _span = ksa_obs::span("experiment", || (*id).to_string());
         let start = std::time::Instant::now();
-        #[cfg(feature = "parallel")]
         let helped_before = ksa_exec::helped_nanos();
         let result = run_experiment_with_models(id, models);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        #[cfg(feature = "parallel")]
         let helped_ms = (ksa_exec::helped_nanos() - helped_before) as f64 / 1e6;
-        #[cfg(not(feature = "parallel"))]
-        let helped_ms = 0.0;
         let timing = ExperimentTiming {
             queued_ms: dispatched.elapsed().as_secs_f64() * 1e3,
             wall_ms,
@@ -257,15 +255,7 @@ pub fn run_experiments_with_models(
         };
         (result, timing)
     };
-    #[cfg(feature = "parallel")]
-    {
-        use ksa_exec::prelude::*;
-        ids.par_iter().map(timed).collect()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        ids.iter().map(timed).collect()
-    }
+    ids.par_iter().map(timed).collect()
 }
 
 #[cfg(test)]

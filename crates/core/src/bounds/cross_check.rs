@@ -23,10 +23,10 @@ use crate::bounds::lower::best_lower_bound;
 use crate::bounds::LowerBound;
 use crate::budget::{CancelToken, RunBudget};
 use crate::error::CoreError;
-use crate::task::input_complex;
+use crate::task::{input_complex, Value};
 use ksa_models::ClosedAboveModel;
 use ksa_topology::connectivity::Connectivity;
-use ksa_topology::rounds::protocol_complex_rounds;
+use ksa_topology::rounds::{protocol_complex_rounds, RoundsComplex};
 use std::fmt;
 
 /// One round of the sweep: the topological measurement next to the
@@ -154,18 +154,7 @@ fn round_sweep_impl(
     budget: RunBudget,
     cancel: Option<&CancelToken>,
 ) -> Result<RoundSweepReport, CoreError> {
-    let n = ksa_models::ObliviousModel::n(model);
-    let input = input_complex(n, value_max, budget.max_executions)?;
-    let rc = match cancel {
-        Some(token) => ksa_topology::rounds::protocol_complex_rounds_cancellable(
-            model.generators(),
-            &input,
-            rounds,
-            budget,
-            token,
-        )?,
-        None => protocol_complex_rounds(model.generators(), &input, rounds, budget)?,
-    };
+    let rc = build_rounds(model, value_max, rounds, budget, cancel)?;
     // One chain-engine sweep over all rounds: each round's Betti numbers
     // and connectivity share a single closure/rank pass.
     let homology = match cancel {
@@ -174,30 +163,67 @@ fn round_sweep_impl(
     };
     let mut per_round = Vec::with_capacity(rounds);
     for (r, step) in (1..=rounds).zip(homology) {
-        let complex = rc.complex_at(r).expect("round was materialized");
-        let lower = best_lower_bound(model, r)?;
-        let predicted_l = lower
-            .as_ref()
-            .map(|b| b.impossible_k as isize - 1)
-            .unwrap_or(-1);
         let measured_connectivity = match step.connectivity {
             Connectivity::Empty => -2,
             Connectivity::Exactly(k) | Connectivity::AtLeast(k) => k,
         };
-        per_round.push(RoundCrossCheck {
-            round: r,
-            lower,
-            predicted_l,
-            measured_connectivity,
-            betti: step.betti,
-            facets: complex.facet_count(),
-            interned_views: rc.table_at(r).expect("round was materialized").len(),
-        });
+        per_round.push(round_row(model, &rc, r, step.betti, measured_connectivity)?);
     }
     Ok(RoundSweepReport {
-        n,
+        n: ksa_models::ObliviousModel::n(model),
         value_max,
         per_round,
+    })
+}
+
+/// The input complex `Ψ(Π, [0, value_max])` of `model` and its
+/// `rounds`-round protocol complexes, polling `cancel` once per round.
+fn build_rounds(
+    model: &ClosedAboveModel,
+    value_max: usize,
+    rounds: usize,
+    budget: RunBudget,
+    cancel: Option<&CancelToken>,
+) -> Result<RoundsComplex<Value>, CoreError> {
+    let n = ksa_models::ObliviousModel::n(model);
+    let input = input_complex(n, value_max, budget.max_executions)?;
+    Ok(match cancel {
+        Some(token) => ksa_topology::rounds::protocol_complex_rounds_cancellable(
+            model.generators(),
+            &input,
+            rounds,
+            budget,
+            token,
+        )?,
+        None => protocol_complex_rounds(model.generators(), &input, rounds, budget)?,
+    })
+}
+
+/// Round `r`'s row: its measured homology next to the combinatorial
+/// bound's prediction.
+fn round_row(
+    model: &ClosedAboveModel,
+    rc: &RoundsComplex<Value>,
+    r: usize,
+    betti: Vec<usize>,
+    measured_connectivity: isize,
+) -> Result<RoundCrossCheck, CoreError> {
+    let lower = best_lower_bound(model, r)?;
+    let predicted_l = lower
+        .as_ref()
+        .map(|b| b.impossible_k as isize - 1)
+        .unwrap_or(-1);
+    Ok(RoundCrossCheck {
+        round: r,
+        lower,
+        predicted_l,
+        measured_connectivity,
+        betti,
+        facets: rc
+            .complex_at(r)
+            .expect("round was materialized")
+            .facet_count(),
+        interned_views: rc.table_at(r).expect("round was materialized").len(),
     })
 }
 
@@ -213,29 +239,32 @@ fn round_sweep_impl(
 ///
 /// Certificates are labelled `"<label> r=<round>"`, round 1 first.
 ///
+/// `cancel` is polled once per round in the complex construction and
+/// before each round's certified reduction; a fired token surfaces as
+/// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`]. A token
+/// that never fires leaves the report and the certificates
+/// bit-identical to `None`.
+///
 /// # Errors
 ///
-/// Same conditions as [`cross_check_round_sweep`].
+/// Same conditions as [`cross_check_round_sweep`], plus the two token
+/// variants.
 pub fn cross_check_round_sweep_certified(
     model: &ClosedAboveModel,
     value_max: usize,
     rounds: usize,
     budget: impl Into<RunBudget>,
     label: &str,
+    cancel: Option<&CancelToken>,
 ) -> Result<(RoundSweepReport, Vec<ksa_cert::HomologyCert>), CoreError> {
-    let budget = budget.into();
-    let n = ksa_models::ObliviousModel::n(model);
-    let input = input_complex(n, value_max, budget.max_executions)?;
-    let rc = protocol_complex_rounds(model.generators(), &input, rounds, budget)?;
+    let rc = build_rounds(model, value_max, rounds, budget.into(), cancel)?;
     let mut per_round = Vec::with_capacity(rounds);
     let mut certs = Vec::with_capacity(rounds);
     for r in 1..=rounds {
+        if let Some(token) = cancel {
+            token.checkpoint()?;
+        }
         let complex = rc.complex_at(r).expect("round was materialized");
-        let lower = best_lower_bound(model, r)?;
-        let predicted_l = lower
-            .as_ref()
-            .map(|b| b.impossible_k as isize - 1)
-            .unwrap_or(-1);
         let (betti, cert) =
             ksa_topology::chain::reduced_betti_certified(complex, &format!("{label} r={r}"))
                 .expect("protocol complexes are never void");
@@ -243,25 +272,15 @@ pub fn cross_check_round_sweep_certified(
         // `Connectivity::from_reduced_betti`: first nonzero index minus
         // one, or the dimension when the table vanishes.
         let measured_connectivity = cert.connectivity as isize;
-        per_round.push(RoundCrossCheck {
-            round: r,
-            lower,
-            predicted_l,
-            measured_connectivity,
-            betti,
-            facets: complex.facet_count(),
-            interned_views: rc.table_at(r).expect("round was materialized").len(),
-        });
+        per_round.push(round_row(model, &rc, r, betti, measured_connectivity)?);
         certs.push(cert);
     }
-    Ok((
-        RoundSweepReport {
-            n,
-            value_max,
-            per_round,
-        },
-        certs,
-    ))
+    let report = RoundSweepReport {
+        n: ksa_models::ObliviousModel::n(model),
+        value_max,
+        per_round,
+    };
+    Ok((report, certs))
 }
 
 /// [`cross_check_round_sweep`] with the model resolved from the builtin
@@ -373,7 +392,7 @@ mod tests {
         let m = named::simple_ring(3).unwrap();
         let plain = cross_check_round_sweep(&m, 1, 2, 1_000_000u128).unwrap();
         let (certified, certs) =
-            cross_check_round_sweep_certified(&m, 1, 2, 1_000_000u128, "ring{n=3}").unwrap();
+            cross_check_round_sweep_certified(&m, 1, 2, 1_000_000u128, "ring{n=3}", None).unwrap();
         // The certified path must reproduce the sweep bit-identically.
         assert_eq!(plain, certified);
         assert_eq!(certs.len(), 2);
@@ -384,6 +403,42 @@ mod tests {
             let text = ksa_cert::Cert::Homology(cert.clone()).to_text();
             ksa_cert::Cert::parse(&text).unwrap().check().unwrap();
         }
+    }
+
+    #[test]
+    fn certified_sweep_honors_an_expired_deadline() {
+        use crate::budget::Deadline;
+        let token = CancelToken::with_deadline(Deadline::in_millis(0));
+        let err = cross_check_round_sweep_certified(
+            &named::simple_ring(3).unwrap(),
+            1,
+            2,
+            1_000_000u128,
+            "ring{n=3}",
+            Some(&token),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CoreError::DeadlineExceeded), "{err:?}");
+    }
+
+    #[test]
+    fn certified_sweep_with_silent_token_matches_none() {
+        let m = named::star_unions(3, 1).unwrap();
+        let label = "stars{n=3,s=1}";
+        let (plain, plain_certs) =
+            cross_check_round_sweep_certified(&m, 1, 2, 10_000_000u128, label, None).unwrap();
+        let token = CancelToken::new();
+        let (tokened, tokened_certs) =
+            cross_check_round_sweep_certified(&m, 1, 2, 10_000_000u128, label, Some(&token))
+                .unwrap();
+        assert_eq!(plain, tokened);
+        let texts = |certs: &[ksa_cert::HomologyCert]| -> Vec<String> {
+            certs
+                .iter()
+                .map(|c| ksa_cert::Cert::Homology(c.clone()).to_text())
+                .collect()
+        };
+        assert_eq!(texts(&plain_certs), texts(&tokened_certs));
     }
 
     #[test]

@@ -31,13 +31,13 @@
 //!   of their decision set under the group; sibling branches with equal
 //!   canonical keys are orbit duplicates and explored once.
 //! * **A monotone no-good table** — refuted canonical decision sets are
-//!   published to a shared [`NoGoodTable`] (lock-sharded under
-//!   `parallel`). Every entry is a fact about the *instance* ("no
-//!   solution extends this orbit"), never about one strategy's schedule,
-//!   so lookups only skip work and can never flip a verdict: determinism
-//!   at any `KSA_THREADS` holds by construction.
+//!   published to a shared, lock-sharded [`NoGoodTable`]. Every entry is
+//!   a fact about the *instance* ("no solution extends this orbit"),
+//!   never about one strategy's schedule, so lookups only skip work and
+//!   can never flip a verdict: determinism at any `KSA_THREADS` holds by
+//!   construction.
 //!
-//! With the `parallel` feature, strategy variants (value-iteration
+//! Strategy variants (value-iteration
 //! direction, tie-breaking rule) race on the `ksa-exec` work-stealing
 //! pool sharing one table; the first to complete cancels the rest.
 //! Verdicts are intrinsic to the instance, hence identical at any thread
@@ -62,7 +62,6 @@
 use crate::budget::{CancelToken, RunBudget};
 use crate::error::CoreError;
 use crate::task::Value;
-#[cfg(feature = "parallel")]
 use ksa_exec::prelude::*;
 use ksa_graphs::Digraph;
 use ksa_models::ClosedAboveModel;
@@ -73,7 +72,6 @@ use std::collections::{HashMap, HashSet};
 /// How many input assignments each parallel batch spans. Batches are
 /// enumerated in odometer order and merged in order, so the view/exec
 /// numbering is identical to the sequential scan.
-#[cfg(feature = "parallel")]
 const INPUT_BATCH: usize = 512;
 
 /// Iterator over all input assignments of `n` processes over
@@ -318,7 +316,6 @@ where
 /// assignments out on the work-stealing pool in bounded batches. Local
 /// enumerations merge in odometer order, so the view and execution
 /// numbering is identical to [`merge_all_seq`].
-#[cfg(feature = "parallel")]
 fn merge_all<F>(
     n: usize,
     values: Value,
@@ -342,19 +339,6 @@ where
         }
     }
     Ok(merger)
-}
-
-#[cfg(not(feature = "parallel"))]
-fn merge_all<F>(
-    n: usize,
-    values: Value,
-    exec_limit: usize,
-    enumerate: F,
-) -> Result<EnumerationMerger, CoreError>
-where
-    F: Fn(&[Value]) -> LocalEnumeration + Sync,
-{
-    merge_all_seq(n, values, exec_limit, enumerate)
 }
 
 /// Upper bound on the raw superset-odometer space the one-round decider
@@ -401,7 +385,7 @@ fn validate_k(k: usize) -> Result<(), CoreError> {
 /// [`Solvability::Unknown`]).
 ///
 /// The CSP runs the pruned search (propagation, orbit symmetry breaking
-/// and a no-good table; with `parallel`, racing strategy variants on the
+/// and a no-good table, with strategy variants racing on the
 /// work-stealing pool — see the module docs). Decided verdicts
 /// (`Solvable`/`Unsolvable`) are intrinsic to the instance and therefore
 /// identical to [`decide_one_round_seq`] at any thread count; at the
@@ -477,11 +461,10 @@ pub fn decide_one_round_cancellable(
 
 /// The sequential reference implementation of [`decide_one_round`]:
 /// single-threaded enumeration and the canonical most-constrained-first
-/// backtracking search, regardless of the `parallel` feature.
+/// backtracking search, on the calling thread.
 ///
 /// Exists so tests (and skeptical users) can cross-check that the
-/// portfolio search returns the same verdicts; it is also what the
-/// `parallel`-less build of [`decide_one_round`] effectively runs.
+/// portfolio search returns the same verdicts.
 ///
 /// # Errors
 ///
@@ -902,7 +885,7 @@ fn view_consistent(csp: &CspInstance, v: usize, assignment: &[Option<Value>]) ->
 
 /// Decides a solvability CSP with the pruned search (propagation + orbit
 /// symmetry breaking + no-good table), racing strategy variants on the
-/// pool under `parallel`. `sym_graphs` is the graph set whose stabilizer
+/// pool. `sym_graphs` is the graph set whose stabilizer
 /// is the instance's process-symmetry group (the model generators for
 /// one round, the deduplicated schedule products for explicit rounds).
 /// Falls back to the sequential forward-checking reference when the
@@ -929,29 +912,13 @@ fn solve_csp(
     let sym = CspSymmetry::detect(sym_graphs, &instance.views, values);
     record_pruned_entry(&instance, &sym);
     let table = NoGoodTable::new();
-    #[cfg(feature = "parallel")]
-    {
-        Ok(solve_csp_pruned_portfolio(
-            instance,
-            &sym,
-            &table,
-            node_budget,
-            cancel,
-        ))
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let (outcome, stats) = run_pruned_strategy(
-            &instance,
-            &sym,
-            &table,
-            cancel,
-            PrunedKnobs::CANONICAL,
-            node_budget,
-        );
-        flush_pruned_perf(&stats);
-        Ok(finish_pruned(instance, outcome))
-    }
+    Ok(solve_csp_pruned_portfolio(
+        instance,
+        &sym,
+        &table,
+        node_budget,
+        cancel,
+    ))
 }
 
 /// Deterministic observability for one pruned-search entry: the verdict
@@ -1201,36 +1168,22 @@ impl CspSymmetry {
 /// never match a probed signature (e.g. out-of-range view ids); seeding
 /// a false matching entry would violate the contract.
 ///
-/// Lock-sharded under the `parallel` feature so racing strategies share
-/// one table; a plain mutex-guarded set otherwise.
+/// Lock-sharded so racing strategies share one table.
 pub struct NoGoodTable {
-    #[cfg(feature = "parallel")]
     inner: ksa_exec::ShardedSet<NoGoodKey>,
-    #[cfg(not(feature = "parallel"))]
-    inner: std::sync::Mutex<HashSet<NoGoodKey>>,
 }
 
 impl NoGoodTable {
     /// An empty table.
     pub fn new() -> Self {
         NoGoodTable {
-            #[cfg(feature = "parallel")]
             inner: ksa_exec::ShardedSet::new(),
-            #[cfg(not(feature = "parallel"))]
-            inner: std::sync::Mutex::new(HashSet::new()),
         }
     }
 
     /// Number of published no-goods.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            self.inner.len()
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            self.inner.lock().expect("table poisoned").len()
-        }
+        self.inner.len()
     }
 
     /// Whether the table holds no entries.
@@ -1251,41 +1204,15 @@ impl NoGoodTable {
     /// All published entries, in unspecified order — for harvesting a
     /// finished search's facts to [`Self::seed`] a later one.
     pub fn snapshot(&self) -> Vec<NoGoodKey> {
-        #[cfg(feature = "parallel")]
-        {
-            self.inner.snapshot()
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            self.inner
-                .lock()
-                .expect("table poisoned")
-                .iter()
-                .cloned()
-                .collect()
-        }
+        self.inner.snapshot()
     }
 
     fn contains(&self, key: &NoGoodKey) -> bool {
-        #[cfg(feature = "parallel")]
-        {
-            self.inner.contains(key)
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            self.inner.lock().expect("table poisoned").contains(key)
-        }
+        self.inner.contains(key)
     }
 
     fn insert(&self, key: NoGoodKey) -> bool {
-        #[cfg(feature = "parallel")]
-        {
-            self.inner.insert(key)
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            self.inner.lock().expect("table poisoned").insert(key)
-        }
+        self.inner.insert(key)
     }
 }
 
@@ -1596,7 +1523,6 @@ fn finish_pruned(instance: CspInstance, outcome: PrunedOutcome) -> Solvability {
 /// table may decide an instance the lone canonical variant would give up
 /// on; that can only upgrade `Unknown` to a decided verdict, never flip
 /// a decided one.
-#[cfg(feature = "parallel")]
 fn solve_csp_pruned_portfolio(
     instance: CspInstance,
     sym: &CspSymmetry,

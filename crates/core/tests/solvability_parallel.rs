@@ -1,8 +1,7 @@
 //! Property tests cross-checking the parallel portfolio solvability
 //! search against the sequential reference on **randomized** small
-//! models — the determinism contract of the `parallel` feature: same
-//! verdict, bit-identical, at any thread count and for any portfolio
-//! winner.
+//! models — the determinism contract (DESIGN.md §4): same verdict,
+//! bit-identical, at any thread count and for any portfolio winner.
 
 use ksa_core::solvability::{decide_one_round, decide_one_round_seq, Solvability};
 use ksa_graphs::Digraph;

@@ -12,8 +12,6 @@
 //!   never changes a verdict and only shrinks the work counters;
 //! * repeated runs on an oversubscribed pool are stable.
 
-#![cfg(feature = "parallel")]
-
 use ksa_core::solvability::{
     decide_one_round, decide_one_round_seq, decide_one_round_with_table, NoGoodTable, Solvability,
 };

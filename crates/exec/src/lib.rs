@@ -2,8 +2,9 @@
 //!
 //! A from-scratch **work-stealing execution engine** for the k-set
 //! agreement reproduction: the scheduling substrate under every
-//! `parallel`-feature hot path (the exhaustive checker, the solvability
-//! CSP search, the combinatorial-number searches).
+//! fan-out hot path (the exhaustive checker, the solvability CSP search,
+//! the combinatorial-number searches, the homology pipeline). A pool of
+//! one worker is the sequential configuration.
 //!
 //! Why work stealing rather than static chunking? The workspace's
 //! search trees are *irregular*: one branch-and-bound subtree dies at
@@ -13,13 +14,13 @@
 //!
 //! ## Architecture
 //!
-//! * `deque` *(internal)* — Chase–Lev per-worker deques: the owner
-//!   pushes/pops LIFO (depth-first through its own splits, cache-hot),
-//!   thieves steal FIFO (the oldest, biggest subtree).
-//! * [`ThreadPool`] — a registry of workers with a shared injector for
-//!   external submissions; idle workers park on a condvar. The
-//!   process-global pool starts lazily, sized by **`KSA_THREADS`** (else
-//!   the number of available cores).
+//! * [`ThreadPool`] — a registry of workers, each with a mutex-guarded
+//!   deque: the owner pushes/pops LIFO (depth-first through its own
+//!   splits, cache-hot), thieves steal FIFO (the oldest, biggest
+//!   subtree). A shared injector takes external submissions and is
+//!   drained before any sibling deque; idle workers park on a condvar.
+//!   The process-global pool starts lazily, sized by **`KSA_THREADS`**
+//!   (else the number of available cores).
 //! * [`join`] — the fork-join primitive: `b` is published for stealing,
 //!   the caller runs `a`, then pops `b` back (the common allocation-free
 //!   path) or helps the pool while a thief finishes `b`.
@@ -57,7 +58,6 @@
 
 #![deny(missing_docs)]
 
-mod deque;
 pub mod iter;
 mod job;
 mod pool;
@@ -120,8 +120,8 @@ pub fn current_num_threads() -> usize {
 /// different workers, and returns both results.
 ///
 /// On a worker thread (of whichever pool the caller is executing in),
-/// this is the allocation-free Chase–Lev fast path; from outside a pool
-/// the pair is installed onto the global pool first. If either closure
+/// this is the allocation-free fast path; from outside a pool the pair
+/// is installed onto the global pool first. If either closure
 /// panics, the panic is re-thrown here — after both closures have
 /// stopped running (`a`'s payload wins when both panic).
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)

@@ -1,6 +1,6 @@
-//! The thread pool: a registry of workers, each owning a Chase–Lev
-//! deque, plus a mutex-protected injector for work arriving from outside
-//! the pool.
+//! The thread pool: a registry of workers, each owning a mutex-guarded
+//! deque of jobs, plus an injector of the same type for work arriving
+//! from outside the pool.
 //!
 //! Scheduling discipline: a worker prefers its own deque (LIFO — depth
 //! first through its own splits), then the injector (externally submitted
@@ -10,13 +10,12 @@
 //! cost of any lost-wakeup race instead of complicating the protocol.
 
 use crate::job::{HeapJob, JobRef, LockLatch, StackJob};
-use crate::{deque::Deque, deque::Steal};
 use ksa_obs::PerfCounter;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 thread_local! {
@@ -75,10 +74,18 @@ thread_local! {
     static WORKER: Cell<Option<(usize, usize, *const Registry)>> = const { Cell::new(None) };
 }
 
+/// Locks one job queue. No job runs while a queue lock is held, so a
+/// poisoned queue means a bug in the pool itself.
+fn lock(queue: &Mutex<VecDeque<JobRef>>) -> MutexGuard<'_, VecDeque<JobRef>> {
+    queue.lock().expect("job queue poisoned")
+}
+
 /// Shared state of one pool.
 pub(crate) struct Registry {
     id: usize,
-    deques: Vec<Deque>,
+    /// One deque per worker: the owner pushes and pops at the back
+    /// (LIFO), thieves take from the front (FIFO).
+    deques: Vec<Mutex<VecDeque<JobRef>>>,
     injector: Mutex<VecDeque<JobRef>>,
     sleep_mutex: Mutex<()>,
     sleep_cv: Condvar,
@@ -87,6 +94,18 @@ pub(crate) struct Registry {
 }
 
 impl Registry {
+    fn new(threads: usize) -> Self {
+        Registry {
+            id: NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed),
+            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            injector: Mutex::new(VecDeque::new()),
+            sleep_mutex: Mutex::new(()),
+            sleep_cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
+            terminate: AtomicBool::new(false),
+        }
+    }
+
     /// The worker index of the current thread in *this* registry.
     pub(crate) fn current_worker(&self) -> Option<usize> {
         WORKER.with(|w| match w.get() {
@@ -105,15 +124,10 @@ impl Registry {
         self.sleepers.load(Ordering::Relaxed) > 0
     }
 
-    /// Pushes onto the calling worker's own deque.
-    ///
-    /// # Safety
-    ///
-    /// `index` must be the calling thread's own worker index in this
-    /// registry.
-    pub(crate) unsafe fn push_local(&self, index: usize, job: JobRef) {
+    /// Pushes onto the back of worker `index`'s own deque.
+    pub(crate) fn push_local(&self, index: usize, job: JobRef) {
         ksa_obs::perf_count(PerfCounter::ExecSpawns, 1);
-        self.deques[index].push(job);
+        lock(&self.deques[index]).push_back(job);
         self.wake();
     }
 
@@ -121,62 +135,33 @@ impl Registry {
     /// deque slot of its own to use).
     pub(crate) fn inject(&self, job: JobRef) {
         ksa_obs::perf_count(PerfCounter::ExecSpawns, 1);
-        self.injector
-            .lock()
-            .expect("injector poisoned")
-            .push_back(job);
+        lock(&self.injector).push_back(job);
         self.wake();
     }
 
     /// One round of work-finding for `index`: own deque, injector, then
     /// stealing from siblings.
     pub(crate) fn find_work(&self, index: usize) -> Option<JobRef> {
-        if let Some(job) = unsafe { self.deques[index].pop() } {
-            return Some(job);
-        }
-        self.steal_work(index)
+        self.pop_own(index).or_else(|| self.steal_work(index))
     }
 
-    /// Pops the calling worker's own deque (wait loops distinguish own
-    /// work from helped work for the [`helped_nanos`] account).
-    ///
-    /// # Safety
-    ///
-    /// `index` must be the calling thread's own worker index in this
-    /// registry.
-    pub(crate) unsafe fn pop_own(&self, index: usize) -> Option<JobRef> {
-        self.deques[index].pop()
+    /// Pops the newest job of worker `index`'s own deque (wait loops
+    /// distinguish own work from helped work for the [`helped_nanos`]
+    /// account).
+    pub(crate) fn pop_own(&self, index: usize) -> Option<JobRef> {
+        lock(&self.deques[index]).pop_back()
     }
 
     /// Work from anywhere but `index`'s own deque (also used while a
     /// worker waits on a latch, so it keeps the pool busy instead of
     /// spinning).
     pub(crate) fn steal_work(&self, index: usize) -> Option<JobRef> {
-        if let Some(job) = self.injector.lock().expect("injector poisoned").pop_front() {
-            ksa_obs::perf_count(PerfCounter::ExecSteals, 1);
-            return Some(job);
-        }
         let n = self.deques.len();
-        // A couple of sweeps absorb CAS-race `Retry`s without busy-looping
-        // on a contended victim forever.
-        for _ in 0..2 {
-            let mut contended = false;
-            for offset in 1..n {
-                let victim = (index + offset) % n;
-                match self.deques[victim].steal() {
-                    Steal::Success(job) => {
-                        ksa_obs::perf_count(PerfCounter::ExecSteals, 1);
-                        return Some(job);
-                    }
-                    Steal::Retry => contended = true,
-                    Steal::Empty => {}
-                }
-            }
-            if !contended {
-                break;
-            }
-        }
-        None
+        let job = lock(&self.injector).pop_front().or_else(|| {
+            (1..n).find_map(|offset| lock(&self.deques[(index + offset) % n]).pop_front())
+        })?;
+        ksa_obs::perf_count(PerfCounter::ExecSteals, 1);
+        Some(job)
     }
 
     fn wake(&self) {
@@ -231,15 +216,7 @@ impl ThreadPool {
     /// Starts a pool with `threads` workers (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let registry = Arc::new(Registry {
-            id: NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed),
-            deques: (0..threads).map(|_| Deque::new()).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            sleep_mutex: Mutex::new(()),
-            sleep_cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-            terminate: AtomicBool::new(false),
-        });
+        let registry = Arc::new(Registry::new(threads));
         let handles = (0..threads)
             .map(|index| {
                 let registry = Arc::clone(&registry);
@@ -375,7 +352,9 @@ where
     RB: Send,
 {
     let job_b = StackJob::new(crate::job::SpinLatch::new(), b);
-    unsafe { registry.push_local(index, job_b.as_job_ref()) };
+    // SAFETY: `job_b` lives on this frame, and the loop below does not
+    // leave it until the job's latch is set, i.e. until it has run.
+    registry.push_local(index, unsafe { job_b.as_job_ref() });
 
     let result_a = panic::catch_unwind(AssertUnwindSafe(a));
 
@@ -388,7 +367,7 @@ where
         // inline via its JobRef) or deeper jobs pushed by ancestors —
         // running those here is sound: their joiners treat "gone from
         // the deque" exactly like "stolen" and wait on the latch.
-        if let Some(job) = unsafe { registry.deques[index].pop() } {
+        if let Some(job) = registry.pop_own(index) {
             unsafe { job.execute() };
             spins = 0;
         } else if let Some(job) = registry.steal_work(index) {
@@ -410,5 +389,44 @@ where
         // `a`'s panic wins; `b`'s result (even a panic payload) is
         // dropped with the job.
         Err(p) => panic::resume_unwind(p),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A heap job that records `id` into `log` when executed.
+    fn tagged(log: &Arc<Mutex<Vec<u32>>>, id: u32) -> JobRef {
+        let log = Arc::clone(log);
+        HeapJob::new(Box::new(move || log.lock().unwrap().push(id))).into_job_ref()
+    }
+
+    /// Runs the job and returns the id it recorded.
+    fn id_of(log: &Arc<Mutex<Vec<u32>>>, job: Option<JobRef>) -> u32 {
+        // SAFETY: every job here is a heap job taken off a queue exactly
+        // once, so it is executed exactly once.
+        unsafe { job.expect("a job").execute() };
+        log.lock().unwrap().pop().expect("job recorded its id")
+    }
+
+    #[test]
+    fn owner_pops_newest_thieves_take_oldest_injector_first() {
+        // No worker threads: the test thread drives both workers' sides.
+        let registry = Registry::new(2);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for id in 1..=3 {
+            registry.push_local(0, tagged(&log, id));
+        }
+        assert_eq!(id_of(&log, registry.pop_own(0)), 3, "owner pops LIFO");
+        registry.inject(tagged(&log, 9));
+        assert_eq!(
+            id_of(&log, registry.steal_work(1)),
+            9,
+            "the injector is drained before any sibling deque"
+        );
+        assert_eq!(id_of(&log, registry.steal_work(1)), 1, "thieves steal FIFO");
+        assert_eq!(id_of(&log, registry.find_work(0)), 2);
+        assert!(registry.find_work(0).is_none() && registry.steal_work(1).is_none());
     }
 }

@@ -70,7 +70,7 @@ impl<'scope> Scope<'scope> {
         let job = HeapJob::new(task).into_job_ref();
         let registry = unsafe { &*self.registry };
         match registry.current_worker() {
-            Some(index) => unsafe { registry.push_local(index, job) },
+            Some(index) => registry.push_local(index, job),
             None => registry.inject(job),
         }
     }
@@ -105,7 +105,7 @@ where
             // Own-deque pops are this scope's spawned work; injector and
             // sibling steals belong to other frames and are charged to
             // the helped account (`crate::helped_nanos`).
-            if let Some(job) = unsafe { registry.pop_own(index) } {
+            if let Some(job) = registry.pop_own(index) {
                 unsafe { job.execute() };
                 spins = 0;
             } else if let Some(job) = registry.steal_work(index) {

@@ -57,17 +57,10 @@ pub fn all_jointly_dominating(graphs: &[Digraph], i: usize) -> Result<bool, Grap
     let full = ProcSet::full(n);
     let silent_witness = |p: ProcSet| graphs.iter().any(|g| g.out_union(p) != full);
 
-    #[cfg(feature = "parallel")]
-    {
-        Ok(!crate::par_util::batched_any(
-            full.k_subsets(i),
-            silent_witness,
-        ))
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        Ok(!full.k_subsets(i).any(silent_witness))
-    }
+    Ok(!crate::par_util::batched_any(
+        full.k_subsets(i),
+        silent_witness,
+    ))
 }
 
 /// The distributed domination number `γ_dist(S)` (Def 5.2, paper-faithful
@@ -128,10 +121,7 @@ pub fn distributed_domination_number_exact(graphs: &[Digraph]) -> Result<usize, 
             })
         };
 
-        #[cfg(feature = "parallel")]
         let silent_exists = crate::par_util::batched_any(full.k_subsets(i), jointly_silent);
-        #[cfg(not(feature = "parallel"))]
-        let silent_exists = full.k_subsets(i).any(jointly_silent);
 
         if !silent_exists {
             return Ok(i);

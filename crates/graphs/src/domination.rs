@@ -16,12 +16,10 @@
 
 use crate::digraph::Digraph;
 use crate::proc_set::ProcSet;
-#[cfg(feature = "parallel")]
 use ksa_exec::prelude::*;
 
 /// Depth to which the branch-and-bound tree is expanded into a frontier
 /// of independent subproblems for parallel search (≤ 2^DEPTH tasks).
-#[cfg(feature = "parallel")]
 const PAR_SPLIT_DEPTH: usize = 4;
 
 /// A dominating set together with its size; produced by the exact solver so
@@ -145,72 +143,57 @@ pub fn minimum_dominating_set(g: &Digraph) -> DominatingSet {
         }
     }
 
-    // Parallel path: expand the take/skip decision tree to a shallow
+    // Expand the take/skip decision tree to a shallow
     // frontier of independent subproblems (pre-order, so merging in
     // frontier order reproduces the sequential first-found witness),
     // then branch-and-bound each subtree on its own thread. Subtrees
     // don't share an incumbent, so pruning is weaker than the
     // sequential scan — the price of parallelism — but each starts
     // from the greedy incumbent, which keeps the loss minor.
-    #[cfg(feature = "parallel")]
-    {
-        let mut frontier: Vec<(usize, ProcSet, ProcSet)> = Vec::new();
-        let mut stack = vec![(0usize, ProcSet::empty(), ProcSet::empty())];
-        while let Some((idx, chosen, covered)) = stack.pop() {
-            if covered == full || idx >= order.len() || idx >= PAR_SPLIT_DEPTH {
-                frontier.push((idx, chosen, covered));
-                continue;
-            }
-            let u = order[idx];
-            // Push skip below take: the LIFO pop explores take first,
-            // so frontier leaves are emitted in pre-order — merging in
-            // that order reproduces the sequential first-found witness.
-            if can_skip(g, &order, idx, covered, full) {
-                stack.push((idx + 1, chosen, covered));
-            }
-            if can_take(g, u, covered) {
-                stack.push((idx + 1, chosen.with(u), covered.union(g.out_set(u))));
-            }
+    let mut frontier: Vec<(usize, ProcSet, ProcSet)> = Vec::new();
+    let mut stack = vec![(0usize, ProcSet::empty(), ProcSet::empty())];
+    while let Some((idx, chosen, covered)) = stack.pop() {
+        if covered == full || idx >= order.len() || idx >= PAR_SPLIT_DEPTH {
+            frontier.push((idx, chosen, covered));
+            continue;
         }
-        let incumbent_size = best_size;
-        let results: Vec<(ProcSet, usize)> = frontier
-            .into_par_iter()
-            .map(|(idx, chosen, covered)| {
-                let mut sub_best = best;
-                let mut sub_size = incumbent_size;
-                rec(
-                    g,
-                    &order,
-                    idx,
-                    chosen,
-                    covered,
-                    full,
-                    max_out,
-                    &mut sub_best,
-                    &mut sub_size,
-                );
-                (sub_best, sub_size)
-            })
-            .collect();
-        for (set, size) in results {
-            if size < best_size {
-                best = set;
-                best_size = size;
-            }
+        let u = order[idx];
+        // Push skip below take: the LIFO pop explores take first,
+        // so frontier leaves are emitted in pre-order — merging in
+        // that order reproduces the sequential first-found witness.
+        if can_skip(g, &order, idx, covered, full) {
+            stack.push((idx + 1, chosen, covered));
+        }
+        if can_take(g, u, covered) {
+            stack.push((idx + 1, chosen.with(u), covered.union(g.out_set(u))));
         }
     }
-    #[cfg(not(feature = "parallel"))]
-    rec(
-        g,
-        &order,
-        0,
-        ProcSet::empty(),
-        ProcSet::empty(),
-        full,
-        max_out,
-        &mut best,
-        &mut best_size,
-    );
+    let incumbent_size = best_size;
+    let results: Vec<(ProcSet, usize)> = frontier
+        .into_par_iter()
+        .map(|(idx, chosen, covered)| {
+            let mut sub_best = best;
+            let mut sub_size = incumbent_size;
+            rec(
+                g,
+                &order,
+                idx,
+                chosen,
+                covered,
+                full,
+                max_out,
+                &mut sub_best,
+                &mut sub_size,
+            );
+            (sub_best, sub_size)
+        })
+        .collect();
+    for (set, size) in results {
+        if size < best_size {
+            best = set;
+            best_size = size;
+        }
+    }
 
     debug_assert!(g.dominates(best));
     DominatingSet {

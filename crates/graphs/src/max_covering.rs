@@ -89,11 +89,8 @@ pub fn max_covering_number_with(
         best
     };
 
-    #[cfg(feature = "parallel")]
     let best: Option<usize> =
         crate::par_util::batched_filter_map_max(full.k_subsets(i), best_for_subset);
-    #[cfg(not(feature = "parallel"))]
-    let best: Option<usize> = full.k_subsets(i).filter_map(best_for_subset).max();
 
     best.ok_or(GraphError::IndexOutOfDomain {
         index: i,

@@ -20,8 +20,7 @@
 //! `tournament{n=3}`, …) with bit-identical generator sets.
 //!
 //! Guard surface: the exhaustive families (`tournament`, `non_split`)
-//! take a [`RunBudget`] via [`tournament_within`] / [`non_split_within`];
-//! the old raw `limit: u128` signatures survive as `#[deprecated]` shims.
+//! take a [`RunBudget`] via [`tournament_within`] / [`non_split_within`].
 
 use crate::closed_above::ClosedAboveModel;
 use crate::error::ModelError;
@@ -98,16 +97,6 @@ pub fn non_split_within(
     }
 }
 
-/// Deprecated raw-limit spelling of [`non_split_within`].
-///
-/// # Errors
-///
-/// As [`non_split_within`].
-#[deprecated(note = "use non_split_within(n, budget): RunBudget replaced raw u128 limits")]
-pub fn non_split(n: usize, limit: u128) -> Result<ExplicitModel, ModelError> {
-    non_split_within(n, limit)
-}
-
 /// The **tournament** model (§2.1): generated by all tournaments (each
 /// pair exchanges exactly one directed message in the generator).
 /// `2^(n(n−1)/2)` generators, admitted against `budget` before building —
@@ -123,16 +112,6 @@ pub fn tournament_within(
     budget: impl Into<RunBudget>,
 ) -> Result<ClosedAboveModel, ModelError> {
     closed_above(ModelSpec::tournament(n), budget.into())
-}
-
-/// Deprecated raw-limit spelling of [`tournament_within`].
-///
-/// # Errors
-///
-/// As [`tournament_within`].
-#[deprecated(note = "use tournament_within(n, budget): RunBudget replaced raw u128 limits")]
-pub fn tournament(n: usize, limit: u128) -> Result<ClosedAboveModel, ModelError> {
-    tournament_within(n, limit)
 }
 
 /// The first **Figure 1** model: the symmetric single-star model on 4
@@ -237,20 +216,6 @@ mod tests {
         // 2^3 orientations of the 3 pairs, all incomparable: 8 generators.
         assert_eq!(m.generators().len(), 8);
         assert!(tournament_within(10, 1u128 << 10).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_limit_shims_agree() {
-        assert_eq!(
-            tournament(3, 1 << 10).unwrap(),
-            tournament_within(3, 1u128 << 10).unwrap()
-        );
-        assert_eq!(
-            non_split(3, 1 << 16).unwrap(),
-            non_split_within(3, 1u128 << 16).unwrap()
-        );
-        assert!(tournament(10, 1 << 10).is_err());
     }
 
     #[test]

@@ -20,7 +20,6 @@ use crate::error::RuntimeError;
 use crate::execution::{execute_schedule, ExecutionTrace};
 use ksa_core::algorithms::ObliviousAlgorithm;
 use ksa_core::task::Value;
-#[cfg(feature = "parallel")]
 use ksa_exec::prelude::*;
 use ksa_models::adversary::generator_schedules;
 use ksa_models::ClosedAboveModel;
@@ -31,7 +30,6 @@ use rand::SeedableRng;
 /// Generator schedules pulled per parallel round: bounds the memory
 /// held in cloned schedules while keeping every core busy (each
 /// schedule expands to `values^n` executions of work).
-#[cfg(feature = "parallel")]
 const SCHEDULE_BATCH: usize = 256;
 
 /// The explicit exploration budget: the guard that makes exhaustive
@@ -167,30 +165,23 @@ pub fn check_exhaustive<A: ObliviousAlgorithm + Sync + ?Sized>(
     };
 
     let mut report = CheckReport::empty();
-    #[cfg(feature = "parallel")]
-    {
-        // Stream schedules in bounded batches (a schedule clones
-        // `rounds` digraphs, so a full up-front collect could dwarf
-        // the execution count in memory) and merge in schedule order.
-        let mut schedules = generator_schedules(model, rounds);
-        loop {
-            let batch: Vec<Vec<ksa_graphs::Digraph>> =
-                schedules.by_ref().take(SCHEDULE_BATCH).collect();
-            if batch.is_empty() {
-                break;
-            }
-            let partials: Vec<Result<CheckReport, RuntimeError>> = batch
-                .par_iter()
-                .map(|schedule| per_schedule(schedule))
-                .collect();
-            for partial in partials {
-                report.merge(partial?);
-            }
+    // Stream schedules in bounded batches (a schedule clones
+    // `rounds` digraphs, so a full up-front collect could dwarf
+    // the execution count in memory) and merge in schedule order.
+    let mut schedules = generator_schedules(model, rounds);
+    loop {
+        let batch: Vec<Vec<ksa_graphs::Digraph>> =
+            schedules.by_ref().take(SCHEDULE_BATCH).collect();
+        if batch.is_empty() {
+            break;
         }
-    }
-    #[cfg(not(feature = "parallel"))]
-    for schedule in generator_schedules(model, rounds) {
-        report.merge(per_schedule(&schedule)?);
+        let partials: Vec<Result<CheckReport, RuntimeError>> = batch
+            .par_iter()
+            .map(|schedule| per_schedule(schedule))
+            .collect();
+        for partial in partials {
+            report.merge(partial?);
+        }
     }
     ksa_obs::count(
         ksa_obs::Counter::CheckerExecutions,
@@ -243,27 +234,20 @@ pub fn check_with_supersets<A: ObliviousAlgorithm + Sync + ?Sized>(
             Ok(local)
         };
 
-    #[cfg(feature = "parallel")]
-    {
-        let mut schedules = generator_schedules(model, rounds).enumerate();
-        loop {
-            let batch: Vec<(usize, Vec<ksa_graphs::Digraph>)> =
-                schedules.by_ref().take(SCHEDULE_BATCH).collect();
-            if batch.is_empty() {
-                break;
-            }
-            let partials: Vec<Result<CheckReport, RuntimeError>> = batch
-                .par_iter()
-                .map(|(idx, schedule)| per_schedule((*idx, schedule.as_slice())))
-                .collect();
-            for partial in partials {
-                base.merge(partial?);
-            }
+    let mut schedules = generator_schedules(model, rounds).enumerate();
+    loop {
+        let batch: Vec<(usize, Vec<ksa_graphs::Digraph>)> =
+            schedules.by_ref().take(SCHEDULE_BATCH).collect();
+        if batch.is_empty() {
+            break;
         }
-    }
-    #[cfg(not(feature = "parallel"))]
-    for (idx, schedule) in generator_schedules(model, rounds).enumerate() {
-        base.merge(per_schedule((idx, schedule.as_slice()))?);
+        let partials: Vec<Result<CheckReport, RuntimeError>> = batch
+            .par_iter()
+            .map(|(idx, schedule)| per_schedule((*idx, schedule.as_slice())))
+            .collect();
+        for partial in partials {
+            base.merge(partial?);
+        }
     }
     ksa_obs::count(
         ksa_obs::Counter::CheckerExecutions,

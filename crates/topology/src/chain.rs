@@ -20,8 +20,8 @@
 //!   The matrices are ultra-sparse (`k+1` entries per row) with low
 //!   fill-in on the protocol complexes of the experiments, which makes
 //!   this an order of magnitude faster than dense bit-packed elimination
-//!   ([`crate::gf2::Gf2Matrix`] remains the dense engine and the
-//!   cross-check oracle). `∂_1` is the incidence matrix of the
+//!   ([`crate::gf2::Gf2Matrix`] remains as the dense cross-check
+//!   oracle). `∂_1` is the incidence matrix of the
 //!   1-skeleton, whose rank over any field is `|V| − #components`, so it
 //!   is ranked by a union-find over the edge arena instead: the echelon
 //!   walked whole paths there, one fresh row per step (DESIGN.md §7.1).
@@ -35,9 +35,9 @@
 //!   [`ChainComplex::skeleton_connectivity`] answer skeleton queries from
 //!   the parent's cached ranks without re-closing any faces.
 //!
-//! Determinism (DESIGN.md §4): with the `parallel` feature the closure
-//! enumeration fans out per facet and full-Betti queries fan out per
-//! dimension on `ksa-exec`; arenas are canonically sorted at the merge
+//! Determinism (DESIGN.md §4): the closure enumeration fans out per
+//! facet and full-Betti queries fan out per dimension on `ksa-exec`;
+//! arenas are canonically sorted at the merge
 //! and ranks are properties of the matrices, so every verdict is
 //! bit-identical to the engine-free references
 //! ([`crate::homology::reduced_betti_numbers_seq`] and the scalar
@@ -49,13 +49,11 @@ use crate::connectivity::Connectivity;
 use crate::simplex::{Vertex, View};
 use ksa_obs::Counter;
 
-#[cfg(feature = "parallel")]
 use ksa_exec::prelude::*;
 
 /// Facet count past which the closure enumeration fans out per facet
 /// (mirrors `complex.rs`: tiny complexes dominate the call profile and
 /// forking them costs more than enumerating them).
-#[cfg(feature = "parallel")]
 const PAR_FACET_GRAIN: usize = 16;
 
 /// A flat, canonically sorted bucket of same-dimension simplexes:
@@ -274,8 +272,8 @@ pub struct ChainComplex {
 impl ChainComplex {
     /// Flattens a complex: interns its vertices, enumerates the face
     /// closure once into per-dimension arenas (parallel per facet past a
-    /// small grain under the `parallel` feature; the canonical sort at
-    /// the merge makes both paths bit-identical).
+    /// small grain; the canonical sort at the merge makes both paths
+    /// bit-identical).
     pub fn from_complex<V: View>(complex: &Complex<V>) -> Self {
         if complex.is_void() {
             return ChainComplex {
@@ -295,29 +293,21 @@ impl ChainComplex {
             })
             .collect();
 
-        let raw: Vec<Vec<u32>>;
-        #[cfg(feature = "parallel")]
-        {
-            raw = if facet_ids.len() >= PAR_FACET_GRAIN {
-                let per_facet: Vec<Vec<Vec<u32>>> = facet_ids
-                    .par_iter()
-                    .map(|ids| facet_subsets(ids, dim))
-                    .collect();
-                let mut acc: Vec<Vec<u32>> = vec![Vec::new(); dim + 1];
-                for group in per_facet {
-                    for (k, chunk) in group.into_iter().enumerate() {
-                        acc[k].extend(chunk);
-                    }
+        let raw: Vec<Vec<u32>> = if facet_ids.len() >= PAR_FACET_GRAIN {
+            let per_facet: Vec<Vec<Vec<u32>>> = facet_ids
+                .par_iter()
+                .map(|ids| facet_subsets(ids, dim))
+                .collect();
+            let mut acc: Vec<Vec<u32>> = vec![Vec::new(); dim + 1];
+            for group in per_facet {
+                for (k, chunk) in group.into_iter().enumerate() {
+                    acc[k].extend(chunk);
                 }
-                acc
-            } else {
-                closure_seq(&facet_ids, dim)
-            };
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            raw = closure_seq(&facet_ids, dim);
-        }
+            }
+            acc
+        } else {
+            closure_seq(&facet_ids, dim)
+        };
 
         let arenas: Vec<Arena> = raw
             .into_iter()
@@ -464,23 +454,19 @@ impl ChainComplex {
     }
 
     /// The full reduced Z/2 Betti vector `b̃_0, …, b̃_dim` (empty for the
-    /// void complex). With the `parallel` feature, the not-yet-cached
-    /// boundary reductions fan out per dimension on `ksa-exec`.
+    /// void complex). The not-yet-cached boundary reductions fan out per
+    /// dimension on `ksa-exec`.
     pub fn reduced_betti(&mut self) -> Vec<usize> {
         if self.is_void() {
             return Vec::new();
         }
         let dim = self.arenas.len() - 1;
-        #[cfg(feature = "parallel")]
-        {
-            let missing: Vec<usize> = (1..=dim).filter(|&k| self.ranks[k].is_none()).collect();
-            if missing.len() > 1 {
-                let this: &Self = self;
-                let computed: Vec<usize> =
-                    missing.par_iter().map(|&k| this.compute_rank(k)).collect();
-                for (&k, r) in missing.iter().zip(computed) {
-                    self.ranks[k] = Some(r);
-                }
+        let missing: Vec<usize> = (1..=dim).filter(|&k| self.ranks[k].is_none()).collect();
+        if missing.len() > 1 {
+            let this: &Self = self;
+            let computed: Vec<usize> = missing.par_iter().map(|&k| this.compute_rank(k)).collect();
+            for (&k, r) in missing.iter().zip(computed) {
+                self.ranks[k] = Some(r);
             }
         }
         (0..=dim).map(|k| self.betti_at(k)).collect()
@@ -574,8 +560,7 @@ impl ChainComplex {
 ///
 /// Returns `None` for the void complex (nothing to certify).
 ///
-/// With the `parallel` feature the per-dimension witnessed reductions
-/// fan out on `ksa-exec`; each dimension absorbs sequentially, so the
+/// The per-dimension witnessed reductions fan out on `ksa-exec`; each dimension absorbs sequentially, so the
 /// witness — and therefore the certificate — is schedule-invariant.
 pub fn reduced_betti_certified<V: View>(
     complex: &Complex<V>,
@@ -601,19 +586,11 @@ pub fn reduced_betti_certified<V: View>(
         })
         .collect();
     let dims: Vec<usize> = (1..=dim).collect();
-    let witnesses: Vec<ksa_cert::RankWitness>;
-    #[cfg(feature = "parallel")]
-    {
-        let this: &ChainComplex = &cc;
-        witnesses = dims
-            .par_iter()
-            .map(|&k| this.compute_rank_witnessed(k))
-            .collect();
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        witnesses = dims.iter().map(|&k| cc.compute_rank_witnessed(k)).collect();
-    }
+    let this: &ChainComplex = &cc;
+    let witnesses: Vec<ksa_cert::RankWitness> = dims
+        .par_iter()
+        .map(|&k| this.compute_rank_witnessed(k))
+        .collect();
     for w in &witnesses {
         cc.ranks[w.k as usize] = Some(w.rank as usize);
     }

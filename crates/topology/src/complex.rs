@@ -4,7 +4,7 @@
 //! the **facets** (inclusion-maximal simplexes); the face closure is
 //! materialized on demand (for homology) rather than kept resident.
 //!
-//! With the `parallel` feature, the enumeration-heavy operations — face
+//! The enumeration-heavy operations — face
 //! closure ([`Complex::all_simplexes`]), skeleta ([`Complex::skeleton`])
 //! and facet-pair intersections ([`Complex::intersection`]) — fan their
 //! per-facet work out on the `ksa-exec` pool once past a small grain.
@@ -16,13 +16,11 @@ use crate::simplex::{Simplex, Vertex, View};
 use std::collections::BTreeSet;
 use std::fmt;
 
-#[cfg(feature = "parallel")]
 use ksa_exec::prelude::*;
 
 /// Facet count below which the parallel paths stay inline: per-facet work
 /// is exponential in dimension but tiny complexes dominate the call
 /// profile, and forking them costs more than enumerating them.
-#[cfg(feature = "parallel")]
 const PAR_FACET_GRAIN: usize = 16;
 
 /// The inclusion-maximal simplexes among `candidates`, longest first:
@@ -156,7 +154,6 @@ impl<V: View> Complex<V> {
     /// Past a small facet-count grain the per-facet subset enumerations
     /// run as parallel tasks; the merged result is the same sorted set.
     pub fn all_simplexes(&self) -> Vec<Simplex<V>> {
-        #[cfg(feature = "parallel")]
         if self.facets.len() >= PAR_FACET_GRAIN {
             let per_facet: Vec<BTreeSet<Simplex<V>>> = self
                 .facets
@@ -188,7 +185,6 @@ impl<V: View> Complex<V> {
         if k < 0 {
             return Complex::void();
         }
-        #[cfg(feature = "parallel")]
         if self.facets.len() >= PAR_FACET_GRAIN {
             let groups: Vec<Vec<Simplex<V>>> = self
                 .facets
@@ -224,7 +220,6 @@ impl<V: View> Complex<V> {
     /// The pairwise product is quadratic in the facet counts; big pairs
     /// split the rows of the product across `ksa-exec` workers.
     pub fn intersection(&self, other: &Complex<V>) -> Complex<V> {
-        #[cfg(feature = "parallel")]
         if self.facets.len() * other.facets.len() >= PAR_FACET_GRAIN * PAR_FACET_GRAIN {
             let rows: Vec<Vec<Simplex<V>>> = self
                 .facets

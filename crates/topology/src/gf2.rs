@@ -1,33 +1,10 @@
-//! Bit-packed linear algebra over GF(2).
+//! Bit-packed linear algebra over GF(2): the scalar rank oracle.
 //!
-//! Boundary-operator ranks are all homology needs over Z/2, and Gaussian
-//! elimination on `u64`-packed rows keeps the protocol-complex instances of
-//! the experiments comfortably in budget. [`Gf2Matrix::rank`] runs a
-//! "method of the four Russians" (M4RI) elimination: pivot columns are
-//! processed in blocks of up to eight, the block's pivot rows are fully
-//! inter-reduced, and every remaining row is cleared with a *single* XOR
-//! of a precomputed combination table — one row sweep per block instead of
-//! one per pivot, roughly an 8× reduction in row traffic on the dense
-//! boundary matrices of the chain engine ([`crate::chain`]).
-//!
-//! With the `parallel` feature the hot loops run on the `ksa-exec`
-//! work-stealing pool: row assembly ([`Gf2Matrix::from_row_fn`]) and the
-//! per-block table sweep fan rows out across workers. Eliminated rows are
-//! pairwise independent (each only ever XORs the shared, read-only table),
-//! so any interleaving computes the same matrix — and the rank of a matrix
-//! is algorithm-independent anyway, so the value is bit-identical to the
-//! scalar reference [`Gf2Matrix::rank_seq`] at any `KSA_THREADS` (the
-//! determinism contract, DESIGN.md §4).
-
-/// Minimum number of `u64` words a parallel leaf should own; below this,
-/// forking costs more than the XOR sweep it would offload.
-#[cfg(feature = "parallel")]
-const PAR_WORDS_GRAIN: usize = 2048;
-
-/// Pivot columns handled per M4RI block: eight keeps a block inside one
-/// `u64` word (64 is a multiple of 8) and caps the combination table at
-/// `2^8` rows.
-const M4RI_BLOCK: usize = 8;
+//! Production homology ranks sparse boundary rows in [`crate::chain`].
+//! This dense matrix is the independent reference those ranks are checked
+//! against: [`crate::homology::reduced_betti_numbers_seq`] assembles each
+//! boundary operator with [`Gf2Matrix::set`] and reduces it with plain
+//! scalar Gaussian elimination ([`Gf2Matrix::rank_seq`]).
 
 /// A dense matrix over GF(2), rows bit-packed into `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,47 +25,6 @@ impl Gf2Matrix {
             words_per_row,
             data: vec![0; rows * words_per_row],
         }
-    }
-
-    /// Builds a matrix by filling each row independently: `row_cols(r)`
-    /// returns the column indexes holding a 1 in row `r`.
-    ///
-    /// Rows are disjoint in memory, so with the `parallel` feature they
-    /// are filled by the `ksa-exec` pool (this is how the homology
-    /// pipeline assembles boundary operators); the result is identical to
-    /// the sequential fill at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any returned column index is out of bounds.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ksa_topology::gf2::Gf2Matrix;
-    ///
-    /// // The identity, one row at a time.
-    /// let id = Gf2Matrix::from_row_fn(64, 64, |r| vec![r]);
-    /// assert_eq!(id.rank(), 64);
-    /// assert_eq!(id.rank(), id.rank_seq());
-    /// ```
-    pub fn from_row_fn<F>(rows: usize, cols: usize, row_cols: F) -> Self
-    where
-        F: Fn(usize) -> Vec<usize> + Sync,
-    {
-        let mut m = Gf2Matrix::zero(rows, cols);
-        #[cfg(feature = "parallel")]
-        if rows > 1 && rows * m.words_per_row >= PAR_WORDS_GRAIN {
-            let wpr = m.words_per_row;
-            fill_rows(&mut m.data, 0, wpr, cols, &row_cols);
-            return m;
-        }
-        for r in 0..rows {
-            for c in row_cols(r) {
-                m.set(r, c);
-            }
-        }
-        m
     }
 
     /// Number of rows.
@@ -121,24 +57,8 @@ impl Gf2Matrix {
         (self.data[r * self.words_per_row + c / 64] >> (c % 64)) & 1 == 1
     }
 
-    /// The rank over GF(2), via in-place M4RI elimination on a copy.
-    ///
-    /// With the `parallel` feature, matrices past the word-count grain fan
-    /// each block's table sweep out on the `ksa-exec` pool; the value is
-    /// always identical to [`Gf2Matrix::rank_seq`].
-    pub fn rank(&self) -> usize {
-        let _span = ksa_obs::span("gf2", || "rank_reduce").arg("rows", self.rows as u64);
-        let mut m = self.clone();
-        ksa_obs::count(ksa_obs::Counter::RanksComputed, 1);
-        m.rank_destructive_m4ri()
-    }
-
-    /// The sequential reference rank: plain scalar Gaussian elimination,
-    /// engine-free under every feature combination.
-    ///
-    /// This is the cross-check oracle for the parallel elimination (the
-    /// determinism proptests assert `rank() == rank_seq()` at pool sizes
-    /// 1/2/8).
+    /// The rank over GF(2) by plain scalar Gaussian elimination on a
+    /// copy, on the calling thread.
     ///
     /// # Examples
     ///
@@ -149,7 +69,6 @@ impl Gf2Matrix {
     /// m.set(0, 0);
     /// m.set(1, 0); // dependent rows
     /// assert_eq!(m.rank_seq(), 1);
-    /// assert_eq!(m.rank(), m.rank_seq());
     /// ```
     pub fn rank_seq(&self) -> usize {
         let mut m = self.clone();
@@ -211,196 +130,9 @@ impl Gf2Matrix {
         rank
     }
 
-    /// M4RI ("method of the four Russians") elimination, the engine behind
-    /// [`Gf2Matrix::rank`].
-    ///
-    /// Columns are processed in blocks of [`M4RI_BLOCK`]. For each block:
-    ///
-    /// 1. **Pivot search** finds up to 8 pivot rows using *byte* probes
-    ///    (a candidate's block byte reduced by the pivots found so far),
-    ///    swaps them up, and fully inter-reduces them so each pivot row
-    ///    carries exactly its own bit among the block's pivot columns.
-    /// 2. **Table build** precomputes the `2^t` XOR combinations of the
-    ///    `t` pivot rows in Gray-code order (one row XOR per entry).
-    /// 3. **Sweep** clears every remaining row's block byte with a single
-    ///    table XOR selected by the row's bits at the pivot columns.
-    ///
-    /// A row's residual byte always lies in the span of the pivot bytes
-    /// (anything outside the span would itself have produced a pivot), so
-    /// one table XOR zeroes the whole block — the invariant that lets the
-    /// sweep touch each row once per block instead of once per pivot.
-    ///
-    /// With the `parallel` feature the sweep splits the row range across
-    /// `ksa-exec` workers; swept rows only read the shared table, so the
-    /// resulting matrix (and the rank) is independent of the interleaving.
-    fn rank_destructive_m4ri(&mut self) -> usize {
-        let wpr = self.words_per_row;
-        let mut rank = 0;
-        let mut pivot_row = 0;
-        // Reused across blocks: the combination table (2^t rows) and the
-        // bit positions (within the block) of the block's pivots.
-        let mut table: Vec<u64> = Vec::new();
-        let mut pivot_bits: Vec<u32> = Vec::new();
-        let mut block_start = 0;
-        while block_start < self.cols && pivot_row < self.rows {
-            let block_w = (self.cols - block_start).min(M4RI_BLOCK) as u32;
-            let word = block_start / 64;
-            let shift = (block_start % 64) as u32;
-            let byte_of = |data: &[u64], r: usize| -> u8 {
-                ((data[r * wpr + word] >> shift) & ((1u64 << block_w) - 1)) as u8
-            };
-
-            // Phase 1 — pivot search by byte probes: a candidate's block
-            // byte is reduced by the (inter-reduced) pivot rows' block
-            // bytes — at most 8 byte XORs per probe, no row traffic until
-            // a pivot is actually found. The invariant maintained below is
-            // that each pivot row carries exactly its own bit among the
-            // pivot columns found so far (it may carry non-pivot block
-            // bits, which is why probes XOR the *full* pivot bytes).
-            pivot_bits.clear();
-            for bit in 0..block_w {
-                let nb = pivot_bits.len();
-                let mut found = None;
-                for r in pivot_row + nb..self.rows {
-                    let mut b = byte_of(&self.data, r);
-                    for (i, &p) in pivot_bits.iter().enumerate() {
-                        if b >> p & 1 == 1 {
-                            b ^= byte_of(&self.data, pivot_row + i);
-                        }
-                    }
-                    if b >> bit & 1 == 1 {
-                        found = Some(r);
-                        break;
-                    }
-                }
-                let Some(r) = found else { continue };
-                // Materialize the probe's byte reduction on the full row
-                // (same decision sequence, now with row XORs), swap it
-                // up, then clear this bit from the earlier pivot rows so
-                // every pivot row owns exactly one pivot-column bit.
-                for (i, &p) in pivot_bits.iter().enumerate() {
-                    if byte_of(&self.data, r) >> p & 1 == 1 {
-                        self.xor_row_into(pivot_row + i, r);
-                    }
-                }
-                self.data.swap_chunks(pivot_row + nb, r, wpr);
-                for i in 0..nb {
-                    if byte_of(&self.data, pivot_row + i) >> bit & 1 == 1 {
-                        self.xor_row_into(pivot_row + nb, pivot_row + i);
-                    }
-                }
-                pivot_bits.push(bit);
-            }
-            let t = pivot_bits.len();
-            if t == 0 {
-                block_start += M4RI_BLOCK;
-                continue;
-            }
-
-            // Phase 2 — Gray-code combination table: entry `g` is the XOR
-            // of the pivot rows selected by `g`'s bits (bit i ↔ pivot i).
-            // Every row below the pivot area has all-zero words left of
-            // the current block (each earlier block cleared its byte for
-            // every row then below, and pivot rows were such rows), so the
-            // table and the sweep only carry words from `word` on — the
-            // XOR traffic shrinks as the elimination advances.
-            let tw = wpr - word;
-            table.clear();
-            table.resize((1usize << t) * tw, 0);
-            for g in 1usize..1 << t {
-                let changed = (g ^ (g >> 1)) ^ ((g - 1) ^ ((g - 1) >> 1));
-                let gray = g ^ (g >> 1);
-                let prev_gray = (g - 1) ^ ((g - 1) >> 1);
-                let src = (pivot_row + changed.trailing_zeros() as usize) * wpr + word;
-                let (dst_row, src_row) = (gray * tw, prev_gray * tw);
-                for w in 0..tw {
-                    table[dst_row + w] = table[src_row + w] ^ self.data[src + w];
-                }
-            }
-
-            // Phase 3 — one sweep over the remaining rows: select the
-            // combination by the row's pivot-column bits and XOR it in.
-            let below = &mut self.data[(pivot_row + t) * wpr..];
-            sweep_block(below, &table, &pivot_bits, wpr, word, shift);
-
-            rank += t;
-            pivot_row += t;
-            block_start += M4RI_BLOCK;
-        }
-        rank
-    }
-
     /// Hamming weight of a row (used in tests/diagnostics).
     pub fn row_weight(&self, r: usize) -> usize {
         self.row(r).iter().map(|w| w.count_ones() as usize).sum()
-    }
-}
-
-/// Fills disjoint row blocks in parallel: `data` holds the rows starting
-/// at global index `first_row`.
-#[cfg(feature = "parallel")]
-fn fill_rows<F>(data: &mut [u64], first_row: usize, wpr: usize, cols: usize, row_cols: &F)
-where
-    F: Fn(usize) -> Vec<usize> + Sync,
-{
-    let rows = data.len() / wpr;
-    if rows > 1 && rows * wpr >= PAR_WORDS_GRAIN {
-        let mid = rows / 2;
-        let (lo, hi) = data.split_at_mut(mid * wpr);
-        ksa_exec::join(
-            || fill_rows(lo, first_row, wpr, cols, row_cols),
-            || fill_rows(hi, first_row + mid, wpr, cols, row_cols),
-        );
-        return;
-    }
-    for r in 0..rows {
-        for c in row_cols(first_row + r) {
-            assert!(c < cols);
-            data[r * wpr + c / 64] |= 1u64 << (c % 64);
-        }
-    }
-}
-
-/// One M4RI block sweep: for every row of `below`, select the combination
-/// table entry by the row's bits at the block's pivot columns and XOR it
-/// in, clearing the row's whole block byte. `table` rows are trimmed to
-/// the words from `word` on (the earlier words of every row involved are
-/// already zero). With the `parallel` feature the row range splits across
-/// `ksa-exec` workers past the word grain; rows are disjoint and only
-/// read the shared table, so any execution order yields the same matrix.
-fn sweep_block(
-    below: &mut [u64],
-    table: &[u64],
-    pivot_bits: &[u32],
-    wpr: usize,
-    word: usize,
-    shift: u32,
-) {
-    let rows = below.len() / wpr;
-    #[cfg(feature = "parallel")]
-    if rows > 1 && rows * wpr >= PAR_WORDS_GRAIN {
-        let mid = rows / 2;
-        let (lo, hi) = below.split_at_mut(mid * wpr);
-        ksa_exec::join(
-            || sweep_block(lo, table, pivot_bits, wpr, word, shift),
-            || sweep_block(hi, table, pivot_bits, wpr, word, shift),
-        );
-        return;
-    }
-    let tw = wpr - word;
-    for r in 0..rows {
-        let byte = below[r * wpr + word] >> shift;
-        let mut idx = 0usize;
-        for (i, &p) in pivot_bits.iter().enumerate() {
-            idx |= ((byte >> p & 1) as usize) << i;
-        }
-        if idx != 0 {
-            let entry = &table[idx * tw..(idx + 1) * tw];
-            let row = &mut below[r * wpr + word..(r + 1) * wpr];
-            for (d, s) in row.iter_mut().zip(entry) {
-                *d ^= s;
-            }
-        }
     }
 }
 
@@ -425,8 +157,8 @@ mod tests {
 
     #[test]
     fn zero_matrix_rank() {
-        assert_eq!(Gf2Matrix::zero(3, 5).rank(), 0);
-        assert_eq!(Gf2Matrix::zero(0, 0).rank(), 0);
+        assert_eq!(Gf2Matrix::zero(3, 5).rank_seq(), 0);
+        assert_eq!(Gf2Matrix::zero(0, 0).rank_seq(), 0);
     }
 
     #[test]
@@ -435,7 +167,7 @@ mod tests {
         for i in 0..4 {
             m.set(i, i);
         }
-        assert_eq!(m.rank(), 4);
+        assert_eq!(m.rank_seq(), 4);
     }
 
     #[test]
@@ -448,7 +180,7 @@ mod tests {
         m.set(1, 2);
         m.set(2, 0);
         m.set(2, 2);
-        assert_eq!(m.rank(), 2);
+        assert_eq!(m.rank_seq(), 2);
     }
 
     #[test]
@@ -460,7 +192,7 @@ mod tests {
         assert!(m.get(0, 64));
         assert!(!m.get(0, 63));
         assert_eq!(m.row_weight(1), 1);
-        assert_eq!(m.rank(), 2);
+        assert_eq!(m.rank_seq(), 2);
     }
 
     #[test]
@@ -471,7 +203,7 @@ mod tests {
             m.set(0, c);
             m.set(1, c);
         }
-        assert_eq!(m.rank(), 1);
+        assert_eq!(m.rank_seq(), 1);
     }
 
     #[test]
@@ -480,7 +212,7 @@ mod tests {
         m.set(0, 0);
         m.set(1, 1);
         let before = m.clone();
-        assert_eq!(m.rank(), 2);
+        assert_eq!(m.rank_seq(), 2);
         assert_eq!(m, before);
     }
 
@@ -495,38 +227,6 @@ mod tests {
         m.set(1, 2);
         m.set(2, 1);
         m.set(2, 2);
-        assert_eq!(m.rank(), 2);
-    }
-
-    /// A deterministic pseudo-random bit soup (xorshift), wide and tall
-    /// enough to cross the parallel grain: the parallel elimination must
-    /// agree with the scalar reference exactly.
-    #[test]
-    fn parallel_rank_matches_seq_reference_on_large_matrix() {
-        let mix = |r: usize, c: usize| -> u64 {
-            let mut x = (r as u64) << 32 | c as u64;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        };
-        let m = Gf2Matrix::from_row_fn(300, 500, |r| {
-            (0..500).filter(|&c| mix(r, c) % 3 == 0).collect()
-        });
-        assert_eq!(m.rank(), m.rank_seq());
-    }
-
-    #[test]
-    fn from_row_fn_matches_set_loop() {
-        let row_cols =
-            |r: usize| -> Vec<usize> { (0..200).filter(|c| (r + c).is_multiple_of(7)).collect() };
-        let a = Gf2Matrix::from_row_fn(150, 200, row_cols);
-        let mut b = Gf2Matrix::zero(150, 200);
-        for r in 0..150 {
-            for c in row_cols(r) {
-                b.set(r, c);
-            }
-        }
-        assert_eq!(a, b);
+        assert_eq!(m.rank_seq(), 2);
     }
 }

@@ -36,9 +36,9 @@ use std::collections::{BTreeSet, HashMap};
 ///
 /// Runs on the flat chain-complex engine ([`crate::chain`]): the face
 /// closure is enumerated once into integer-id arenas and each boundary
-/// operator is reduced sparsely. With the `parallel` feature the closure
-/// enumeration fans out per facet and the boundary reductions fan out
-/// per dimension as `ksa-exec` tasks; arenas are canonically sorted at
+/// operator is reduced sparsely. The closure enumeration fans out per
+/// facet and the boundary reductions fan out per dimension as
+/// `ksa-exec` tasks; arenas are canonically sorted at
 /// the merge, so every Betti number is bit-identical to
 /// [`reduced_betti_numbers_seq`] at any `KSA_THREADS` (DESIGN.md §4, §7).
 ///
@@ -64,7 +64,7 @@ pub fn reduced_betti_numbers<V: View>(complex: &Complex<V>) -> Vec<usize> {
 /// The sequential reference for [`reduced_betti_numbers`]: enumerates the
 /// face closure, assembles every boundary operator and reduces it with
 /// scalar Gaussian elimination ([`Gf2Matrix::rank_seq`]) on the calling
-/// thread — no `ksa-exec` involvement under any feature set.
+/// thread, with no `ksa-exec` involvement.
 ///
 /// This is the oracle of the parallel-vs-sequential determinism proptests
 /// (`tests/parallel_homology.rs`), which pin

@@ -9,14 +9,12 @@
 use crate::complex::Complex;
 use crate::simplex::{Simplex, Vertex, View};
 
-#[cfg(feature = "parallel")]
 use ksa_exec::prelude::*;
 
 /// Frontier size past which a level's expansions fan out on the
 /// `ksa-exec` pool. Expansion of one index set is independent of its
 /// siblings and results merge in frontier order, so the construction is
 /// identical to the sequential sweep.
-#[cfg(feature = "parallel")]
 const PAR_FRONTIER_GRAIN: usize = 4;
 
 /// The nerve of a cover, as a complex colored by cover indices with unit
@@ -62,16 +60,9 @@ pub fn nerve_complex<V: View>(cover: &[Complex<V>]) -> Complex<()> {
 
         #[allow(clippy::type_complexity)]
         let expanded: Vec<(Vec<(Vec<usize>, Complex<V>)>, Option<Vec<usize>>)> = {
-            #[cfg(feature = "parallel")]
-            {
-                if frontier.len() >= PAR_FRONTIER_GRAIN {
-                    frontier.par_iter().map(expand).collect()
-                } else {
-                    frontier.iter().map(expand).collect()
-                }
-            }
-            #[cfg(not(feature = "parallel"))]
-            {
+            if frontier.len() >= PAR_FRONTIER_GRAIN {
+                frontier.par_iter().map(expand).collect()
+            } else {
                 frontier.iter().map(expand).collect()
             }
         };
@@ -108,9 +99,9 @@ pub fn nerve_lemma_violations<V: View>(cover: &[Complex<V>], k: isize) -> Vec<Ve
     }
     while !frontier.is_empty() {
         // Check one index set's connectivity requirement and compute its
-        // extensions (the homology checks dominate — with the `parallel`
-        // feature each frontier entry is a task and its Betti computation
-        // fans out further inside the engine).
+        // extensions (the homology checks dominate — each frontier entry
+        // is a task and its Betti computation fans out further inside the
+        // engine).
         let check = |(set, inter): &(Vec<usize>, Complex<V>)| {
             if inter.is_void() {
                 return (Vec::new(), None);
@@ -122,16 +113,9 @@ pub fn nerve_lemma_violations<V: View>(cover: &[Complex<V>], k: isize) -> Vec<Ve
 
         #[allow(clippy::type_complexity)]
         let checked: Vec<(Vec<(Vec<usize>, Complex<V>)>, Option<Vec<usize>>)> = {
-            #[cfg(feature = "parallel")]
-            {
-                if frontier.len() >= PAR_FRONTIER_GRAIN {
-                    frontier.par_iter().map(check).collect()
-                } else {
-                    frontier.iter().map(check).collect()
-                }
-            }
-            #[cfg(not(feature = "parallel"))]
-            {
+            if frontier.len() >= PAR_FRONTIER_GRAIN {
+                frontier.par_iter().map(check).collect()
+            } else {
                 frontier.iter().map(check).collect()
             }
         };

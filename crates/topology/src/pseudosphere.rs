@@ -113,7 +113,7 @@ impl<V: View> Pseudosphere<V> {
     /// Materializes the pseudosphere as an explicit facet complex, bounded
     /// by `limit` facets.
     ///
-    /// With the `parallel` feature, large pseudospheres decode facet
+    /// Large pseudospheres decode facet
     /// indexes in mixed radix over the view lists and generate them on
     /// the `ksa-exec` pool — facet `j` is a pure function of `j`, so the
     /// enumeration order (and the canonicalized complex) matches the
@@ -141,7 +141,6 @@ impl<V: View> Pseudosphere<V> {
         // The parallel decode indexes facets as usize; counts beyond that
         // (possible when the caller passes a limit above usize::MAX) fall
         // through to the odometer rather than truncate.
-        #[cfg(feature = "parallel")]
         if count >= 64 && count <= usize::MAX as u128 {
             use ksa_exec::prelude::*;
             let facets: Vec<Simplex<V>> = (0..count as usize)

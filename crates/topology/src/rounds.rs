@@ -20,8 +20,7 @@
 //! [`TopologyError::Budget`].
 //!
 //! Determinism (DESIGN.md §4): [`protocol_complex_rounds_seq`] is the
-//! public sequential reference; with the `parallel` feature,
-//! [`protocol_complex_rounds`] fans the per-(input-facet × generator)
+//! public sequential reference; [`protocol_complex_rounds`] fans the per-(input-facet × generator)
 //! interpretation out on the `ksa-exec` pool and merges in input order,
 //! with canonical id assignment ([`ViewTable::canonical`]) and facet
 //! canonicalization (`Complex::from_facets`) at the merge — the results
@@ -40,7 +39,6 @@ use ksa_graphs::cancel::CancelToken;
 use ksa_graphs::Digraph;
 use ksa_obs::Counter;
 
-#[cfg(feature = "parallel")]
 use ksa_exec::prelude::*;
 
 /// One round of [`RoundsComplex::homology_sweep`]: that round's
@@ -237,20 +235,17 @@ fn pair_view_lists(tau: &Simplex<u32>, g: &Digraph) -> Vec<Vec<InternedView>> {
     .collect()
 }
 
-/// Maps `f` over `items` on the `ksa-exec` pool when `use_parallel` (and
-/// the `parallel` feature) allow, inline otherwise — the merge is
-/// input-ordered either way, so both paths compute the same vector.
+/// Maps `f` over `items` on the `ksa-exec` pool when `use_parallel`,
+/// inline otherwise — the merge is input-ordered either way, so both
+/// paths compute the same vector.
 fn map_items<T: Sync, U: Send>(
     items: &[T],
     f: impl Fn(&T) -> U + Sync,
     use_parallel: bool,
 ) -> Vec<U> {
-    #[cfg(feature = "parallel")]
     if use_parallel {
         return items.par_iter().map(&f).collect();
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = use_parallel;
     items.iter().map(&f).collect()
 }
 
@@ -402,8 +397,7 @@ fn rounds_driver<V: View>(
 /// to exactly [`crate::interpretation::protocol_complex_one_round`] —
 /// the anchor the proptests pin.
 ///
-/// With the `parallel` feature the per-round interpretation and
-/// materialization fan out on the `ksa-exec` pool; the result is
+/// The per-round interpretation and materialization fan out on the `ksa-exec` pool; the result is
 /// bit-identical to [`protocol_complex_rounds_seq`] at any
 /// `KSA_THREADS` (DESIGN.md §4, §6).
 ///
@@ -442,9 +436,9 @@ pub fn protocol_complex_rounds_cancellable<V: View>(
 }
 
 /// The sequential reference implementation of
-/// [`protocol_complex_rounds`], kept public and compiled under every
-/// feature combination per the determinism contract (DESIGN.md §4): the
-/// parallel path must produce bit-identical [`RoundsComplex`] values.
+/// [`protocol_complex_rounds`], kept public per the determinism contract
+/// (DESIGN.md §4): the parallel path must produce bit-identical
+/// [`RoundsComplex`] values.
 ///
 /// # Errors
 ///

@@ -14,7 +14,7 @@
 //!
 //! # The racing portfolio (DESIGN.md §11)
 //!
-//! With the `parallel` feature, [`find_shelling_order`] races three
+//! [`find_shelling_order`] races three
 //! facet-ordering heuristics (canonical index order, descending
 //! `(d−1)`-ridge degree, descending intersection count) as work-stealing
 //! DFS tasks on the `ksa-exec` pool, sharing a [`ksa_exec::ShardedSet`]
@@ -138,7 +138,6 @@ fn search_seq<V: View>(facets: &[Simplex<V>]) -> (Option<Vec<usize>>, u64) {
     (None, memo.len() as u64)
 }
 
-#[cfg(feature = "parallel")]
 mod portfolio {
     //! The racing shelling portfolio (module docs above; mirrors the
     //! solvability CSP portfolio of DESIGN.md §10.2).
@@ -338,41 +337,20 @@ mod portfolio {
     }
 }
 
-/// Decides shellability: picked facet indices (or `None`) plus the
-/// dead-state count, dispatching to the portfolio when available.
+/// Decides shellability on the portfolio: picked facet indices (or
+/// `None`) plus the dead-state count.
 fn search<V: View>(facets: &[Simplex<V>]) -> (Option<Vec<usize>>, u64) {
-    search_cancellable(facets, None).expect("no token supplied, search cannot be interrupted")
-}
-
-/// [`search`] with an optional external [`CancelToken`]: under
-/// `parallel` the token parents the portfolio's race flag (per-node poll
-/// granularity); without `parallel` it is polled once before the
-/// sequential search (which has no internal poll points).
-fn search_cancellable<V: View>(
-    facets: &[Simplex<V>],
-    cancel: Option<&ksa_graphs::cancel::CancelToken>,
-) -> Result<(Option<Vec<usize>>, u64), ksa_graphs::cancel::Interrupted> {
-    #[cfg(feature = "parallel")]
-    {
-        portfolio::search(facets, cancel)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        if let Some(token) = cancel {
-            token.checkpoint()?;
-        }
-        Ok(search_seq(facets))
-    }
+    portfolio::search(facets, None).expect("no token supplied, search cannot be interrupted")
 }
 
 /// Searches for a shelling order of a pure complex. Returns `None` when the
 /// complex is not shellable.
 ///
-/// With the `parallel` feature this races the ordering-heuristic
-/// portfolio on the `ksa-exec` pool (see the module docs); the verdict
-/// (`Some` vs `None`) is bit-identical to [`find_shelling_order_seq`]
-/// at any `KSA_THREADS`, while the witness order may differ across
-/// schedules (any witness passes [`is_shelling_order`]).
+/// This races the ordering-heuristic portfolio on the `ksa-exec` pool
+/// (see the module docs); the verdict (`Some` vs `None`) is
+/// bit-identical to [`find_shelling_order_seq`] at any `KSA_THREADS`,
+/// while the witness order may differ across schedules (any witness
+/// passes [`is_shelling_order`]).
 ///
 /// # Errors
 ///
@@ -409,7 +387,7 @@ pub fn find_shelling_order_cancellable<V: View>(
         cancel.checkpoint()?;
         return Ok(Some(facets));
     }
-    let (picked, _states) = search_cancellable(&facets, Some(cancel))?;
+    let (picked, _states) = portfolio::search(&facets, Some(cancel))?;
     Ok(picked.map(|p| p.into_iter().map(|i| facets[i].clone()).collect()))
 }
 

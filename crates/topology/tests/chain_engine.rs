@@ -11,8 +11,6 @@
 //!   references of its round, and the cancellable sweep under a silent
 //!   token == the plain one.
 
-#![cfg(feature = "parallel")]
-
 use ksa_exec::ThreadPool;
 use ksa_graphs::cancel::CancelToken;
 use ksa_graphs::Digraph;

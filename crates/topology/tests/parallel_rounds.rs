@@ -12,8 +12,6 @@
 //! same oversubscribed pool, invoked repeatedly, must keep producing
 //! the same value even as steal races land differently.
 
-#![cfg(feature = "parallel")]
-
 use ksa_exec::ThreadPool;
 use ksa_graphs::Digraph;
 use ksa_topology::complex::Complex;

@@ -5,10 +5,8 @@
 //! the one-round semantics the paper's Thm 5.4 machinery was verified
 //! against (DESIGN.md §6).
 //!
-//! Runs under every feature combination: with `parallel` off both entry
-//! points are sequential; with it on, the anchor doubles as an
-//! end-to-end determinism check of the parallel pipeline against the
-//! seed implementation.
+//! The anchor doubles as an end-to-end determinism check of the
+//! parallel pipeline against the seed implementation.
 
 use ksa_graphs::Digraph;
 use ksa_topology::complex::Complex;
@@ -76,9 +74,8 @@ proptest! {
         );
     }
 
-    /// The sequential reference is pinned to the same anchor (with the
-    /// `parallel` feature off this is the same code path; with it on it
-    /// keeps the reference honest independently of the parallel entry).
+    /// The sequential reference is pinned to the same anchor, which
+    /// keeps it honest independently of the parallel entry.
     #[test]
     fn sequential_reference_matches_the_seed(
         gens in random_generators(),

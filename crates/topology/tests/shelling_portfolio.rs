@@ -14,8 +14,6 @@
 //! uninterpreted closure complexes) and hand-rolled pure facet sets
 //! from the vendored proptest `TestRng`.
 
-#![cfg(feature = "parallel")]
-
 use ksa_exec::ThreadPool;
 use ksa_graphs::budget::RunBudget;
 use ksa_models::registry;

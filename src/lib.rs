@@ -8,7 +8,7 @@
 //!
 //! | Layer | Crate | What it is |
 //! |---|---|---|
-//! | exec | `exec` | the work-stealing execution engine behind the `parallel` feature |
+//! | exec | [`exec`] | the work-stealing execution engine behind every fan-out |
 //! | graphs | [`graphs`] | communication graphs + the paper's combinatorial numbers |
 //! | topology | [`topology`] | simplicial complexes, pseudospheres, homology, protocol complexes |
 //! | models | [`models`] | oblivious / closed-above models, the model zoo, adversaries |
@@ -40,7 +40,6 @@
 
 pub use ksa_cert as cert;
 pub use ksa_core as core;
-#[cfg(feature = "parallel")]
 pub use ksa_exec as exec;
 pub use ksa_graphs as graphs;
 pub use ksa_models as models;
