@@ -14,8 +14,8 @@
 //! The original boundary rows themselves are **not** trusted from the
 //! certificate: the checker rebuilds the face closure and the boundary
 //! maps from the facet list with its own code (simple subset
-//! enumeration + binary search), independent of the arena/echelon
-//! machinery in `ksa_topology::chain`.
+//! enumeration + binary search), independent of the top-down closure
+//! and echelon machinery in `ksa_topology::chain`.
 
 use crate::text::{push_label, push_nums, Cursor};
 use crate::{strictly_ascending, CertError};

@@ -5,7 +5,7 @@
 //! `ksa-runtime::checker`); it moved to the bottom of the workspace so
 //! the topology layer's multi-round pipeline can enforce the same budget
 //! discipline without a dependency cycle (`ksa-core` depends on
-//! `ksa-topology`, not the reverse). This module keeps the old paths
+//! `ksa-topology`, not the reverse). This module keeps the old path
 //! compiling: `ksa_core::budget::RunBudget` is the same type as
 //! `ksa_graphs::budget::RunBudget`.
 //!

@@ -49,6 +49,5 @@ pub mod solvability;
 pub mod task;
 pub mod verify;
 
-pub use budget::{BudgetExceeded, RunBudget};
 pub use error::CoreError;
 pub use task::{KSetTask, Value};

@@ -49,7 +49,7 @@ pub enum Counter {
     /// Facets materialized into complexes (protocol rounds,
     /// pseudospheres, closed-above interpretations).
     FacetsEnumerated,
-    /// Total simplexes closed into chain-complex arenas.
+    /// Total simplexes produced by chain-complex face closures.
     FacesClosed,
     /// Distinct views interned into round/view tables.
     ViewsInterned,

@@ -21,6 +21,7 @@ use crate::execution::{execute_schedule, ExecutionTrace};
 use ksa_core::algorithms::ObliviousAlgorithm;
 use ksa_core::task::Value;
 use ksa_exec::prelude::*;
+use ksa_graphs::budget::RunBudget;
 use ksa_models::adversary::generator_schedules;
 use ksa_models::ClosedAboveModel;
 use ksa_models::ObliviousModel;
@@ -31,20 +32,6 @@ use rand::SeedableRng;
 /// held in cloned schedules while keeping every core busy (each
 /// schedule expands to `values^n` executions of work).
 const SCHEDULE_BATCH: usize = 256;
-
-/// The explicit exploration budget: the guard that makes exhaustive
-/// checks degrade into a clean [`RuntimeError::TooLarge`] instead of
-/// hanging (or exhausting memory) on an instance that is too big.
-///
-/// The size of a check is known up front (`|generators|^rounds ·
-/// values^n` executions), so the budget is enforced *before* any work
-/// starts; callers can catch the error and fall back to
-/// [`monte_carlo`](crate::monte_carlo) sampling.
-///
-/// The type itself now lives in [`ksa_core::budget`] (the solvability
-/// search enforces it too); this re-export preserves the historical
-/// `ksa_runtime::checker::RunBudget` path.
-pub use ksa_core::budget::RunBudget;
 
 /// Outcome of an exhaustive (or sampled) check.
 #[derive(Debug, Clone)]

@@ -1,29 +1,30 @@
-//! The flat chain-complex engine: integer-id simplex arenas, sparse
-//! boundary reduction, early-exit connectivity, and rank reuse across
-//! skeleta (DESIGN.md §7).
+//! The flat chain-complex engine: a top-down face closure that emits the
+//! boundary incidence rows as it goes, sparse boundary reduction,
+//! early-exit connectivity, and rank reuse across skeleta (DESIGN.md §7).
 //!
 //! [`crate::homology`] and [`crate::connectivity`] used to re-derive the
 //! face closure per query, index simplexes through
 //! `HashMap<&Simplex, usize>`, and always rank every boundary operator up
 //! to the top dimension. This module replaces that substrate:
 //!
-//! * **Arenas** — [`ChainComplex::from_complex`] enumerates the face
-//!   closure once into per-dimension arenas: vertices are interned to
-//!   `u32` ids (positions in the sorted vertex table), a `k`-simplex is a
-//!   `(k+1)`-chunk of ascending ids, and each arena is the canonically
-//!   sorted, deduplicated flat `Vec<u32>` of its dimension's chunks. No
-//!   per-simplex hashing anywhere — faces are resolved by binary search
-//!   over the sorted bucket below.
-//! * **Sparse boundary reduction** — boundary operators `∂_k`, `k ≥ 2`,
-//!   are assembled as sparse rows (the `k+1` face column ids of each
-//!   `k`-simplex) and ranked by an echelon-basis elimination (`Echelon`).
-//!   The matrices are ultra-sparse (`k+1` entries per row) with low
+//! * **Top-down closure with incidence rows** — vertices are interned to
+//!   `u32` ids (positions in the sorted vertex table) and the closure
+//!   runs from the top dimension down: the `k`-simplexes, canonically
+//!   sorted, each drop one vertex at a time (last position first); those
+//!   faces are merged with the `(k−1)`-dimensional facets, sorted and
+//!   deduplicated, and every face's new id is written straight into the
+//!   flat stride-`(k+1)` incidence array of `∂_k`. Dropping later
+//!   positions yields lexicographically smaller faces, so every row comes
+//!   out ascending. No per-simplex hashing and no face lookups anywhere.
+//! * **Sparse boundary reduction** — `∂_k`, `k ≥ 2`, is ranked by an
+//!   echelon-basis elimination (`Echelon`) over the incidence rows. The
+//!   matrices are ultra-sparse (`k+1` entries per row) with low
 //!   fill-in on the protocol complexes of the experiments, which makes
 //!   this an order of magnitude faster than dense bit-packed elimination
 //!   ([`crate::gf2::Gf2Matrix`] remains as the dense cross-check
 //!   oracle). `∂_1` is the incidence matrix of the
 //!   1-skeleton, whose rank over any field is `|V| − #components`, so it
-//!   is ranked by a union-find over the edge arena instead: the echelon
+//!   is ranked by a union-find over the edge rows instead: the echelon
 //!   walked whole paths there, one fresh row per step (DESIGN.md §7.1).
 //! * **Laziness** — ranks are computed per dimension on demand and
 //!   cached, so [`ChainComplex::connectivity_up_to`] reduces `∂_1, ∂_2,
@@ -35,13 +36,12 @@
 //!   [`ChainComplex::skeleton_connectivity`] answer skeleton queries from
 //!   the parent's cached ranks without re-closing any faces.
 //!
-//! Determinism (DESIGN.md §4): the closure enumeration fans out per
-//! facet and full-Betti queries fan out per dimension on `ksa-exec`;
-//! arenas are canonically sorted at the merge
-//! and ranks are properties of the matrices, so every verdict is
-//! bit-identical to the engine-free references
-//! ([`crate::homology::reduced_betti_numbers_seq`] and the scalar
-//! [`crate::gf2::Gf2Matrix::rank_seq`]) at any `KSA_THREADS` —
+//! Determinism (DESIGN.md §4): the closure is sequential and its ids are
+//! sorted positions, so they depend only on the simplex sets; full-Betti
+//! queries fan out per dimension on `ksa-exec`, and ranks are properties
+//! of the matrices, so every verdict is bit-identical to the engine-free
+//! references ([`crate::homology::reduced_betti_numbers_seq`] and the
+//! scalar [`crate::gf2::Gf2Matrix::rank_seq`]) at any `KSA_THREADS` —
 //! proptest-pinned at pool sizes 1/2/8 in `tests/chain_engine.rs`.
 
 use crate::complex::Complex;
@@ -51,75 +51,22 @@ use ksa_obs::Counter;
 
 use ksa_exec::prelude::*;
 
-/// Facet count past which the closure enumeration fans out per facet
-/// (mirrors `complex.rs`: tiny complexes dominate the call profile and
-/// forking them costs more than enumerating them).
-const PAR_FACET_GRAIN: usize = 16;
-
-/// A flat, canonically sorted bucket of same-dimension simplexes:
-/// `data` holds `count` consecutive `stride`-length chunks of ascending
-/// vertex ids, the chunks themselves in lexicographic order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Arena {
-    stride: usize,
-    data: Vec<u32>,
-}
-
-impl Arena {
-    fn count(&self) -> usize {
-        if self.stride == 0 {
-            return 0; // the empty placeholder arena
-        }
-        debug_assert!(self.data.len().is_multiple_of(self.stride));
-        self.data.len() / self.stride
-    }
-
-    fn row(&self, i: usize) -> &[u32] {
-        &self.data[i * self.stride..(i + 1) * self.stride]
-    }
-
-    /// Binary search for the row equal to `chunk` with element `skip`
-    /// removed (the face lookup of the boundary assembly).
-    fn position_skipping(&self, chunk: &[u32], skip: usize) -> Option<usize> {
-        debug_assert_eq!(chunk.len(), self.stride + 1);
-        let (mut lo, mut hi) = (0usize, self.count());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let row = self.row(mid);
-            let mut ord = std::cmp::Ordering::Equal;
-            for (m, &r) in row.iter().enumerate() {
-                let c = chunk[m + usize::from(m >= skip)];
-                ord = r.cmp(&c);
-                if ord != std::cmp::Ordering::Equal {
-                    break;
-                }
-            }
-            match ord {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
-            }
-        }
-        None
-    }
-}
-
-/// Sorts a flat chunk vector lexicographically and removes duplicate
-/// chunks. The result depends only on the chunk *set*, which is what
-/// makes the parallel per-facet enumeration interchangeable with the
-/// sequential one.
-fn sort_dedup_chunks(data: Vec<u32>, stride: usize) -> Vec<u32> {
-    let n = data.len() / stride;
+/// Sorts the `stride`-chunks of `data` lexicographically, keeping the
+/// first of each run of equal chunks. Returns the sorted distinct chunks
+/// and, for every input chunk, the position of its chunk in that output.
+fn sort_dedup_chunks(data: &[u32], stride: usize) -> (Vec<u32>, Vec<u32>) {
     let chunk = |i: u32| &data[i as usize * stride..(i as usize + 1) * stride];
-    let mut idx: Vec<u32> = (0..n as u32).collect();
+    let mut idx: Vec<u32> = (0..(data.len() / stride) as u32).collect();
     idx.sort_unstable_by(|&a, &b| chunk(a).cmp(chunk(b)));
-    let mut out: Vec<u32> = Vec::with_capacity(data.len());
+    let mut sorted: Vec<u32> = Vec::with_capacity(data.len());
+    let mut id_of = vec![0u32; idx.len()];
     for &i in &idx {
-        if out.is_empty() || out[out.len() - stride..] != *chunk(i) {
-            out.extend_from_slice(chunk(i));
+        if sorted.is_empty() || sorted[sorted.len() - stride..] != *chunk(i) {
+            sorted.extend_from_slice(chunk(i));
         }
+        id_of[i as usize] = (sorted.len() / stride - 1) as u32;
     }
-    out
+    (sorted, id_of)
 }
 
 /// A GF(2) row-echelon basis over sparse rows (ascending `u32` column
@@ -129,7 +76,7 @@ fn sort_dedup_chunks(data: Vec<u32>, stride: usize) -> Vec<u32> {
 /// leading column and either inserts it (rank grows) or cancels it to
 /// zero (dependent). The basis size is the rank of everything absorbed —
 /// a value independent of absorption order, though the engine always
-/// absorbs in canonical arena order so intermediate bases are
+/// absorbs in canonical simplex order so intermediate bases are
 /// reproducible too.
 #[derive(Debug, Clone, Default)]
 struct Echelon {
@@ -151,7 +98,8 @@ impl Echelon {
 
     /// Absorbs one sparse row, whose column ids must lie below the count
     /// given to [`Echelon::new`]; returns whether the rank grew.
-    fn absorb(&mut self, mut row: Vec<u32>) -> bool {
+    fn absorb(&mut self, row: &[u32]) -> bool {
+        let mut row = row.to_vec();
         loop {
             let Some(&lead) = row.first() else {
                 return false;
@@ -188,7 +136,8 @@ struct WitnessEchelon {
 
 impl WitnessEchelon {
     /// Absorbs the `idx`-th original row, tracking its combination.
-    fn absorb(&mut self, mut row: Vec<u32>, idx: u32) {
+    fn absorb(&mut self, row: &[u32], idx: u32) {
+        let mut row = row.to_vec();
         let mut combo = vec![idx];
         loop {
             let Some(&lead) = row.first() else {
@@ -235,13 +184,14 @@ fn symm_diff(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// A simplicial complex flattened for homology: per-dimension integer-id
-/// arenas plus lazily computed, cached boundary ranks.
+/// A simplicial complex flattened for homology: per-dimension simplex
+/// counts, the boundary incidence rows, and lazily computed, cached
+/// boundary ranks.
 ///
 /// Build one with [`ChainComplex::from_complex`] (or
 /// [`Complex::chain`]) and ask it for Betti numbers and connectivity;
-/// every query over the same complex shares the arenas and the rank
-/// cache, so e.g. a full [`ChainComplex::reduced_betti`] after a
+/// every query over the same complex shares the incidence rows and the
+/// rank cache, so e.g. a full [`ChainComplex::reduced_betti`] after a
 /// [`ChainComplex::connectivity`] costs only the dimensions the
 /// early-exit scan never reached.
 ///
@@ -257,116 +207,110 @@ fn symm_diff(a: &[u32], b: &[u32]) -> Vec<u32> {
 /// let mut sphere = ChainComplex::from_complex(&Complex::boundary_of(&tet));
 /// assert_eq!(sphere.reduced_betti(), vec![0, 0, 1]);
 /// assert_eq!(sphere.connectivity(), Connectivity::Exactly(1));
-/// // The 1-skeleton (the K4 graph) answers from the same arenas:
+/// // The 1-skeleton (the K4 graph) answers from the same rows:
 /// assert_eq!(sphere.skeleton_betti(1), vec![0, 3]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChainComplex {
-    /// `arenas[k]`: the k-simplexes. Empty vector ⇔ void complex.
-    arenas: Vec<Arena>,
+    /// `counts[k]`: the number of k-simplexes. Empty ⇔ void complex.
+    counts: Vec<usize>,
+    /// `rows[k]`, `k ≥ 1`: the incidence array of `∂_k` — `counts[k]`
+    /// consecutive `(k+1)`-chunks, the `r`-th holding the ascending ids
+    /// of the faces of the `r`-th k-simplex in lexicographic order.
+    /// `rows[1]` is the edge list itself; `rows[0]` is empty.
+    rows: Vec<Vec<u32>>,
     /// `ranks[k]`: cached rank of `∂_k` (`∂_0` = augmentation,
     /// `∂_{dim+1}` = 0); length `dim + 2` for a non-void complex.
     ranks: Vec<Option<usize>>,
 }
 
 impl ChainComplex {
-    /// Flattens a complex: interns its vertices, enumerates the face
-    /// closure once into per-dimension arenas (parallel per facet past a
-    /// small grain; the canonical sort at the merge makes both paths
-    /// bit-identical).
+    /// Flattens a complex: interns its vertices (ids are positions in the
+    /// sorted vertex table), then closes the interned facets top-down,
+    /// emitting the boundary incidence rows on the way (see the module
+    /// docs).
     pub fn from_complex<V: View>(complex: &Complex<V>) -> Self {
-        if complex.is_void() {
+        let mut facets = Vec::new();
+        let vertex_count = intern_facets(complex, |ids| file_facet(&mut facets, ids));
+        Self::from_facet_ids(vertex_count, facets)
+    }
+
+    /// The top-down closure. `facets[k]` lists k-simplexes of the complex
+    /// — at least its k-dimensional facets — as consecutive
+    /// `(k+1)`-chunks of ascending vertex ids, in any order, repeats
+    /// allowed. Every vertex id in `0..vertex_count` must occur.
+    pub(crate) fn from_facet_ids(vertex_count: usize, mut facets: Vec<Vec<u32>>) -> Self {
+        while facets.last().is_some_and(Vec::is_empty) {
+            facets.pop();
+        }
+        let Some(dim) = facets.len().checked_sub(1) else {
             return ChainComplex {
-                arenas: Vec::new(),
+                counts: Vec::new(),
+                rows: Vec::new(),
                 ranks: Vec::new(),
             };
-        }
-        let verts: Vec<Vertex<V>> = complex.vertices();
-        let dim = complex.dim() as usize;
-        let facet_ids: Vec<Vec<u32>> = complex
-            .facets()
-            .map(|f| {
-                f.vertices()
-                    .iter()
-                    .map(|v| verts.binary_search(v).expect("facet vertex is interned") as u32)
-                    .collect()
-            })
-            .collect();
-
-        let raw: Vec<Vec<u32>> = if facet_ids.len() >= PAR_FACET_GRAIN {
-            let per_facet: Vec<Vec<Vec<u32>>> = facet_ids
-                .par_iter()
-                .map(|ids| facet_subsets(ids, dim))
-                .collect();
-            let mut acc: Vec<Vec<u32>> = vec![Vec::new(); dim + 1];
-            for group in per_facet {
-                for (k, chunk) in group.into_iter().enumerate() {
-                    acc[k].extend(chunk);
+        };
+        let mut counts = vec![0; dim + 1];
+        counts[0] = vertex_count;
+        let mut rows = vec![Vec::new(); dim + 1];
+        // `upper`: the sorted, distinct k-simplexes, top dimension first.
+        let (mut upper, _) = sort_dedup_chunks(&facets[dim], dim + 1);
+        for k in (1..=dim).rev() {
+            counts[k] = upper.len() / (k + 1);
+            if k == 1 {
+                // Vertex ids are positions: the edges are ∂_1's rows.
+                rows[1] = std::mem::take(&mut upper);
+                break;
+            }
+            // Slot `j` of a row drops position `k − j`: dropping a later
+            // position gives a lexicographically smaller face, so each
+            // row's ids come out ascending. The (k−1)-facets ride behind.
+            let mut faces: Vec<u32> = Vec::with_capacity(upper.len() * k + facets[k - 1].len());
+            for s in upper.chunks_exact(k + 1) {
+                for drop in (0..=k).rev() {
+                    faces.extend_from_slice(&s[..drop]);
+                    faces.extend_from_slice(&s[drop + 1..]);
                 }
             }
-            acc
-        } else {
-            closure_seq(&facet_ids, dim)
-        };
-
-        let arenas: Vec<Arena> = raw
-            .into_iter()
-            .enumerate()
-            .map(|(k, data)| Arena {
-                stride: k + 1,
-                data: sort_dedup_chunks(data, k + 1),
-            })
-            .collect();
-        ksa_obs::count(
-            Counter::FacesClosed,
-            arenas.iter().map(|a| a.count() as u64).sum(),
-        );
+            faces.extend_from_slice(&facets[k - 1]);
+            let (lower, mut ids) = sort_dedup_chunks(&faces, k);
+            ids.truncate(upper.len());
+            rows[k] = ids;
+            upper = lower;
+        }
+        debug_assert!(dim > 0 || upper.len() == vertex_count);
+        ksa_obs::count(Counter::FacesClosed, counts.iter().sum::<usize>() as u64);
         let mut ranks = vec![None; dim + 2];
         ranks[0] = Some(1); // augmentation on a non-void complex
         ranks[dim + 1] = Some(0);
-        ChainComplex { arenas, ranks }
+        ChainComplex {
+            counts,
+            rows,
+            ranks,
+        }
     }
 
     /// Whether the underlying complex was void.
     pub fn is_void(&self) -> bool {
-        self.arenas.is_empty()
+        self.counts.is_empty()
     }
 
     /// The complex's dimension (`−1` when void).
     pub fn dim(&self) -> isize {
-        self.arenas.len() as isize - 1
+        self.counts.len() as isize - 1
     }
 
     /// Number of `k`-simplexes in the closure (0 outside `0..=dim`).
     pub fn simplex_count(&self, k: usize) -> usize {
-        self.arenas.get(k).map_or(0, Arena::count)
+        self.counts.get(k).copied().unwrap_or(0)
     }
 
-    /// The sparse boundary rows of `∂_k`: row `r` holds the ascending
-    /// arena positions (in dimension `k−1`) of the faces of the `r`-th
-    /// `k`-simplex.
-    fn boundary_rows(&self, k: usize) -> Vec<Vec<u32>> {
-        let (upper, lower) = (&self.arenas[k], &self.arenas[k - 1]);
-        let rows: Vec<Vec<u32>> = (0..upper.count())
-            .map(|r| {
-                let chunk = upper.row(r);
-                let mut row: Vec<u32> = (0..chunk.len())
-                    .map(|skip| {
-                        lower
-                            .position_skipping(chunk, skip)
-                            .expect("closure contains every face") as u32
-                    })
-                    .collect();
-                row.sort_unstable();
-                row
-            })
-            .collect();
-        ksa_obs::count(Counter::BoundaryRows, rows.len() as u64);
-        ksa_obs::count(
-            Counter::BoundaryNnz,
-            rows.iter().map(|r| r.len() as u64).sum(),
-        );
-        rows
+    /// The sparse rows of `∂_k`, `k ≥ 1`, in canonical simplex order:
+    /// chunks of the incidence array, counted as they are handed out.
+    fn boundary(&self, k: usize) -> std::slice::ChunksExact<'_, u32> {
+        ksa_obs::count(Counter::BoundaryRows, self.counts[k] as u64);
+        ksa_obs::count(Counter::BoundaryNnz, self.rows[k].len() as u64);
+        self.rows[k].chunks_exact(k + 1)
     }
 
     /// Computes the rank of `∂_k` without touching the cache (pure, so
@@ -376,8 +320,8 @@ impl ChainComplex {
         let rank = if k == 1 {
             self.edge_rank()
         } else {
-            let mut ech = Echelon::new(self.simplex_count(k - 1));
-            for row in self.boundary_rows(k) {
+            let mut ech = Echelon::new(self.counts[k - 1]);
+            for row in self.boundary(k) {
                 ech.absorb(row);
             }
             ech.rank()
@@ -388,10 +332,8 @@ impl ChainComplex {
 
     /// The rank of `∂_1`: `|V| − #components` of the 1-skeleton over any
     /// field, i.e. the number of edges a union-find (path halving)
-    /// merges on. `arenas[0]` is exactly `0..|V|`, so edge chunks are
-    /// vertex indices already. The boundary counters advance as if the
-    /// incidence rows had been assembled (one row, two entries per edge),
-    /// so the deterministic tier means what it does for `k ≥ 2`.
+    /// merges on. Edge rows are pairs of vertex ids, and vertex ids are
+    /// `0..|V|`.
     fn edge_rank(&self) -> usize {
         fn find(parent: &mut [u32], mut x: u32) -> u32 {
             while parent[x as usize] != x {
@@ -400,24 +342,21 @@ impl ChainComplex {
             }
             x
         }
-        let edges = &self.arenas[1].data;
-        let mut parent: Vec<u32> = (0..self.simplex_count(0) as u32).collect();
+        let mut parent: Vec<u32> = (0..self.counts[0] as u32).collect();
         let mut rank = 0;
-        for e in edges.chunks_exact(2) {
+        for e in self.boundary(1) {
             let (a, b) = (find(&mut parent, e[0]), find(&mut parent, e[1]));
             if a != b {
                 parent[a as usize] = b;
                 rank += 1;
             }
         }
-        ksa_obs::count(Counter::BoundaryRows, (edges.len() / 2) as u64);
-        ksa_obs::count(Counter::BoundaryNnz, edges.len() as u64);
         rank
     }
 
     /// Reduces `∂_k` like [`ChainComplex::compute_rank`] while
     /// recording the rank witness for certification. Absorption runs in
-    /// canonical arena order, so the witness is schedule-invariant.
+    /// canonical simplex order, so the witness is schedule-invariant.
     fn compute_rank_witnessed(&self, k: usize) -> ksa_cert::RankWitness {
         // Same span name as the plain reduction — the trace contract
         // names `rank_reduce` as *the* rank-reduction span; the
@@ -426,7 +365,7 @@ impl ChainComplex {
             .arg("dim", k as u64)
             .arg("witnessed", 1);
         let mut ech = WitnessEchelon::default();
-        for (i, row) in self.boundary_rows(k).into_iter().enumerate() {
+        for (i, row) in self.boundary(k).enumerate() {
             ech.absorb(row, i as u32);
         }
         ksa_obs::count(Counter::RanksComputed, 1);
@@ -460,7 +399,7 @@ impl ChainComplex {
         if self.is_void() {
             return Vec::new();
         }
-        let dim = self.arenas.len() - 1;
+        let dim = self.counts.len() - 1;
         let missing: Vec<usize> = (1..=dim).filter(|&k| self.ranks[k].is_none()).collect();
         if missing.len() > 1 {
             let this: &Self = self;
@@ -511,7 +450,7 @@ impl ChainComplex {
     }
 
     /// The reduced Betti vector of the `k`-skeleton, answered from the
-    /// parent's arenas and rank cache: `∂_j` of the skeleton *is* `∂_j`
+    /// parent's rows and rank cache: `∂_j` of the skeleton *is* `∂_j`
     /// of the parent for `j ≤ k`, and the skeleton's top dimension has no
     /// `(k+1)`-simplexes, so `b̃_k = c_k − rank ∂_k`. No face re-closure,
     /// no new matrices — agrees with
@@ -560,31 +499,26 @@ impl ChainComplex {
 ///
 /// Returns `None` for the void complex (nothing to certify).
 ///
-/// The per-dimension witnessed reductions fan out on `ksa-exec`; each dimension absorbs sequentially, so the
-/// witness — and therefore the certificate — is schedule-invariant.
+/// The vertices are interned once: the same ids make the certificate's
+/// facet list and the chain complex. The per-dimension witnessed
+/// reductions fan out on `ksa-exec`; each dimension absorbs
+/// sequentially, so the witness — and therefore the certificate — is
+/// schedule-invariant.
 pub fn reduced_betti_certified<V: View>(
     complex: &Complex<V>,
     label: &str,
 ) -> Option<(Vec<usize>, ksa_cert::HomologyCert)> {
-    let mut cc = ChainComplex::from_complex(complex);
+    let mut facet_ids: Vec<Vec<u32>> = Vec::with_capacity(complex.facet_count());
+    let mut facets = Vec::new();
+    let vertex_count = intern_facets(complex, |ids| {
+        facet_ids.push(ids.to_vec());
+        file_facet(&mut facets, ids);
+    });
+    let mut cc = ChainComplex::from_facet_ids(vertex_count, facets);
     if cc.is_void() {
         return None;
     }
-    let dim = cc.arenas.len() - 1;
-    // Interned facets, exactly as `from_complex` interns vertices.
-    let verts: Vec<Vertex<V>> = complex.vertices();
-    let facet_ids: Vec<Vec<u32>> = complex
-        .facets()
-        .map(|f| {
-            let mut ids: Vec<u32> = f
-                .vertices()
-                .iter()
-                .map(|v| verts.binary_search(v).expect("facet vertex is interned") as u32)
-                .collect();
-            ids.sort_unstable();
-            ids
-        })
-        .collect();
+    let dim = cc.counts.len() - 1;
     let dims: Vec<usize> = (1..=dim).collect();
     let this: &ChainComplex = &cc;
     let witnesses: Vec<ksa_cert::RankWitness> = dims
@@ -611,31 +545,33 @@ pub fn reduced_betti_certified<V: View>(
     Some((betti, cert))
 }
 
-/// The per-dimension subset chunks one facet contributes to the closure.
-fn facet_subsets(ids: &[u32], dim: usize) -> Vec<Vec<u32>> {
-    let m = ids.len();
-    let mut acc: Vec<Vec<u32>> = vec![Vec::new(); dim + 1];
-    for mask in 1u64..(1u64 << m) {
-        let k = mask.count_ones() as usize - 1;
-        let bucket = &mut acc[k];
-        for (i, &id) in ids.iter().enumerate() {
-            if (mask >> i) & 1 == 1 {
-                bucket.push(id);
-            }
-        }
+/// Interns `complex`'s vertices — ids are positions in the sorted vertex
+/// table — and hands each facet's ascending id list to `emit`, in facet
+/// order. Returns the vertex count.
+pub(crate) fn intern_facets<V: View>(complex: &Complex<V>, mut emit: impl FnMut(&[u32])) -> usize {
+    let mut verts: Vec<&Vertex<V>> = complex.facets().flat_map(|f| f.vertices()).collect();
+    verts.sort_unstable();
+    verts.dedup();
+    let mut ids = Vec::new();
+    for f in complex.facets() {
+        ids.clear();
+        ids.extend(
+            f.vertices()
+                .iter()
+                .map(|v| verts.binary_search(&v).expect("facet vertex is interned") as u32),
+        );
+        emit(&ids);
     }
-    acc
+    verts.len()
 }
 
-/// Sequential closure enumeration over all facets.
-fn closure_seq(facet_ids: &[Vec<u32>], dim: usize) -> Vec<Vec<u32>> {
-    let mut acc: Vec<Vec<u32>> = vec![Vec::new(); dim + 1];
-    for ids in facet_ids {
-        for (k, chunk) in facet_subsets(ids, dim).into_iter().enumerate() {
-            acc[k].extend(chunk);
-        }
+/// Files one interned facet under its dimension in the input of
+/// [`ChainComplex::from_facet_ids`].
+pub(crate) fn file_facet(facets: &mut Vec<Vec<u32>>, ids: &[u32]) {
+    if facets.len() < ids.len() {
+        facets.resize_with(ids.len(), Vec::new);
     }
-    acc
+    facets[ids.len() - 1].extend_from_slice(ids);
 }
 
 /// Maps a complex straight to its chain engine — sugar for
@@ -665,6 +601,51 @@ mod tests {
         assert_eq!(chain.simplex_count(1), 3);
         assert_eq!(chain.simplex_count(2), 1);
         assert_eq!(chain.simplex_count(3), 0);
+    }
+
+    /// The vertex ids of simplex `r` of dimension `k`, read back down
+    /// the incidence rows.
+    fn vertices_of(chain: &ChainComplex, k: usize, r: u32) -> Vec<u32> {
+        if k == 0 {
+            return vec![r];
+        }
+        let row = &chain.rows[k][r as usize * (k + 1)..(r as usize + 1) * (k + 1)];
+        let mut vs: Vec<u32> = row
+            .iter()
+            .flat_map(|&f| vertices_of(chain, k - 1, f))
+            .collect();
+        vs.sort_unstable();
+        vs.dedup();
+        vs
+    }
+
+    #[test]
+    fn top_down_closure_emits_the_incidence_rows() {
+        // Non-pure, filed out of order: a triangle, an isolated vertex,
+        // then an edge disjoint from the triangle.
+        let mut facets = Vec::new();
+        for ids in [&[2, 4, 5][..], &[1], &[0, 3]] {
+            file_facet(&mut facets, ids);
+        }
+        let chain = ChainComplex::from_facet_ids(6, facets);
+        assert_eq!(chain.counts, vec![6, 4, 1]);
+        assert_eq!(chain.rows[1], vec![0, 3, 2, 4, 2, 5, 4, 5]);
+        for k in 1..=2 {
+            for (r, row) in chain.rows[k].chunks_exact(k + 1).enumerate() {
+                assert!(
+                    row.windows(2).all(|w| w[0] < w[1]),
+                    "∂_{k} row {r}: {row:?}"
+                );
+                let verts = vertices_of(&chain, k, r as u32);
+                assert_eq!(verts.len(), k + 1, "∂_{k} row {r}");
+                // Face `j` drops vertex `k − j`: exactly the simplex's faces.
+                for (j, &f) in row.iter().enumerate() {
+                    let mut face = verts.clone();
+                    face.remove(k - j);
+                    assert_eq!(vertices_of(&chain, k - 1, f), face, "∂_{k} row {r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -252,8 +252,9 @@ impl<V: View> Complex<V> {
     }
 
     /// Flattens the complex into its chain engine
-    /// ([`crate::chain::ChainComplex`]): the face closure enumerated once
-    /// into integer-id arenas, ready for (repeated, cached) homology and
+    /// ([`crate::chain::ChainComplex`]): the face closure run once, top
+    /// down, into boundary incidence rows over integer simplex ids, ready
+    /// for (repeated, cached) homology and
     /// connectivity queries. Prefer this over separate
     /// [`reduced_betti_numbers`](crate::homology::reduced_betti_numbers)
     /// / [`connectivity`](crate::connectivity::connectivity) calls when

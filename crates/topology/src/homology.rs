@@ -19,8 +19,8 @@
 //! [`reduced_betti_numbers`] runs on the flat chain-complex engine
 //! ([`crate::chain`], DESIGN.md §7); [`reduced_betti_numbers_seq`] is the
 //! engine-free reference — self-contained face closure plus dense scalar
-//! elimination — kept deliberately independent of the arenas and the
-//! sparse kernel so the determinism proptests cross-validate two
+//! elimination — kept deliberately independent of the top-down closure
+//! and the sparse kernel so the determinism proptests cross-validate two
 //! different algorithms, not one algorithm against itself.
 
 use crate::chain::ChainComplex;
@@ -34,13 +34,13 @@ use std::collections::{BTreeSet, HashMap};
 /// Returns an empty vector for the void complex (which has `b̃_{−1} = 1`,
 /// not represented here; use [`Complex::is_void`] to detect voidness).
 ///
-/// Runs on the flat chain-complex engine ([`crate::chain`]): the face
-/// closure is enumerated once into integer-id arenas and each boundary
-/// operator is reduced sparsely. The closure enumeration fans out per
-/// facet and the boundary reductions fan out per dimension as
-/// `ksa-exec` tasks; arenas are canonically sorted at
-/// the merge, so every Betti number is bit-identical to
-/// [`reduced_betti_numbers_seq`] at any `KSA_THREADS` (DESIGN.md §4, §7).
+/// Runs on the flat chain-complex engine ([`crate::chain`]): a
+/// sequential top-down face closure emits each boundary operator's
+/// incidence rows, and each operator is reduced sparsely. Simplex ids
+/// are sorted positions and the boundary reductions fan out per
+/// dimension as `ksa-exec` tasks, so every Betti number is
+/// bit-identical to [`reduced_betti_numbers_seq`] at any `KSA_THREADS`
+/// (DESIGN.md §4, §7).
 ///
 /// Callers that need both Betti numbers *and* connectivity should build
 /// one [`ChainComplex`] and query it twice — the rank cache is shared.

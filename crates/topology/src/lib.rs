@@ -13,8 +13,9 @@
 //!   (Defs 4.1–4.2), with union, intersection, skeletons and purity;
 //! * [`pseudosphere`] — the pseudosphere complexes `φ(Π; V_1..V_n)`
 //!   (Def 4.5) and their intersection law (Lemma 4.6);
-//! * [`chain`] — the flat chain-complex engine: integer-id simplex
-//!   arenas, sparse boundary reduction with per-dimension rank caching,
+//! * [`chain`] — the flat chain-complex engine: a top-down face closure
+//!   emitting boundary incidence rows over integer simplex ids, sparse
+//!   boundary reduction with per-dimension rank caching,
 //!   early-exit connectivity, and rank reuse across skeleta
 //!   (DESIGN.md §7);
 //! * [`homology`] / [`connectivity`] — reduced Z/2 Betti numbers and the

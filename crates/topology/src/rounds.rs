@@ -27,7 +27,7 @@
 //! are bit-identical at any `KSA_THREADS`, proptest-pinned at pool sizes
 //! 1/2/8.
 
-use crate::chain::ChainComplex;
+use crate::chain::{file_facet, ChainComplex};
 use crate::complex::Complex;
 use crate::connectivity::Connectivity;
 use crate::error::TopologyError;
@@ -143,9 +143,13 @@ impl<V: View> RoundsComplex<V> {
         let checkpoint = || cancel.map_or(Ok(()), CancelToken::checkpoint);
         self.complexes
             .iter()
-            .map(|complex| {
+            .zip(&self.tables)
+            .map(|(complex, table)| {
                 checkpoint()?;
-                let mut chain = ChainComplex::from_complex(complex);
+                let mut facets = Vec::new();
+                let vertex_count =
+                    dense_facet_ids(complex, table.len(), |ids| file_facet(&mut facets, ids));
+                let mut chain = ChainComplex::from_facet_ids(vertex_count, facets);
                 if cancel.is_some() {
                     // Warm each dimension's cached rank one at a time,
                     // polling between, so `reduced_betti` only reads the
@@ -187,6 +191,39 @@ impl<V: View> RoundsComplex<V> {
             .expect("colors stay distinct under expansion")
         }))
     }
+}
+
+/// Interns a round complex for the chain engine without sorting: a
+/// round vertex `(color, view)` has `view < views`, so a `colors × views`
+/// presence table, numbered in `(color, view)` order, assigns exactly the
+/// sorted-vertex ids of [`crate::chain::intern_facets`]. Hands each
+/// facet's ascending id list to `emit`, in facet order, and returns the
+/// vertex count.
+fn dense_facet_ids(complex: &Complex<u32>, views: usize, mut emit: impl FnMut(&[u32])) -> usize {
+    let colors = complex
+        .facets()
+        .flat_map(Simplex::vertices)
+        .map(|v| v.color + 1)
+        .max()
+        .unwrap_or(0);
+    let slot = |v: &Vertex<u32>| v.color * views + v.view as usize;
+    let mut id = vec![u32::MAX; colors * views];
+    for v in complex.facets().flat_map(Simplex::vertices) {
+        id[slot(v)] = 0;
+    }
+    // Number the present slots (marked 0) in `(color, view)` order.
+    let mut next = 0;
+    for x in id.iter_mut().filter(|x| **x == 0) {
+        *x = next;
+        next += 1;
+    }
+    let mut ids = Vec::new();
+    for f in complex.facets() {
+        ids.clear();
+        ids.extend(f.vertices().iter().map(|v| id[slot(v)]));
+        emit(&ids);
+    }
+    next as usize
 }
 
 /// Interns an input complex: canonical table of its distinct views, and
@@ -579,6 +616,26 @@ mod tests {
             rc.homology_sweep_cancellable(&expired),
             Err(TopologyError::DeadlineExceeded)
         );
+    }
+
+    #[test]
+    fn dense_interning_matches_sorted_interning() {
+        // Betti numbers are invariant under relabelling, so only an
+        // id-level comparison catches an ordering slip.
+        let gens = vec![
+            families::cycle(3).unwrap(),
+            families::broadcast_star(3, 0).unwrap(),
+        ];
+        let rc = protocol_complex_rounds(&gens, &binary_inputs(3), 2, 10_000_000u128).unwrap();
+        for (complex, table) in rc.complexes().iter().zip(&rc.tables) {
+            let (mut dense, mut sorted) = (Vec::new(), Vec::new());
+            let dense_count = dense_facet_ids(complex, table.len(), |ids| dense.push(ids.to_vec()));
+            let sorted_count =
+                crate::chain::intern_facets(complex, |ids| sorted.push(ids.to_vec()));
+            assert_eq!(dense_count, complex.vertices().len());
+            assert_eq!(dense_count, sorted_count);
+            assert_eq!(dense, sorted);
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   `c.skeleton(k)`;
 //! * every `RoundsComplex::homology_sweep` step == the per-complex
 //!   references of its round, and the cancellable sweep under a silent
-//!   token == the plain one.
+//!   token == the plain one;
+//! * the top-down closure's per-dimension counts == those of the
+//!   independent `Complex::all_simplexes`.
 
 use ksa_exec::ThreadPool;
 use ksa_graphs::cancel::CancelToken;
@@ -147,5 +149,20 @@ proptest! {
             }
             prop_assert_eq!(silent.unwrap(), steps, "pool size {}", pool.num_threads());
         }
+    }
+
+    /// The top-down closure is the face closure: its per-dimension
+    /// counts match the independent `Complex::all_simplexes`.
+    #[test]
+    fn closure_counts_match_all_simplexes(c in small_complex()) {
+        let mut expected = vec![0usize; c.dim() as usize + 1];
+        for s in c.all_simplexes() {
+            expected[s.dim() as usize] += 1;
+        }
+        let chain = ChainComplex::from_complex(&c);
+        for (k, &n) in expected.iter().enumerate() {
+            prop_assert_eq!(chain.simplex_count(k), n, "k = {}", k);
+        }
+        prop_assert_eq!(chain.simplex_count(expected.len()), 0);
     }
 }

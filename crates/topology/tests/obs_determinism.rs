@@ -107,6 +107,19 @@ proptest! {
         prop_assert_eq!(seq.1, connectivity(&c));
     }
 
+    /// The top-down closure counts every simplex it closes exactly once:
+    /// `FacesClosed` advances by the size of the independent
+    /// `Complex::all_simplexes`.
+    #[test]
+    fn faces_closed_counts_all_simplexes(c in small_complex()) {
+        let _guard = counter_lock();
+        let delta = det_delta(|| {
+            ChainComplex::from_complex(&c);
+        });
+        let closed = delta.iter().find(|&&(name, _)| name == "faces_closed").map(|&(_, v)| v);
+        prop_assert_eq!(closed, Some(c.all_simplexes().len() as u64));
+    }
+
     /// Pseudosphere materialization + nerve expansion: the facet
     /// enumeration counters don't depend on the fan-out.
     #[test]
