@@ -169,7 +169,7 @@ fn bench_shelling(c: &mut Criterion) {
     }
     for (name, complex) in &cases {
         group.bench_with_input(BenchmarkId::new("portfolio", name), complex, |b, cx| {
-            b.iter(|| find_shelling_order(black_box(cx)))
+            b.iter(|| find_shelling_order(black_box(cx), None))
         });
         group.bench_with_input(BenchmarkId::new("seq_oracle", name), complex, |b, cx| {
             b.iter(|| find_shelling_order_seq(black_box(cx)))

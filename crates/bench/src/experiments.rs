@@ -438,7 +438,7 @@ pub fn multiround() -> R {
 /// iterated-interpretation complexes vs the combinatorial multi-round
 /// lower bounds, plus the round-1 anchor to the one-round pipeline.
 pub fn rounds() -> R {
-    use ksa_core::bounds::cross_check::cross_check_round_sweep_certified;
+    use ksa_core::bounds::cross_check::cross_check_round_sweep;
     use ksa_topology::interpretation::protocol_complex_one_round;
     use ksa_topology::rounds::protocol_complex_rounds;
 
@@ -459,7 +459,7 @@ pub fn rounds() -> R {
     ] {
         let model = registry_model(name)?;
         let (sweep, certs) =
-            cross_check_round_sweep_certified(&model, 1, rounds, 100_000_000u128, name, None)?;
+            cross_check_round_sweep(&model, 1, rounds, 100_000_000u128, Some(name))?;
         for row in &sweep.per_round {
             out.line(format!(
                 "{name:<16} {:>3} {:>8} {:>7} {:>6} {:>9}  {:?}",
@@ -774,7 +774,7 @@ pub fn cor55() -> R {
 /// timings start a fresh baseline series (see EXPERIMENTS.md).
 pub fn solv() -> R {
     use ksa_core::solvability::{
-        decide_one_round_sweep, decide_one_round_with_table_certified, NoGoodTable, Solvability,
+        decide_one_round_sweep, decide_one_round_with_table, NoGoodTable, Solvability,
     };
     let mut out = ExperimentOutcome::new("solv");
     out.line("extension — exact one-round oblivious solvability (incremental k-sweep, certified)");
@@ -840,15 +840,14 @@ pub fn solv() -> R {
             // machine-checkable certificate for the verdict. The sweep
             // uses per-k inputs over {0, …, k}, so value_max = k.
             let table = NoGoodTable::new();
-            let (scratch, _, cert) = decide_one_round_with_table_certified(
+            let (scratch, _, cert) = decide_one_round_with_table(
                 &model,
                 k,
                 k,
-                2_000_000,
+                2_000_000u128,
                 50_000_000,
                 &table,
-                2_000_000,
-                &format!("{name} k={k}"),
+                Some(&format!("{name} k={k}")),
             )?;
             out.check(
                 &format!("{name} k={k}: certified re-decision agrees with the sweep"),
@@ -942,7 +941,8 @@ pub fn approx() -> R {
 /// `seed`, `count`), so `experiments hunt --models '<name>'` replays it
 /// exactly. `models` overrides the default glob (CLI `--models`).
 pub fn hunt(models: Option<&str>) -> R {
-    use ksa_core::bounds::cross_check::cross_check_round_sweep_by_name;
+    use ksa_core::bounds::cross_check::cross_check_round_sweep;
+    use ksa_core::CoreError;
 
     /// The default selection: one density slice of the builtin seeded
     /// ensemble (8 seeds).
@@ -992,8 +992,12 @@ pub fn hunt(models: Option<&str>) -> R {
             skipped.push(name.to_string());
             continue;
         }
-        match cross_check_round_sweep_by_name(name, 1, ROUNDS, SWEEP_BUDGET) {
-            Ok(sweep) => {
+        let swept = reg
+            .resolve_closed_above(name, SWEEP_BUDGET)
+            .map_err(CoreError::from)
+            .and_then(|model| cross_check_round_sweep(&model, 1, ROUNDS, SWEEP_BUDGET, None));
+        match swept {
+            Ok((sweep, _)) => {
                 scanned += 1;
                 for row in &sweep.per_round {
                     out.line(format!(

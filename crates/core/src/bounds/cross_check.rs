@@ -15,13 +15,13 @@
 //! tabulates the sweep for the model zoo.
 //!
 //! The protocol complexes grow exponentially with the round count, so
-//! the sweep is budget-guarded end to end ([`RunBudget`]) and intended
+//! the sweep is budget-guarded end to end ([`Run`]) and intended
 //! for the small zoo (`n ≤ 3`, a couple of rounds) — exactly the sizes
 //! where the paper's worked examples live.
 
 use crate::bounds::lower::best_lower_bound;
 use crate::bounds::LowerBound;
-use crate::budget::{CancelToken, RunBudget};
+use crate::budget::Run;
 use crate::error::CoreError;
 use crate::task::{input_complex, Value};
 use ksa_models::ClosedAboveModel;
@@ -111,92 +111,103 @@ impl fmt::Display for RoundSweepReport {
 /// ([`best_lower_bound`], i.e. Thm 5.1/6.10 on simple models and
 /// Thm 5.4/6.11 on general ones, with the scoping of DESIGN.md §5.3).
 ///
-/// # Errors
-///
-/// [`CoreError::Topology`] when `budget` is exceeded (the input complex
-/// and every round's facet product are admitted against it) and for
-/// `rounds = 0`; graph-layer errors otherwise.
-pub fn cross_check_round_sweep(
-    model: &ClosedAboveModel,
-    value_max: usize,
-    rounds: usize,
-    budget: impl Into<RunBudget>,
-) -> Result<RoundSweepReport, CoreError> {
-    round_sweep_impl(model, value_max, rounds, budget.into(), None)
-}
-
-/// [`cross_check_round_sweep`] with a cooperative [`CancelToken`]: the
-/// token is polled per round in the complex construction and per rank
-/// reduction in the homology sweep — the two places the pipeline spends
-/// its time — and a fired token surfaces as [`CoreError::Cancelled`] /
-/// [`CoreError::DeadlineExceeded`]. A token that never fires leaves the
-/// report bit-identical to [`cross_check_round_sweep`] at any
+/// `run` is the [`RunBudget`](crate::budget::RunBudget) (or a `u128`),
+/// optionally with a [`CancelToken`](crate::budget::CancelToken). The
+/// budget admits the input complex and every round's facet product. The
+/// token is polled once per round in the construction, then per rank
+/// reduction in the uncertified sweep or before each round's certified
+/// reduction. A token that never fires leaves the report and the
+/// certificates bit-identical to the token-free run at any
 /// `KSA_THREADS`.
 ///
+/// With `certify: None` one chain-engine sweep measures every round and
+/// the certificate list is empty. With `certify: Some(label)` every row
+/// is re-derived through the *certified* Betti path
+/// ([`ksa_topology::chain::reduced_betti_certified`]), and one
+/// [`ksa_cert::HomologyCert`] per round, labelled `"<label> r=<round>"`,
+/// comes back with the report (DESIGN.md §11). The report is
+/// bit-identical either way, since ranks are properties of the matrices;
+/// the certified path reduces every rank, `∂_1` included, by the
+/// witness-recording echelon rather than the sweep's cheaper kernels.
+///
 /// # Errors
 ///
-/// Same conditions as [`cross_check_round_sweep`], plus the two token
-/// variants.
-pub fn cross_check_round_sweep_cancellable(
+/// [`CoreError::Topology`] when the budget is exceeded and for
+/// `rounds = 0`; [`CoreError::Cancelled`] /
+/// [`CoreError::DeadlineExceeded`] when the token fires; graph-layer
+/// errors otherwise.
+pub fn cross_check_round_sweep<'a>(
     model: &ClosedAboveModel,
     value_max: usize,
     rounds: usize,
-    budget: impl Into<RunBudget>,
-    cancel: &CancelToken,
-) -> Result<RoundSweepReport, CoreError> {
-    round_sweep_impl(model, value_max, rounds, budget.into(), Some(cancel))
-}
-
-fn round_sweep_impl(
-    model: &ClosedAboveModel,
-    value_max: usize,
-    rounds: usize,
-    budget: RunBudget,
-    cancel: Option<&CancelToken>,
-) -> Result<RoundSweepReport, CoreError> {
-    let rc = build_rounds(model, value_max, rounds, budget, cancel)?;
-    // One chain-engine sweep over all rounds: each round's Betti numbers
-    // and connectivity share a single closure/rank pass.
-    let homology = match cancel {
-        Some(token) => rc.homology_sweep_cancellable(token)?,
-        None => rc.homology_sweep(),
-    };
+    run: impl Into<Run<'a>>,
+    certify: Option<&str>,
+) -> Result<(RoundSweepReport, Vec<ksa_cert::HomologyCert>), CoreError> {
+    let run = run.into();
+    let rc = build_rounds(model, value_max, rounds, run)?;
     let mut per_round = Vec::with_capacity(rounds);
-    for (r, step) in (1..=rounds).zip(homology) {
-        let measured_connectivity = match step.connectivity {
-            Connectivity::Empty => -2,
-            Connectivity::Exactly(k) | Connectivity::AtLeast(k) => k,
-        };
-        per_round.push(round_row(model, &rc, r, step.betti, measured_connectivity)?);
-    }
-    Ok(RoundSweepReport {
+    let certs = match certify {
+        None => {
+            // One chain-engine sweep over all rounds: each round's Betti
+            // numbers and connectivity share a single closure/rank pass.
+            let homology = match run.cancel {
+                Some(token) => rc.homology_sweep_cancellable(token)?,
+                None => rc.homology_sweep(),
+            };
+            for (r, step) in (1..=rounds).zip(homology) {
+                let measured_connectivity = match step.connectivity {
+                    Connectivity::Empty => -2,
+                    Connectivity::Exactly(k) | Connectivity::AtLeast(k) => k,
+                };
+                per_round.push(round_row(model, &rc, r, step.betti, measured_connectivity)?);
+            }
+            Vec::new()
+        }
+        Some(label) => {
+            let mut certs = Vec::with_capacity(rounds);
+            for r in 1..=rounds {
+                run.checkpoint()?;
+                let complex = rc.complex_at(r).expect("round was materialized");
+                let (betti, cert) = ksa_topology::chain::reduced_betti_certified(
+                    complex,
+                    &format!("{label} r={r}"),
+                )
+                .expect("protocol complexes are never void");
+                // `HomologyCert::connectivity` uses the same convention as
+                // `Connectivity::from_reduced_betti`: first nonzero index
+                // minus one, or the dimension when the table vanishes.
+                let measured_connectivity = cert.connectivity as isize;
+                per_round.push(round_row(model, &rc, r, betti, measured_connectivity)?);
+                certs.push(cert);
+            }
+            certs
+        }
+    };
+    let report = RoundSweepReport {
         n: ksa_models::ObliviousModel::n(model),
         value_max,
         per_round,
-    })
+    };
+    Ok((report, certs))
 }
 
 /// The input complex `Ψ(Π, [0, value_max])` of `model` and its
-/// `rounds`-round protocol complexes, polling `cancel` once per round.
+/// `rounds`-round protocol complexes, polling the run's token once per
+/// round.
 fn build_rounds(
     model: &ClosedAboveModel,
     value_max: usize,
     rounds: usize,
-    budget: RunBudget,
-    cancel: Option<&CancelToken>,
+    run: Run<'_>,
 ) -> Result<RoundsComplex<Value>, CoreError> {
     let n = ksa_models::ObliviousModel::n(model);
-    let input = input_complex(n, value_max, budget.max_executions)?;
-    Ok(match cancel {
-        Some(token) => ksa_topology::rounds::protocol_complex_rounds_cancellable(
-            model.generators(),
-            &input,
-            rounds,
-            budget,
-            token,
-        )?,
-        None => protocol_complex_rounds(model.generators(), &input, rounds, budget)?,
-    })
+    let input = input_complex(n, value_max, run.budget.max_executions)?;
+    Ok(protocol_complex_rounds(
+        model.generators(),
+        &input,
+        rounds,
+        run,
+    )?)
 }
 
 /// Round `r`'s row: its measured homology next to the combinatorial
@@ -227,172 +238,81 @@ fn round_row(
     })
 }
 
-/// [`cross_check_round_sweep`] plus one machine-checkable
-/// [`ksa_cert::HomologyCert`] per round (DESIGN.md §11): every row of
-/// the returned report is re-derived through the *certified* Betti
-/// path ([`ksa_topology::chain::reduced_betti_certified`]), whose
-/// witness a standalone checker can re-verify from the facet list
-/// alone. The report is bit-identical to the uncertified sweep — ranks
-/// are properties of the matrices — but every rank, `∂_1` included, is
-/// reduced by the witness-recording echelon rather than the sweep's
-/// cheaper kernels.
-///
-/// Certificates are labelled `"<label> r=<round>"`, round 1 first.
-///
-/// `cancel` is polled once per round in the complex construction and
-/// before each round's certified reduction; a fired token surfaces as
-/// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`]. A token
-/// that never fires leaves the report and the certificates
-/// bit-identical to `None`.
-///
-/// # Errors
-///
-/// Same conditions as [`cross_check_round_sweep`], plus the two token
-/// variants.
-pub fn cross_check_round_sweep_certified(
-    model: &ClosedAboveModel,
-    value_max: usize,
-    rounds: usize,
-    budget: impl Into<RunBudget>,
-    label: &str,
-    cancel: Option<&CancelToken>,
-) -> Result<(RoundSweepReport, Vec<ksa_cert::HomologyCert>), CoreError> {
-    let rc = build_rounds(model, value_max, rounds, budget.into(), cancel)?;
-    let mut per_round = Vec::with_capacity(rounds);
-    let mut certs = Vec::with_capacity(rounds);
-    for r in 1..=rounds {
-        if let Some(token) = cancel {
-            token.checkpoint()?;
-        }
-        let complex = rc.complex_at(r).expect("round was materialized");
-        let (betti, cert) =
-            ksa_topology::chain::reduced_betti_certified(complex, &format!("{label} r={r}"))
-                .expect("protocol complexes are never void");
-        // `HomologyCert::connectivity` uses the same convention as
-        // `Connectivity::from_reduced_betti`: first nonzero index minus
-        // one, or the dimension when the table vanishes.
-        let measured_connectivity = cert.connectivity as isize;
-        per_round.push(round_row(model, &rc, r, betti, measured_connectivity)?);
-        certs.push(cert);
-    }
-    let report = RoundSweepReport {
-        n: ksa_models::ObliviousModel::n(model),
-        value_max,
-        per_round,
-    };
-    Ok((report, certs))
-}
-
-/// [`cross_check_round_sweep`] with the model resolved from the builtin
-/// registry by name (any canonical spec string works:
-/// `"stars{n=3,s=1}"`, `"random{n=3,p=0.5,seed=7,count=4}"`, …). The
-/// same `budget` guards materialization and the sweep, so one ceiling
-/// covers the whole confrontation — this is the entry point the `hunt`
-/// experiment drives over random ensembles.
-///
-/// # Errors
-///
-/// [`CoreError::Model`] for unknown names, admission refusals, and
-/// models that are not closed-above (the sweep needs generators); the
-/// [`cross_check_round_sweep`] errors otherwise.
-pub fn cross_check_round_sweep_by_name(
-    name: &str,
-    value_max: usize,
-    rounds: usize,
-    budget: impl Into<RunBudget>,
-) -> Result<RoundSweepReport, CoreError> {
-    let budget = budget.into();
-    let resolved = ksa_models::registry::builtin().resolve(name, budget)?;
-    let model = resolved
-        .as_closed_above()
-        .ok_or_else(|| ksa_models::ModelError::Spec {
-            message: format!("{name} is not closed-above; the round sweep needs generators"),
-        })?;
-    cross_check_round_sweep(model, value_max, rounds, budget)
-}
-
-/// [`cross_check_round_sweep_by_name`] with a cooperative
-/// [`CancelToken`] (see [`cross_check_round_sweep_cancellable`]) — the
-/// entry point the analysis server's `rounds` query drives, so client
-/// deadlines reach every stage of the pipeline.
-///
-/// # Errors
-///
-/// Same conditions as [`cross_check_round_sweep_by_name`], plus the two
-/// token variants.
-pub fn cross_check_round_sweep_by_name_cancellable(
-    name: &str,
-    value_max: usize,
-    rounds: usize,
-    budget: impl Into<RunBudget>,
-    cancel: &CancelToken,
-) -> Result<RoundSweepReport, CoreError> {
-    let budget = budget.into();
-    cancel.checkpoint()?;
-    let resolved = ksa_models::registry::builtin().resolve(name, budget)?;
-    let model = resolved
-        .as_closed_above()
-        .ok_or_else(|| ksa_models::ModelError::Spec {
-            message: format!("{name} is not closed-above; the round sweep needs generators"),
-        })?;
-    round_sweep_impl(model, value_max, rounds, budget, Some(cancel))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{CancelToken, Deadline, RunBudget};
     use ksa_models::named;
+
+    /// The uncertified sweep's report.
+    fn sweep(m: &ClosedAboveModel, rounds: usize, budget: u128) -> RoundSweepReport {
+        let (report, certs) = cross_check_round_sweep(m, 1, rounds, budget, None).unwrap();
+        assert!(certs.is_empty());
+        report
+    }
+
+    fn texts(certs: &[ksa_cert::HomologyCert]) -> Vec<String> {
+        certs
+            .iter()
+            .map(|c| ksa_cert::Cert::Homology(c.clone()).to_text())
+            .collect()
+    }
+
+    fn with_token(token: &CancelToken) -> Run<'_> {
+        Run {
+            budget: RunBudget::new(10_000_000),
+            cancel: Some(token),
+        }
+    }
 
     #[test]
     fn by_name_matches_direct_call() {
-        let direct =
-            cross_check_round_sweep(&named::simple_ring(3).unwrap(), 1, 2, 1_000_000u128).unwrap();
-        let by_name = cross_check_round_sweep_by_name("ring{n=3}", 1, 2, 1_000_000u128).unwrap();
-        assert_eq!(direct, by_name);
-        assert!(cross_check_round_sweep_by_name("no such model", 1, 1, 1_000u128).is_err());
+        // The `hunt` experiment and the server's `rounds` query resolve a
+        // name first, then sweep.
+        let reg = ksa_models::registry::builtin();
+        let direct = sweep(&named::simple_ring(3).unwrap(), 2, 1_000_000);
+        let resolved = reg
+            .resolve_closed_above("ring{n=3}", 1_000_000u128)
+            .unwrap();
+        assert_eq!(direct, sweep(&resolved, 2, 1_000_000));
+        assert!(reg
+            .resolve_closed_above("no such model", 1_000u128)
+            .is_err());
         // Explicit models are rejected with a model error, not a panic.
-        assert!(cross_check_round_sweep_by_name("nonsplit{n=3}", 1, 1, 1_000_000u128).is_err());
+        assert!(reg
+            .resolve_closed_above("nonsplit{n=3}", 1_000_000u128)
+            .is_err());
     }
 
     #[test]
     fn silent_token_matches_plain_sweep() {
         let model = named::simple_ring(3).unwrap();
-        let plain = cross_check_round_sweep(&model, 1, 2, 1_000_000u128).unwrap();
+        let plain = sweep(&model, 2, 10_000_000);
         let token = CancelToken::new();
-        let cancellable =
-            cross_check_round_sweep_cancellable(&model, 1, 2, 1_000_000u128, &token).unwrap();
-        assert_eq!(plain, cancellable);
-        let by_name =
-            cross_check_round_sweep_by_name_cancellable("ring{n=3}", 1, 2, 1_000_000u128, &token)
-                .unwrap();
-        assert_eq!(plain, by_name);
+        let (tokened, certs) =
+            cross_check_round_sweep(&model, 1, 2, with_token(&token), None).unwrap();
+        assert_eq!(plain, tokened);
+        assert!(certs.is_empty());
     }
 
     #[test]
     fn fired_token_interrupts_the_sweep() {
+        let model = named::simple_ring(3).unwrap();
         let token = CancelToken::new();
         token.cancel();
-        let err = cross_check_round_sweep_cancellable(
-            &named::simple_ring(3).unwrap(),
-            1,
-            2,
-            1_000_000u128,
-            &token,
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::Cancelled));
-        let err =
-            cross_check_round_sweep_by_name_cancellable("ring{n=3}", 1, 2, 1_000_000u128, &token)
-                .unwrap_err();
-        assert!(matches!(err, CoreError::Cancelled));
+        for certify in [None, Some("ring{n=3}")] {
+            let err =
+                cross_check_round_sweep(&model, 1, 2, with_token(&token), certify).unwrap_err();
+            assert!(matches!(err, CoreError::Cancelled), "{certify:?}: {err:?}");
+        }
     }
 
     #[test]
     fn certified_sweep_matches_and_certs_check() {
         let m = named::simple_ring(3).unwrap();
-        let plain = cross_check_round_sweep(&m, 1, 2, 1_000_000u128).unwrap();
+        let plain = sweep(&m, 2, 1_000_000);
         let (certified, certs) =
-            cross_check_round_sweep_certified(&m, 1, 2, 1_000_000u128, "ring{n=3}", None).unwrap();
+            cross_check_round_sweep(&m, 1, 2, 1_000_000u128, Some("ring{n=3}")).unwrap();
         // The certified path must reproduce the sweep bit-identically.
         assert_eq!(plain, certified);
         assert_eq!(certs.len(), 2);
@@ -407,37 +327,29 @@ mod tests {
 
     #[test]
     fn certified_sweep_honors_an_expired_deadline() {
-        use crate::budget::Deadline;
+        let model = named::simple_ring(3).unwrap();
         let token = CancelToken::with_deadline(Deadline::in_millis(0));
-        let err = cross_check_round_sweep_certified(
-            &named::simple_ring(3).unwrap(),
-            1,
-            2,
-            1_000_000u128,
-            "ring{n=3}",
-            Some(&token),
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::DeadlineExceeded), "{err:?}");
+        for certify in [None, Some("ring{n=3}")] {
+            let err =
+                cross_check_round_sweep(&model, 1, 2, with_token(&token), certify).unwrap_err();
+            assert!(
+                matches!(err, CoreError::DeadlineExceeded),
+                "{certify:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
     fn certified_sweep_with_silent_token_matches_none() {
         let m = named::star_unions(3, 1).unwrap();
-        let label = "stars{n=3,s=1}";
+        let label = Some("stars{n=3,s=1}");
         let (plain, plain_certs) =
-            cross_check_round_sweep_certified(&m, 1, 2, 10_000_000u128, label, None).unwrap();
+            cross_check_round_sweep(&m, 1, 2, 10_000_000u128, label).unwrap();
         let token = CancelToken::new();
         let (tokened, tokened_certs) =
-            cross_check_round_sweep_certified(&m, 1, 2, 10_000_000u128, label, Some(&token))
-                .unwrap();
+            cross_check_round_sweep(&m, 1, 2, with_token(&token), label).unwrap();
         assert_eq!(plain, tokened);
-        let texts = |certs: &[ksa_cert::HomologyCert]| -> Vec<String> {
-            certs
-                .iter()
-                .map(|c| ksa_cert::Cert::Homology(c.clone()).to_text())
-                .collect()
-        };
+        assert_eq!(plain, sweep(&m, 2, 10_000_000));
         assert_eq!(texts(&plain_certs), texts(&tokened_certs));
     }
 
@@ -446,7 +358,7 @@ mod tests {
         // ↑C3: γ(C3) = 2 ⇒ consensus impossible at r = 1 (predicted
         // l = 0); γ(C3²) = 1 ⇒ no bound at r = 2 (predicted l = −1).
         let m = named::simple_ring(3).unwrap();
-        let sweep = cross_check_round_sweep(&m, 1, 2, 1_000_000u128).unwrap();
+        let sweep = sweep(&m, 2, 1_000_000);
         assert_eq!(sweep.per_round.len(), 2);
         assert_eq!(sweep.per_round[0].predicted_l, 0);
         assert!(sweep.is_consistent(), "{sweep}");
@@ -459,7 +371,7 @@ mod tests {
         // Stars n = 3, s = 1: the bound refuses to weaken with rounds
         // (Thm 6.13) — predicted l = 1 at both rounds.
         let m = named::star_unions(3, 1).unwrap();
-        let sweep = cross_check_round_sweep(&m, 1, 2, 10_000_000u128).unwrap();
+        let sweep = sweep(&m, 2, 10_000_000);
         assert_eq!(sweep.per_round[0].predicted_l, 1);
         assert_eq!(sweep.per_round[1].predicted_l, 1);
         assert!(sweep.is_consistent(), "{sweep}");
@@ -472,7 +384,9 @@ mod tests {
     #[test]
     fn budget_and_rounds_validated() {
         let m = named::simple_ring(3).unwrap();
-        assert!(cross_check_round_sweep(&m, 1, 1, 5u128).is_err());
-        assert!(cross_check_round_sweep(&m, 1, 0, 1_000u128).is_err());
+        for certify in [None, Some("ring{n=3}")] {
+            assert!(cross_check_round_sweep(&m, 1, 1, 5u128, certify).is_err());
+            assert!(cross_check_round_sweep(&m, 1, 0, 1_000u128, certify).is_err());
+        }
     }
 }

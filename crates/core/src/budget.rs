@@ -15,9 +15,11 @@
 //! graphs crate is the one layer all of them can see. A budget bounds
 //! *how much* a computation may do; a token decides *whether it may keep
 //! going* — both surface as dedicated [`CoreError`](crate::CoreError)
-//! variants rather than sentinel verdicts.
+//! variants rather than sentinel verdicts. [`Run`] carries a budget and
+//! an optional token together: it is what every pipeline entry point
+//! takes (DESIGN.md §12.2).
 
-pub use ksa_graphs::budget::{BudgetExceeded, RunBudget};
+pub use ksa_graphs::budget::{BudgetExceeded, Run, RunBudget};
 pub use ksa_graphs::cancel::{CancelToken, Deadline, Interrupted};
 
 #[cfg(test)]

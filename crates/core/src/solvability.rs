@@ -59,7 +59,7 @@
 //! independent, non-topological check of Thm 5.4's impossibilities — see
 //! the `solv` experiment.
 
-use crate::budget::{CancelToken, RunBudget};
+use crate::budget::{CancelToken, Run, RunBudget};
 use crate::error::CoreError;
 use crate::task::Value;
 use ksa_exec::prelude::*;
@@ -374,15 +374,45 @@ fn validate_k(k: usize) -> Result<(), CoreError> {
     Ok(())
 }
 
+/// The enumeration prologue shared by [`decide_one_round`] and
+/// [`decide_one_round_with_table`]: validates `k`, polls the token,
+/// admits the raw superset space against the budget, then enumerates
+/// every input assignment on the pool ([`merge_all`] numbers views and
+/// executions exactly as [`merge_all_seq`] does) and polls again.
+/// Returns the value count and the merged instance.
+fn enumerate_one_round(
+    model: &ClosedAboveModel,
+    k: usize,
+    value_max: usize,
+    run: Run<'_>,
+) -> Result<(Value, EnumerationMerger), CoreError> {
+    validate_k(k)?;
+    run.checkpoint()?;
+    let n = model.n();
+    let values = value_max as Value + 1;
+    run.budget.admit(
+        "solvability superset enumeration",
+        one_round_raw_estimate(model, n, values),
+    )?;
+    let exec_limit = usize::try_from(run.budget.max_executions).unwrap_or(usize::MAX);
+    // The executions of one input assignment are independent of every
+    // other assignment's, so assignments are the parallel work unit.
+    let merger = merge_all(n, values, exec_limit, |inputs: &[Value]| {
+        one_round_enumerate_input(model, n, inputs)
+    })?;
+    run.checkpoint()?;
+    Ok((values, merger))
+}
+
 /// Decides one-round oblivious solvability of k-set agreement on `model`
 /// with inputs from `{0, …, value_max}`.
 ///
-/// `exec_limit` is the [`RunBudget`] of the search: it bounds both the
-/// raw superset space scanned by the enumeration (checked **up front**,
-/// so oversized instances fail fast instead of running unbounded) and
-/// the number of distinct executions retained. `node_budget` bounds the
-/// backtracking nodes per search strategy (exceeding it returns
-/// [`Solvability::Unknown`]).
+/// `run` carries the [`RunBudget`] of the search (a `u128` converts): it
+/// bounds both the raw superset space scanned by the enumeration
+/// (checked **up front**, so oversized instances fail fast instead of
+/// running unbounded) and the number of distinct executions retained.
+/// `node_budget` bounds the backtracking nodes per search strategy
+/// (exceeding it returns [`Solvability::Unknown`]).
 ///
 /// The CSP runs the pruned search (propagation, orbit symmetry breaking
 /// and a no-good table, with strategy variants racing on the
@@ -394,54 +424,29 @@ fn validate_k(k: usize) -> Result<(), CoreError> {
 /// the reference returns [`Solvability::Unknown`] — never a *different*
 /// decided verdict).
 ///
+/// The run's [`CancelToken`], if any, is polled around the enumeration,
+/// and the racing portfolio polls a *child* of it at every decision
+/// node, so an external cancellation (or deadline) stops all strategies
+/// and surfaces as an error instead of a verdict. A token that never
+/// fires is side-effect-free: verdicts stay bit-identical to the
+/// token-free run at any `KSA_THREADS`.
+///
 /// # Errors
 ///
 /// [`CoreError::BadParameter`] for `k = 0`; [`CoreError::Budget`] when
-/// the superset space exceeds `exec_limit`; [`CoreError::Topology`]
-/// (budget) when the distinct-execution count exceeds `exec_limit`.
-pub fn decide_one_round(
+/// the superset space exceeds the budget; [`CoreError::Topology`]
+/// (budget) when the distinct-execution count exceeds it;
+/// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] when the
+/// token fires.
+pub fn decide_one_round<'a>(
     model: &ClosedAboveModel,
     k: usize,
     value_max: usize,
-    exec_limit: usize,
+    run: impl Into<Run<'a>>,
     node_budget: usize,
 ) -> Result<Solvability, CoreError> {
-    decide_one_round_cancellable(model, k, value_max, exec_limit, node_budget, None)
-}
-
-/// [`decide_one_round`] with a cooperative [`CancelToken`]: the racing
-/// portfolio polls a *child* of `cancel` at every decision node, so an
-/// external cancellation (or deadline) stops all strategies and surfaces
-/// as [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] instead
-/// of a verdict. A token that never fires is side-effect-free: verdicts
-/// stay bit-identical to [`decide_one_round`] at any `KSA_THREADS`.
-///
-/// # Errors
-///
-/// Same conditions as [`decide_one_round`], plus the two token variants.
-pub fn decide_one_round_cancellable(
-    model: &ClosedAboveModel,
-    k: usize,
-    value_max: usize,
-    exec_limit: usize,
-    node_budget: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<Solvability, CoreError> {
-    validate_k(k)?;
-    if let Some(token) = cancel {
-        token.checkpoint()?;
-    }
-    let n = model.n();
-    let values = value_max as Value + 1;
-    RunBudget::new(exec_limit as u128).admit(
-        "solvability superset enumeration",
-        one_round_raw_estimate(model, n, values),
-    )?;
-    // The executions of one input assignment are independent of every
-    // other assignment's, so assignments are the parallel work unit.
-    let merger = merge_all(n, values, exec_limit, |inputs: &[Value]| {
-        one_round_enumerate_input(model, n, inputs)
-    })?;
+    let run = run.into();
+    let (values, merger) = enumerate_one_round(model, k, value_max, run)?;
     let verdict = solve_csp(
         model.generators(),
         values,
@@ -449,13 +454,11 @@ pub fn decide_one_round_cancellable(
         merger.executions,
         k,
         node_budget,
-        cancel,
+        run.cancel,
     )?;
     // A fired token degrades the search to `Unknown` (abandoned
     // subtrees publish nothing); report the interruption instead.
-    if let Some(token) = cancel {
-        token.checkpoint()?;
-    }
+    run.checkpoint()?;
     Ok(verdict)
 }
 
@@ -506,9 +509,9 @@ mod tests {
         // 3-set solvable. The decision procedure finds exactly that
         // boundary.
         let m = named::star_unions(3, 1).unwrap();
-        let s2 = decide_one_round(&m, 2, 2, EXECS, NODES).unwrap();
+        let s2 = decide_one_round(&m, 2, 2, EXECS as u128, NODES).unwrap();
         assert_eq!(s2, Solvability::Unsolvable);
-        let s3 = decide_one_round(&m, 3, 3, EXECS, NODES).unwrap();
+        let s3 = decide_one_round(&m, 3, 3, EXECS as u128, NODES).unwrap();
         assert!(s3.is_solvable());
     }
 
@@ -517,9 +520,9 @@ mod tests {
         // Sym(C3): γ_eq(C3) = 2 upper; Thm 5.4 l+1 = 1: consensus
         // impossible; 2-set solvable.
         let m = named::symmetric_ring(3).unwrap();
-        let s1 = decide_one_round(&m, 1, 1, EXECS, NODES).unwrap();
+        let s1 = decide_one_round(&m, 1, 1, EXECS as u128, NODES).unwrap();
         assert_eq!(s1, Solvability::Unsolvable);
-        let s2 = decide_one_round(&m, 2, 2, EXECS, NODES).unwrap();
+        let s2 = decide_one_round(&m, 2, 2, EXECS as u128, NODES).unwrap();
         assert!(s2.is_solvable());
     }
 
@@ -528,10 +531,10 @@ mod tests {
         // n=3, s=2: upper n−s+1 = 2, lower n−s = 1 impossible.
         let m = named::star_unions(3, 2).unwrap();
         assert_eq!(
-            decide_one_round(&m, 1, 1, EXECS, NODES).unwrap(),
+            decide_one_round(&m, 1, 1, EXECS as u128, NODES).unwrap(),
             Solvability::Unsolvable
         );
-        assert!(decide_one_round(&m, 2, 2, EXECS, NODES)
+        assert!(decide_one_round(&m, 2, 2, EXECS as u128, NODES)
             .unwrap()
             .is_solvable());
     }
@@ -540,7 +543,8 @@ mod tests {
     fn witness_is_a_working_algorithm() {
         use ksa_graphs::closure::enumerate_closure;
         let m = named::star_unions(3, 2).unwrap();
-        let Solvability::Solvable(map) = decide_one_round(&m, 2, 2, EXECS, NODES).unwrap() else {
+        let Solvability::Solvable(map) = decide_one_round(&m, 2, 2, EXECS as u128, NODES).unwrap()
+        else {
             panic!("solvable");
         };
         assert!(!map.is_empty());
@@ -578,7 +582,7 @@ mod tests {
     fn clique_solves_consensus() {
         let m = ksa_models::ClosedAboveModel::new(vec![ksa_graphs::Digraph::complete(3).unwrap()])
             .unwrap();
-        assert!(decide_one_round(&m, 1, 1, EXECS, NODES)
+        assert!(decide_one_round(&m, 1, 1, EXECS as u128, NODES)
             .unwrap()
             .is_solvable());
     }
@@ -589,10 +593,10 @@ mod tests {
         // the synthesized map.
         let m = named::simple_ring(3).unwrap();
         assert_eq!(
-            decide_one_round(&m, 1, 1, EXECS, NODES).unwrap(),
+            decide_one_round(&m, 1, 1, EXECS as u128, NODES).unwrap(),
             Solvability::Unsolvable
         );
-        assert!(decide_one_round(&m, 2, 2, EXECS, NODES)
+        assert!(decide_one_round(&m, 2, 2, EXECS as u128, NODES)
             .unwrap()
             .is_solvable());
     }
@@ -600,7 +604,7 @@ mod tests {
     #[test]
     fn parameters_validated() {
         let m = named::simple_ring(3).unwrap();
-        assert!(decide_one_round(&m, 0, 1, EXECS, NODES).is_err());
+        assert!(decide_one_round(&m, 0, 1, EXECS as u128, NODES).is_err());
         // Tiny execution budget trips the guard.
         assert!(decide_one_round(&m, 2, 2, 1, NODES).is_err());
     }
@@ -632,7 +636,7 @@ mod tests {
             (named::symmetric_ring(3).unwrap(), 1),
             (named::simple_ring(3).unwrap(), 2),
         ] {
-            let par = decide_one_round(&model, k, k, EXECS, NODES).unwrap();
+            let par = decide_one_round(&model, k, k, EXECS as u128, NODES).unwrap();
             let seq = decide_one_round_seq(&model, k, k, EXECS, NODES).unwrap();
             assert_eq!(
                 std::mem::discriminant(&par),
@@ -902,11 +906,8 @@ fn solve_csp(
     let instance = CspInstance::new(views, executions, k);
     let _span = ksa_obs::span("core", || "csp_decide").arg("views", instance.views.len() as u64);
     if values > MAX_MASK_VALUES {
-        // The sequential fallback has no per-node poll point; honor the
-        // token at its boundary so a fired token still short-circuits.
-        if let Some(token) = cancel {
-            token.checkpoint()?;
-        }
+        // The sequential fallback has no per-node poll point; callers
+        // poll the token right before it.
         return solve_csp_seq(instance, node_budget);
     }
     let sym = CspSymmetry::detect(sym_graphs, &instance.views, values);
@@ -1600,105 +1601,103 @@ fn solve_csp_pruned_portfolio(
 
 /// [`decide_one_round`] against a caller-supplied [`NoGoodTable`],
 /// running the single canonical strategy — the deterministic surface of
-/// the differential tests and the incremental-reuse path.
+/// the differential tests, the incremental-reuse path and the certified
+/// decision.
 ///
 /// With an empty fresh table the returned [`SearchStats`] (in
 /// particular `nodes`) are a pure function of the instance; seeding the
 /// table with facts harvested from an earlier search of the same
 /// instance can only shrink the work counters. Verdicts are identical to
 /// [`decide_one_round`] away from the node-budget boundary (the racing
-/// variants can only upgrade `Unknown`).
+/// variants can only upgrade `Unknown`). `run` is honoured as
+/// [`decide_one_round`] honours it; the canonical strategy polls the
+/// token itself at every node.
 ///
 /// Instances whose value range exceeds the bitmask width fall back to
 /// the sequential reference and report default stats.
 ///
+/// With `certify: Some(label)` a decided verdict also yields a
+/// machine-checkable [`ksa_cert::SolvabilityCert`] (DESIGN.md §11):
+/// `Solvable` carries the full decision map, `Unsolvable` an exhaustion
+/// attestation built from the [`SearchStats`]; `Unknown` yields none.
+/// The certificate's closure graphs are enumerated independently of the
+/// search (the same [`ksa_graphs::closure::enumerate_closure`] surface
+/// the replay verifier uses), under the run's budget as the graph
+/// ceiling, so the standalone checker replays decisions against a graph
+/// set the producer did not hand-pick.
+///
 /// # Errors
 ///
-/// Same conditions as [`decide_one_round`].
-pub fn decide_one_round_with_table(
+/// Same conditions as [`decide_one_round`], plus graph-layer errors when
+/// a certified closure enumeration overruns the budget.
+pub fn decide_one_round_with_table<'a>(
     model: &ClosedAboveModel,
     k: usize,
     value_max: usize,
-    exec_limit: usize,
+    run: impl Into<Run<'a>>,
     node_budget: usize,
     table: &NoGoodTable,
-) -> Result<(Solvability, SearchStats), CoreError> {
-    validate_k(k)?;
-    let n = model.n();
-    let values = value_max as Value + 1;
-    RunBudget::new(exec_limit as u128).admit(
-        "solvability superset enumeration",
-        one_round_raw_estimate(model, n, values),
-    )?;
-    let merger = merge_all_seq(n, values, exec_limit, |inputs: &[Value]| {
-        one_round_enumerate_input(model, n, inputs)
-    })?;
+    certify: Option<&str>,
+) -> Result<(Solvability, SearchStats, Option<ksa_cert::SolvabilityCert>), CoreError> {
+    let run = run.into();
+    let (values, merger) = enumerate_one_round(model, k, value_max, run)?;
     let instance = CspInstance::new(merger.views, merger.executions, k);
-    if values > MAX_MASK_VALUES {
-        let verdict = solve_csp_seq(instance, node_budget)?;
-        return Ok((verdict, SearchStats::default()));
-    }
-    let sym = CspSymmetry::detect(model.generators(), &instance.views, values);
-    record_pruned_entry(&instance, &sym);
-    let (outcome, stats) = run_pruned_strategy(
-        &instance,
-        &sym,
-        table,
-        None,
-        PrunedKnobs::CANONICAL,
-        node_budget,
-    );
-    flush_pruned_perf(&stats);
-    Ok((finish_pruned(instance, outcome), stats))
+    let (verdict, stats) = if values > MAX_MASK_VALUES {
+        (
+            solve_csp_seq(instance, node_budget)?,
+            SearchStats::default(),
+        )
+    } else {
+        let sym = CspSymmetry::detect(model.generators(), &instance.views, values);
+        record_pruned_entry(&instance, &sym);
+        let (outcome, stats) = run_pruned_strategy(
+            &instance,
+            &sym,
+            table,
+            run.cancel,
+            PrunedKnobs::CANONICAL,
+            node_budget,
+        );
+        flush_pruned_perf(&stats);
+        (finish_pruned(instance, outcome), stats)
+    };
+    run.checkpoint()?;
+    let cert = match certify {
+        Some(label) => solvability_cert(model, k, value_max, &verdict, &stats, run.budget, label)?,
+        None => None,
+    };
+    Ok((verdict, stats, cert))
 }
 
-/// [`decide_one_round_with_table`] plus a machine-checkable
-/// [`ksa_cert::SolvabilityCert`] for any decided verdict (DESIGN.md
-/// §11): `Solvable` carries the full decision map, `Unsolvable` an
-/// exhaustion attestation built from the [`SearchStats`]; `Unknown`
-/// yields no certificate. The certificate's closure graphs are
-/// enumerated independently of the search (the same
-/// [`ksa_graphs::closure::enumerate_closure`] surface the replay
-/// verifier uses), so the standalone checker replays decisions against
-/// a graph set the producer did not hand-pick.
-///
-/// # Errors
-///
-/// Same conditions as [`decide_one_round_with_table`], plus graph-layer
-/// errors when the closure enumeration overruns `graph_limit`.
-#[allow(clippy::too_many_arguments)]
-pub fn decide_one_round_with_table_certified(
+/// The certificate of a one-round verdict (`None` for `Unknown`); see
+/// [`decide_one_round_with_table`].
+fn solvability_cert(
     model: &ClosedAboveModel,
     k: usize,
     value_max: usize,
-    exec_limit: usize,
-    node_budget: usize,
-    table: &NoGoodTable,
-    graph_limit: usize,
+    verdict: &Solvability,
+    stats: &SearchStats,
+    budget: RunBudget,
     label: &str,
-) -> Result<(Solvability, SearchStats, Option<ksa_cert::SolvabilityCert>), CoreError> {
-    let (verdict, stats) =
-        decide_one_round_with_table(model, k, value_max, exec_limit, node_budget, table)?;
-    let cert_verdict = match &verdict {
-        Solvability::Solvable(map) => Some(ksa_cert::SolvVerdict::Map(
+) -> Result<Option<ksa_cert::SolvabilityCert>, CoreError> {
+    let cert_verdict = match verdict {
+        Solvability::Solvable(map) => ksa_cert::SolvVerdict::Map(
             map.entries()
                 .map(|(view, d)| (view.iter().map(|&(p, v)| (p as u32, v)).collect(), *d))
                 .collect(),
-        )),
+        ),
         // A search that terminates examines at least the root, and the
         // fallback paths that report default stats still did so: clamp
         // the attestation to the checker's "did any work" floor. The
         // trivial symmetry group has order 1, never 0.
-        Solvability::Unsolvable => Some(ksa_cert::SolvVerdict::Exhausted {
+        Solvability::Unsolvable => ksa_cert::SolvVerdict::Exhausted {
             nodes: stats.nodes.max(1),
             symmetry_order: stats.symmetry_order.max(1),
-        }),
-        Solvability::Unknown => None,
-    };
-    let Some(cv) = cert_verdict else {
-        return Ok((verdict, stats, None));
+        },
+        Solvability::Unknown => return Ok(None),
     };
     let n = model.n();
+    let graph_limit = usize::try_from(budget.max_executions).unwrap_or(usize::MAX);
     let mut graphs = Vec::new();
     for g in model.generators() {
         graphs.extend(ksa_graphs::closure::enumerate_closure(g, graph_limit)?);
@@ -1718,15 +1717,14 @@ pub fn decide_one_round_with_table_certified(
         })
         .collect();
     ksa_obs::count(ksa_obs::Counter::CertsEmitted, 1);
-    let cert = ksa_cert::SolvabilityCert {
+    Ok(Some(ksa_cert::SolvabilityCert {
         label: label.to_string(),
         n: n as u32,
         k: k as u32,
         value_max: value_max as u32,
         graphs: graph_sets,
-        verdict: cv,
-    };
-    Ok((verdict, stats, Some(cert)))
+        verdict: cert_verdict,
+    }))
 }
 
 // --- Incremental k-sweeps --------------------------------------------------
@@ -1831,13 +1829,17 @@ fn sweep_impl(
     progress: &mut dyn FnMut(SweepProgress),
 ) -> Result<KSweep, CoreError> {
     validate_k(k_max)?;
+    let run = Run {
+        budget: RunBudget::new(exec_limit as u128),
+        cancel,
+    };
     let mut verdicts: Vec<Option<Solvability>> = vec![None; k_max];
     let (mut searched, mut seeded, mut pruned) = (0usize, 0usize, 0usize);
     let (mut lo, mut hi) = (1usize, k_max);
     while lo <= hi {
         let mid = lo + (hi - lo) / 2;
         searched += 1;
-        match decide_one_round_cancellable(model, mid, mid, exec_limit, node_budget, cancel)? {
+        match decide_one_round(model, mid, mid, run, node_budget)? {
             Solvability::Solvable(witness) => {
                 verdicts[mid - 1] = Some(Solvability::Solvable(witness.clone()));
                 let mut lifted = witness;
@@ -1874,14 +1876,7 @@ fn sweep_impl(
     for k in 1..=k_max {
         if verdicts[k - 1].is_none() {
             searched += 1;
-            verdicts[k - 1] = Some(decide_one_round_cancellable(
-                model,
-                k,
-                k,
-                exec_limit,
-                node_budget,
-                cancel,
-            )?);
+            verdicts[k - 1] = Some(decide_one_round(model, k, k, run, node_budget)?);
             report_sweep_progress(progress, k, &verdicts);
         }
     }
@@ -2009,7 +2004,8 @@ mod pruned_tests {
         // refute it at the root (zero or one decision nodes).
         let m = named::star_unions(3, 1).unwrap();
         let table = NoGoodTable::new();
-        let (verdict, stats) = decide_one_round_with_table(&m, 2, 2, EXECS, NODES, &table).unwrap();
+        let (verdict, stats, _) =
+            decide_one_round_with_table(&m, 2, 2, EXECS as u128, NODES, &table, None).unwrap();
         assert_eq!(verdict, Solvability::Unsolvable);
         assert!(stats.nodes <= 1, "nodes = {}", stats.nodes);
     }
@@ -2018,9 +2014,11 @@ mod pruned_tests {
     fn table_reuse_only_shrinks_work() {
         let m = named::symmetric_ring(3).unwrap();
         let table = NoGoodTable::new();
-        let (v1, s1) = decide_one_round_with_table(&m, 1, 1, EXECS, NODES, &table).unwrap();
+        let (v1, s1, _) =
+            decide_one_round_with_table(&m, 1, 1, EXECS as u128, NODES, &table, None).unwrap();
         let published = table.len();
-        let (v2, s2) = decide_one_round_with_table(&m, 1, 1, EXECS, NODES, &table).unwrap();
+        let (v2, s2, _) =
+            decide_one_round_with_table(&m, 1, 1, EXECS as u128, NODES, &table, None).unwrap();
         assert_eq!(v1, v2);
         assert!(s2.nodes <= s1.nodes);
         assert!(s2.nogood_inserts == 0, "everything already published");
@@ -2030,12 +2028,14 @@ mod pruned_tests {
     #[test]
     fn certified_decide_emits_checkable_certs() {
         let m = named::star_unions(3, 1).unwrap();
+        let certified = |k: usize, label: &str| {
+            let table = NoGoodTable::new();
+            decide_one_round_with_table(&m, k, k, EXECS as u128, NODES, &table, Some(label))
+                .unwrap()
+        };
         // k = 3 is solvable: the certificate carries the decision map
         // and the standalone checker replays every execution.
-        let table = NoGoodTable::new();
-        let (verdict, _, cert) =
-            decide_one_round_with_table_certified(&m, 3, 3, EXECS, NODES, &table, EXECS, "s31 k=3")
-                .unwrap();
+        let (verdict, _, cert) = certified(3, "s31 k=3");
         assert!(verdict.is_solvable());
         let cert = cert.expect("decided verdicts carry a certificate");
         ksa_cert::check_solvability(&cert).unwrap();
@@ -2044,10 +2044,7 @@ mod pruned_tests {
 
         // k = 2 is unsolvable: the certificate is an exhaustion
         // attestation with sane statistics.
-        let table = NoGoodTable::new();
-        let (verdict, _, cert) =
-            decide_one_round_with_table_certified(&m, 2, 2, EXECS, NODES, &table, EXECS, "s31 k=2")
-                .unwrap();
+        let (verdict, _, cert) = certified(2, "s31 k=2");
         assert_eq!(verdict, Solvability::Unsolvable);
         let cert = cert.expect("decided verdicts carry a certificate");
         assert!(matches!(
@@ -2056,14 +2053,14 @@ mod pruned_tests {
         ));
         ksa_cert::check_solvability(&cert).unwrap();
 
-        // The certified wrapper must not perturb the plain verdict.
+        // Certifying must not perturb the plain verdict or the stats.
         let table = NoGoodTable::new();
-        let (plain, _) = decide_one_round_with_table(&m, 3, 3, EXECS, NODES, &table).unwrap();
-        let table = NoGoodTable::new();
-        let (wrapped, _, _) =
-            decide_one_round_with_table_certified(&m, 3, 3, EXECS, NODES, &table, EXECS, "x")
-                .unwrap();
+        let (plain, plain_stats, none) =
+            decide_one_round_with_table(&m, 3, 3, EXECS as u128, NODES, &table, None).unwrap();
+        assert!(none.is_none());
+        let (wrapped, wrapped_stats, _) = certified(3, "x");
         assert_eq!(plain, wrapped);
+        assert_eq!(plain_stats, wrapped_stats);
     }
 
     #[test]
@@ -2079,7 +2076,7 @@ mod pruned_tests {
         assert!(sweep.searched <= 2, "searched = {}", sweep.searched);
         assert_eq!(sweep.searched + sweep.seeded + sweep.pruned, 3);
         for (i, v) in sweep.verdicts.iter().enumerate() {
-            let scratch = decide_one_round(&m, i + 1, i + 1, EXECS, NODES).unwrap();
+            let scratch = decide_one_round(&m, i + 1, i + 1, EXECS as u128, NODES).unwrap();
             assert_eq!(
                 std::mem::discriminant(v),
                 std::mem::discriminant(&scratch),
@@ -2095,7 +2092,7 @@ mod pruned_tests {
         let sweep = decide_one_round_sweep(&m, 3, EXECS, NODES).unwrap();
         for (i, v) in sweep.verdicts.iter().enumerate() {
             if let Solvability::Solvable(map) = v {
-                let scratch = decide_one_round(&m, i + 1, i + 1, EXECS, NODES).unwrap();
+                let scratch = decide_one_round(&m, i + 1, i + 1, EXECS as u128, NODES).unwrap();
                 let Solvability::Solvable(scratch_map) = scratch else {
                     panic!("sweep says solvable at k = {}", i + 1);
                 };
@@ -2151,11 +2148,11 @@ mod multi_round_tests {
         let m = named::star_unions(3, 2).unwrap();
         let graphs = closure_of(&m);
         let explicit = decide_rounds_explicit(&graphs, 2, 2, 1, EXECS, NODES).unwrap();
-        let direct = decide_one_round(&m, 2, 2, EXECS, NODES).unwrap();
+        let direct = decide_one_round(&m, 2, 2, EXECS as u128, NODES).unwrap();
         assert_eq!(explicit.is_solvable(), direct.is_solvable());
         assert!(explicit.is_solvable());
         let explicit1 = decide_rounds_explicit(&graphs, 1, 1, 1, EXECS, NODES).unwrap();
-        let direct1 = decide_one_round(&m, 1, 1, EXECS, NODES).unwrap();
+        let direct1 = decide_one_round(&m, 1, 1, EXECS as u128, NODES).unwrap();
         assert_eq!(explicit1, Solvability::Unsolvable);
         assert_eq!(direct1, Solvability::Unsolvable);
     }

@@ -53,7 +53,7 @@ proptest! {
 
     #[test]
     fn portfolio_verdicts_match_sequential(model in model3(), k in 1usize..=2) {
-        let par = decide_one_round(&model, k, k, EXECS, NODES).expect("within budget");
+        let par = decide_one_round(&model, k, k, EXECS as u128, NODES).expect("within budget");
         let seq = decide_one_round_seq(&model, k, k, EXECS, NODES).expect("within budget");
         match (&par, &seq) {
             // `Unknown` marks a node-budget boundary: there the portfolio
@@ -80,9 +80,10 @@ proptest! {
     #[test]
     fn repeated_parallel_runs_agree(model in model3(), k in 1usize..=2) {
         // Scheduling noise must never flip a verdict run over run.
-        let first = decide_one_round(&model, k, k, EXECS, NODES).expect("within budget");
+        let first = decide_one_round(&model, k, k, EXECS as u128, NODES).expect("within budget");
         for _ in 0..3 {
-            let again = decide_one_round(&model, k, k, EXECS, NODES).expect("within budget");
+            let again =
+                decide_one_round(&model, k, k, EXECS as u128, NODES).expect("within budget");
             prop_assert_eq!(verdict_name(&again), verdict_name(&first));
         }
     }

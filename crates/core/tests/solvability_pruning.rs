@@ -73,7 +73,7 @@ proptest! {
         let mut first: Option<&'static str> = None;
         for pool in pools() {
             let pruned = pool
-                .install(|| decide_one_round(&model, k, k, EXECS, NODES))
+                .install(|| decide_one_round(&model, k, k, EXECS as u128, NODES))
                 .expect("within budget");
             match (&pruned, &oracle) {
                 // At the node-budget boundary the pruned search may
@@ -112,11 +112,13 @@ proptest! {
         // Two fresh-table runs: bit-identical verdicts (witness included)
         // and stats — the deterministic anchor of the differential suite.
         let fresh_a = NoGoodTable::new();
-        let (v_a, s_a) =
-            decide_one_round_with_table(&model, k, k, EXECS, NODES, &fresh_a).expect("in budget");
+        let (v_a, s_a, _) =
+            decide_one_round_with_table(&model, k, k, EXECS as u128, NODES, &fresh_a, None)
+                .expect("in budget");
         let fresh_b = NoGoodTable::new();
-        let (v_b, s_b) =
-            decide_one_round_with_table(&model, k, k, EXECS, NODES, &fresh_b).expect("in budget");
+        let (v_b, s_b, _) =
+            decide_one_round_with_table(&model, k, k, EXECS as u128, NODES, &fresh_b, None)
+                .expect("in budget");
         prop_assert_eq!(&v_a, &v_b, "{} k={}", name, k);
         prop_assert_eq!(s_a, s_b);
 
@@ -134,8 +136,9 @@ proptest! {
         if let Some(first) = facts.first() {
             seeded.seed(first);
         }
-        let (v_s, s_s) =
-            decide_one_round_with_table(&model, k, k, EXECS, NODES, &seeded).expect("in budget");
+        let (v_s, s_s, _) =
+            decide_one_round_with_table(&model, k, k, EXECS as u128, NODES, &seeded, None)
+                .expect("in budget");
         prop_assert_eq!(&v_a, &v_s, "{} k={} (seeded)", name, k);
         prop_assert!(s_s.nodes <= s_a.nodes, "{} k={}: {} > {}", name, k, s_s.nodes, s_a.nodes);
         prop_assert!(s_s.nogood_inserts <= s_a.nogood_inserts);
@@ -148,8 +151,9 @@ proptest! {
             useless.seed(&[(1_000_000 + j, 0)]);
         }
         let before = useless.len();
-        let (v_u, s_u) =
-            decide_one_round_with_table(&model, k, k, EXECS, NODES, &useless).expect("in budget");
+        let (v_u, s_u, _) =
+            decide_one_round_with_table(&model, k, k, EXECS as u128, NODES, &useless, None)
+                .expect("in budget");
         prop_assert_eq!(&v_a, &v_u, "{} k={} (useless)", name, k);
         prop_assert_eq!(s_u.nodes, s_a.nodes);
         prop_assert_eq!(s_u.nogood_hits, 0u64);
@@ -180,7 +184,7 @@ fn oversubscribed_pool_runs_are_stable() {
     for (model, k, expected) in &cases {
         for round in 0..5 {
             let got = pool
-                .install(|| decide_one_round(model, *k, *k, EXECS, NODES))
+                .install(|| decide_one_round(model, *k, *k, EXECS as u128, NODES))
                 .expect("within budget");
             assert_eq!(&got, expected, "k = {k}, round {round}");
         }
@@ -193,7 +197,7 @@ fn oversubscribed_pool_runs_are_stable() {
     ] {
         for round in 0..5 {
             let got = pool
-                .install(|| decide_one_round(&model, k, k, EXECS, NODES))
+                .install(|| decide_one_round(&model, k, k, EXECS as u128, NODES))
                 .expect("within budget");
             assert!(got.is_solvable(), "k = {k}, round {round}");
         }
@@ -208,13 +212,14 @@ fn oversubscribed_pool_runs_are_stable() {
 fn portfolio_verdicts_survive_table_churn() {
     use ksa_models::named;
     let model = named::star_unions(3, 1).unwrap();
-    let before = decide_one_round(&model, 2, 2, EXECS, NODES).unwrap();
+    let before = decide_one_round(&model, 2, 2, EXECS as u128, NODES).unwrap();
     // Churn: many seeded searches of both k values on shared tables.
     let table = NoGoodTable::new();
     for _ in 0..3 {
-        let (v, _) = decide_one_round_with_table(&model, 2, 2, EXECS, NODES, &table).unwrap();
+        let (v, _, _) =
+            decide_one_round_with_table(&model, 2, 2, EXECS as u128, NODES, &table, None).unwrap();
         assert_eq!(v, Solvability::Unsolvable);
     }
-    let after = decide_one_round(&model, 2, 2, EXECS, NODES).unwrap();
+    let after = decide_one_round(&model, 2, 2, EXECS as u128, NODES).unwrap();
     assert_eq!(before, after);
 }

@@ -9,18 +9,22 @@
 //! oversized instance fails fast with a [`BudgetExceeded`] instead of
 //! running unbounded; callers can catch it and fall back to sampling.
 //!
+//! A pipeline entry point takes a [`Run`]: the budget plus an optional
+//! [`CancelToken`]. `RunBudget` and `u128` both convert into it, so a
+//! caller without a token passes a bare budget.
+//!
 //! This type started in `ksa-runtime::checker`, moved down to `ksa-core`
 //! for the solvability search, and now lives at the bottom of the
 //! workspace (`ksa-graphs` is the lowest domain crate) so the topology
 //! layer can enforce it too without a dependency cycle. `ksa-core::budget`
-//! and `ksa-runtime::checker` re-export it from the old paths.
+//! re-exports it, and [`Run`], from the old path.
 
+use crate::cancel::{CancelToken, Interrupted};
 use std::error::Error;
 use std::fmt;
 
 /// A hard ceiling on the number of cases an exhaustive procedure may
-/// enumerate. Accepted anywhere via `impl Into<RunBudget>` from a
-/// `u128`.
+/// enumerate. Converts from a `u128`, and into a token-free [`Run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunBudget {
     /// Maximum number of executions an exhaustive check may enumerate.
@@ -66,6 +70,43 @@ impl From<u128> for RunBudget {
     }
 }
 
+/// How one pipeline run is bounded: the [`RunBudget`] on how much it may
+/// enumerate, and an optional [`CancelToken`] on whether it may keep
+/// going. Every pipeline entry point takes `impl Into<Run>`.
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a> {
+    /// The ceiling every admission of the run is checked against.
+    pub budget: RunBudget,
+    /// Polled at the pipeline's checkpoints; `None` never interrupts.
+    pub cancel: Option<&'a CancelToken>,
+}
+
+impl Run<'_> {
+    /// Polls the token, if any.
+    ///
+    /// # Errors
+    ///
+    /// The token's [`Interrupted`] reason once it has fired.
+    pub fn checkpoint(&self) -> Result<(), Interrupted> {
+        self.cancel.map_or(Ok(()), CancelToken::checkpoint)
+    }
+}
+
+impl From<RunBudget> for Run<'_> {
+    fn from(budget: RunBudget) -> Self {
+        Run {
+            budget,
+            cancel: None,
+        }
+    }
+}
+
+impl From<u128> for Run<'_> {
+    fn from(max_executions: u128) -> Self {
+        RunBudget::new(max_executions).into()
+    }
+}
+
 /// An exhaustive exploration would exceed its [`RunBudget`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetExceeded {
@@ -107,5 +148,21 @@ mod tests {
     fn conversions() {
         assert_eq!(RunBudget::from(7u128).max_executions, 7);
         assert_eq!(RunBudget::default(), RunBudget::DEFAULT);
+        let run = Run::from(7u128);
+        assert_eq!(run.budget, RunBudget::new(7));
+        assert!(run.cancel.is_none());
+    }
+
+    #[test]
+    fn checkpoint_polls_the_token() {
+        assert_eq!(Run::from(1u128).checkpoint(), Ok(()));
+        let token = CancelToken::new();
+        let run = Run {
+            budget: RunBudget::DEFAULT,
+            cancel: Some(&token),
+        };
+        assert_eq!(run.checkpoint(), Ok(()));
+        token.cancel();
+        assert_eq!(run.checkpoint(), Err(Interrupted::Cancelled));
     }
 }

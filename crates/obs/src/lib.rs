@@ -92,8 +92,8 @@ pub enum Counter {
     CheckerExecutions,
     /// Graph-layer domination/covering queries answered.
     DominationQueries,
-    /// Machine-checkable certificates produced by `*_certified`
-    /// producers (one per verdict, regardless of schedule).
+    /// Machine-checkable certificates produced by the certifying paths
+    /// (one per verdict, regardless of schedule).
     CertsEmitted,
     /// Certificates re-verified by the standalone `ksa-cert` checkers
     /// (one per check call, accept or reject).

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use ksa_core::budget::{CancelToken, Deadline};
+use ksa_core::budget::{CancelToken, Deadline, Run, RunBudget};
 use ksa_core::error::CoreError;
 use ksa_obs as obs;
 
@@ -466,12 +466,16 @@ fn compute_rounds(
 ) -> Result<Value, Value> {
     let cancel = cancel_token_for(deadline_ms);
     ksa_faults::maybe_stall(ksa_faults::Site::ComputeStall);
-    let report = ksa_core::bounds::cross_check::cross_check_round_sweep_by_name_cancellable(
-        model_name,
-        value_max,
-        rounds,
-        EXEC_LIMIT as u128,
-        &cancel,
+    let budget = RunBudget::new(EXEC_LIMIT as u128);
+    let model = ksa_models::registry::builtin()
+        .resolve_closed_above(model_name, budget)
+        .map_err(|e| error_for(&e.into()))?;
+    let run = Run {
+        budget,
+        cancel: Some(&cancel),
+    };
+    let (report, _) = ksa_core::bounds::cross_check::cross_check_round_sweep(
+        &model, value_max, rounds, run, None,
     )
     .map_err(|e| error_for(&e))?;
     let per_round = report

@@ -192,6 +192,46 @@ fn expired_deadline_trips_deterministically() {
 }
 
 #[test]
+fn rounds_expired_deadline_trips_deterministically() {
+    let _guard = SERIAL.lock().unwrap();
+    let (handle, dir) = spawn("rounds-deadline", 8, 1);
+    let frames = client::request(
+        handle.socket(),
+        br#"{"query":"rounds","model":"ring{n=3}","value_max":1,"rounds":2,"deadline_ms":0}"#,
+    )
+    .unwrap();
+    let v = parse(terminal(&frames)).unwrap();
+    assert_eq!(v.get("event").and_then(Value::as_str), Some("error"));
+    assert_eq!(v.get("kind").and_then(Value::as_str), Some("deadline"));
+    let frames = client::request(
+        handle.socket(),
+        br#"{"query":"rounds","model":"ring{n=3}","value_max":1,"rounds":2}"#,
+    )
+    .unwrap();
+    assert_eq!(event_of(terminal(&frames)), "result");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn rounds_on_an_explicit_model_is_a_bad_request() {
+    let _guard = SERIAL.lock().unwrap();
+    let (handle, dir) = spawn("rounds-explicit", 8, 1);
+    // The round sweep needs generators; an explicit model has none.
+    let frames = client::request(
+        handle.socket(),
+        br#"{"query":"rounds","model":"nonsplit{n=3}","value_max":1,"rounds":1}"#,
+    )
+    .unwrap();
+    assert_eq!(frames.len(), 1);
+    let v = parse(terminal(&frames)).unwrap();
+    assert_eq!(v.get("event").and_then(Value::as_str), Some("error"));
+    assert_eq!(v.get("kind").and_then(Value::as_str), Some("bad_request"));
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn full_queue_sheds_with_overloaded() {
     let _guard = SERIAL.lock().unwrap();
     // No workers: nothing drains the queue, so filling it is

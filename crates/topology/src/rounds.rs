@@ -14,10 +14,11 @@
 //! plain [`Complex<u32>`], which is what the homology pipeline consumes
 //! for the round-sweep connectivity experiments.
 //!
-//! A [`RunBudget`] guards the per-round facet blow-up: each round's
+//! The [`Run`] budget guards the per-round facet blow-up: each round's
 //! total facet product is estimated pair by pair *before* any facet is
 //! materialized, and an oversized round fails fast with
-//! [`TopologyError::Budget`].
+//! [`TopologyError::Budget`]. The run's token, if any, is polled once per
+//! round.
 //!
 //! Determinism (DESIGN.md §4): [`protocol_complex_rounds_seq`] is the
 //! public sequential reference; [`protocol_complex_rounds`] fans the per-(input-facet × generator)
@@ -34,7 +35,7 @@ use crate::error::TopologyError;
 use crate::intern::{InternedView, ViewTable};
 use crate::interpretation::FlatView;
 use crate::simplex::{Simplex, Vertex, View};
-use ksa_graphs::budget::RunBudget;
+use ksa_graphs::budget::{Run, RunBudget};
 use ksa_graphs::cancel::CancelToken;
 use ksa_graphs::Digraph;
 use ksa_obs::Counter;
@@ -117,7 +118,7 @@ impl<V: View> RoundsComplex<V> {
     /// and [`connectivity`](crate::connectivity::connectivity) on each
     /// round's complex (proptest-pinned in `tests/chain_engine.rs`).
     pub fn homology_sweep(&self) -> Vec<SweepStep> {
-        self.sweep(None)
+        self.sweep(RunBudget::DEFAULT.into())
             .expect("a sweep without a token is never interrupted")
     }
 
@@ -135,27 +136,30 @@ impl<V: View> RoundsComplex<V> {
         &self,
         cancel: &CancelToken,
     ) -> Result<Vec<SweepStep>, TopologyError> {
-        self.sweep(Some(cancel))
+        self.sweep(Run {
+            budget: RunBudget::DEFAULT,
+            cancel: Some(cancel),
+        })
     }
 
-    /// The per-round loop behind both sweeps.
-    fn sweep(&self, cancel: Option<&CancelToken>) -> Result<Vec<SweepStep>, TopologyError> {
-        let checkpoint = || cancel.map_or(Ok(()), CancelToken::checkpoint);
+    /// The per-round loop behind both sweeps; only the run's token is
+    /// read.
+    fn sweep(&self, run: Run<'_>) -> Result<Vec<SweepStep>, TopologyError> {
         self.complexes
             .iter()
             .zip(&self.tables)
             .map(|(complex, table)| {
-                checkpoint()?;
+                run.checkpoint()?;
                 let mut facets = Vec::new();
                 let vertex_count =
                     dense_facet_ids(complex, table.len(), |ids| file_facet(&mut facets, ids));
                 let mut chain = ChainComplex::from_facet_ids(vertex_count, facets);
-                if cancel.is_some() {
+                if run.cancel.is_some() {
                     // Warm each dimension's cached rank one at a time,
                     // polling between, so `reduced_betti` only reads the
                     // cache (and cannot fan out past a fired token).
                     for k in 1..=chain.dim().max(0) as usize {
-                        checkpoint()?;
+                        run.checkpoint()?;
                         chain.rank_boundary(k);
                     }
                 }
@@ -384,17 +388,15 @@ fn round_step<'a>(
 
 /// Shared driver for the sequential and parallel entry points. The
 /// per-round iteration is the pipeline's coarse poll point: a fired
-/// [`CancelToken`] stops before the next round's fan-out (finer polls —
-/// per rank reduction — live in
-/// [`RoundsComplex::homology_sweep_cancellable`], which consumes the
-/// result).
+/// token stops before the next round's fan-out (finer polls — per rank
+/// reduction — live in [`RoundsComplex::homology_sweep_cancellable`],
+/// which consumes the result).
 fn rounds_driver<V: View>(
     gens: &[Digraph],
     input: &Complex<V>,
     rounds: usize,
-    budget: RunBudget,
+    run: Run<'_>,
     use_parallel: bool,
-    cancel: Option<&CancelToken>,
 ) -> Result<RoundsComplex<V>, TopologyError> {
     if gens.is_empty() {
         return Err(ksa_graphs::GraphError::EmptyGraphSet.into());
@@ -407,15 +409,13 @@ fn rounds_driver<V: View>(
     let mut tables = Vec::with_capacity(rounds);
     let mut complexes: Vec<Complex<u32>> = Vec::with_capacity(rounds);
     for t in 0..rounds {
-        if let Some(token) = cancel {
-            token.checkpoint()?;
-        }
+        run.checkpoint()?;
         let _span = ksa_obs::span("topology", || "round").arg("round", t as u64 + 1);
         // Borrow the previous round's facets in place (the interned input
         // for round 1) — no per-round re-materialization.
         let (table, complex) = match complexes.last() {
-            Some(prev) => round_step(prev.facets(), gens, budget, use_parallel)?,
-            None => round_step(input_facets.iter(), gens, budget, use_parallel)?,
+            Some(prev) => round_step(prev.facets(), gens, run.budget, use_parallel)?,
+            None => round_step(input_facets.iter(), gens, run.budget, use_parallel)?,
         };
         tables.push(table);
         complexes.push(complex);
@@ -438,38 +438,25 @@ fn rounds_driver<V: View>(
 /// bit-identical to [`protocol_complex_rounds_seq`] at any
 /// `KSA_THREADS` (DESIGN.md §4, §6).
 ///
+/// `run` is a [`RunBudget`] (or a `u128`), optionally with a
+/// [`CancelToken`] polled once per round, before each round's
+/// interpretation fan-out. A token that never fires leaves the
+/// construction bit-identical to the token-free run.
+///
 /// # Errors
 ///
 /// [`TopologyError::Graph`] for an empty generator set;
 /// [`TopologyError::ZeroRounds`] for `rounds = 0`;
-/// [`TopologyError::Budget`] when a round's facet product exceeds
-/// `budget`.
-pub fn protocol_complex_rounds<V: View>(
+/// [`TopologyError::Budget`] when a round's facet product exceeds the
+/// budget; [`TopologyError::Cancelled`] /
+/// [`TopologyError::DeadlineExceeded`] when the token fires.
+pub fn protocol_complex_rounds<'a, V: View>(
     gens: &[Digraph],
     input: &Complex<V>,
     rounds: usize,
-    budget: impl Into<RunBudget>,
+    run: impl Into<Run<'a>>,
 ) -> Result<RoundsComplex<V>, TopologyError> {
-    rounds_driver(gens, input, rounds, budget.into(), true, None)
-}
-
-/// [`protocol_complex_rounds`] with a cooperative [`CancelToken`],
-/// polled once per round (before each round's interpretation fan-out).
-/// A token that never fires leaves the construction bit-identical to
-/// [`protocol_complex_rounds`] at any `KSA_THREADS`.
-///
-/// # Errors
-///
-/// As for [`protocol_complex_rounds`], plus [`TopologyError::Cancelled`]
-/// / [`TopologyError::DeadlineExceeded`] when the token fires.
-pub fn protocol_complex_rounds_cancellable<V: View>(
-    gens: &[Digraph],
-    input: &Complex<V>,
-    rounds: usize,
-    budget: impl Into<RunBudget>,
-    cancel: &CancelToken,
-) -> Result<RoundsComplex<V>, TopologyError> {
-    rounds_driver(gens, input, rounds, budget.into(), true, Some(cancel))
+    rounds_driver(gens, input, rounds, run.into(), true)
 }
 
 /// The sequential reference implementation of
@@ -486,7 +473,7 @@ pub fn protocol_complex_rounds_seq<V: View>(
     rounds: usize,
     budget: impl Into<RunBudget>,
 ) -> Result<RoundsComplex<V>, TopologyError> {
-    rounds_driver(gens, input, rounds, budget.into(), false, None)
+    rounds_driver(gens, input, rounds, Run::from(budget.into()), false)
 }
 
 #[cfg(test)]

@@ -352,42 +352,29 @@ fn search<V: View>(facets: &[Simplex<V>]) -> (Option<Vec<usize>>, u64) {
 /// while the witness order may differ across schedules (any witness
 /// passes [`is_shelling_order`]).
 ///
+/// `cancel` parents the portfolio's race flag, so an external
+/// cancellation or deadline stops every strategy at its next per-node
+/// poll. A token that never fires leaves the verdict bit-identical to
+/// `None`.
+///
 /// # Errors
 ///
 /// [`TopologyError::EmptyComplex`] / [`TopologyError::NotPure`] as in
-/// [`is_shelling_order`]; [`TopologyError::TooLarge`] beyond 63 facets.
+/// [`is_shelling_order`]; [`TopologyError::TooLarge`] beyond 63 facets;
+/// [`TopologyError::Cancelled`] / [`TopologyError::DeadlineExceeded`]
+/// when the token fires.
 pub fn find_shelling_order<V: View>(
     complex: &Complex<V>,
+    cancel: Option<&ksa_graphs::cancel::CancelToken>,
 ) -> Result<Option<Vec<Simplex<V>>>, TopologyError> {
     let facets = search_facets(complex)?;
     if facets.len() == 1 {
+        if let Some(token) = cancel {
+            token.checkpoint()?;
+        }
         return Ok(Some(facets));
     }
-    let (picked, _states) = search(&facets);
-    Ok(picked.map(|p| p.into_iter().map(|i| facets[i].clone()).collect()))
-}
-
-/// [`find_shelling_order`] with a cooperative
-/// [`CancelToken`](ksa_graphs::cancel::CancelToken): the token parents
-/// the portfolio's race flag, so an external cancellation or deadline
-/// stops every strategy at its next per-node poll and surfaces as an
-/// error. A token that never fires leaves the verdict bit-identical to
-/// [`find_shelling_order`] at any `KSA_THREADS`.
-///
-/// # Errors
-///
-/// As for [`find_shelling_order`], plus [`TopologyError::Cancelled`] /
-/// [`TopologyError::DeadlineExceeded`].
-pub fn find_shelling_order_cancellable<V: View>(
-    complex: &Complex<V>,
-    cancel: &ksa_graphs::cancel::CancelToken,
-) -> Result<Option<Vec<Simplex<V>>>, TopologyError> {
-    let facets = search_facets(complex)?;
-    if facets.len() == 1 {
-        cancel.checkpoint()?;
-        return Ok(Some(facets));
-    }
-    let (picked, _states) = portfolio::search(&facets, Some(cancel))?;
+    let (picked, _states) = portfolio::search(&facets, cancel)?;
     Ok(picked.map(|p| p.into_iter().map(|i| facets[i].clone()).collect()))
 }
 
@@ -418,7 +405,7 @@ pub fn find_shelling_order_seq<V: View>(
 ///
 /// Same conditions as [`find_shelling_order`].
 pub fn is_shellable<V: View>(complex: &Complex<V>) -> Result<bool, TopologyError> {
-    Ok(find_shelling_order(complex)?.is_some())
+    Ok(find_shelling_order(complex, None)?.is_some())
 }
 
 /// Decides shellability and emits a [`ksa_cert::ShellingCert`] for the
@@ -527,7 +514,7 @@ mod tests {
         // Two triangles sharing an edge (the paper's shellable exemplar).
         let c = Complex::from_facets(vec![simplex(&[0, 1, 2]), simplex(&[0, 2, 3])]);
         assert!(is_shellable(&c).unwrap());
-        let order = find_shelling_order(&c).unwrap().unwrap();
+        let order = find_shelling_order(&c, None).unwrap().unwrap();
         assert!(is_shelling_order(&order).unwrap());
         assert_eq!(order.len(), 2);
     }
@@ -690,7 +677,10 @@ mod tests {
     #[test]
     fn empty_complex_is_rejected_everywhere() {
         let c: Complex<u32> = Complex::void();
-        assert_eq!(find_shelling_order(&c), Err(TopologyError::EmptyComplex));
+        assert_eq!(
+            find_shelling_order(&c, None),
+            Err(TopologyError::EmptyComplex)
+        );
         assert_eq!(
             find_shelling_order_seq(&c),
             Err(TopologyError::EmptyComplex)
@@ -703,7 +693,7 @@ mod tests {
     #[test]
     fn single_facet_order_is_the_facet() {
         let c = Complex::of_simplex(simplex(&[0, 1, 2]));
-        let order = find_shelling_order(&c).unwrap().unwrap();
+        let order = find_shelling_order(&c, None).unwrap().unwrap();
         assert_eq!(order, vec![simplex(&[0, 1, 2])]);
         assert_eq!(find_shelling_order_seq(&c).unwrap().unwrap(), order);
         let (shellable, cert) = is_shellable_certified(&c, "single").unwrap();
@@ -719,7 +709,7 @@ mod tests {
         assert!(is_shellable(&point).unwrap());
         let two = Complex::from_facets(vec![simplex(&[0]), simplex(&[1])]);
         assert!(!is_shellable(&two).unwrap());
-        assert!(find_shelling_order(&two).unwrap().is_none());
+        assert!(find_shelling_order(&two, None).unwrap().is_none());
         assert!(find_shelling_order_seq(&two).unwrap().is_none());
         let (shellable, cert) = is_shellable_certified(&two, "two-points").unwrap();
         assert!(!shellable);

@@ -86,3 +86,35 @@ proptest! {
         prop_assert_eq!(rc.expand_round_one(), direct);
     }
 }
+
+/// The one entry point's token: silent changes nothing, fired and
+/// expired tokens stop the construction.
+#[test]
+fn construction_honours_the_run_token() {
+    use ksa_graphs::budget::{Run, RunBudget};
+    use ksa_graphs::cancel::{CancelToken, Deadline};
+    use ksa_graphs::families;
+    use ksa_topology::TopologyError;
+
+    let gens = vec![
+        families::cycle(3).unwrap(),
+        families::broadcast_star(3, 1).unwrap(),
+    ];
+    let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
+        .unwrap()
+        .to_complex();
+    let with = |cancel: &CancelToken| {
+        let run = Run {
+            budget: RunBudget::new(BUDGET),
+            cancel: Some(cancel),
+        };
+        protocol_complex_rounds(&gens, &input, 2, run)
+    };
+    let plain = protocol_complex_rounds(&gens, &input, 2, BUDGET).unwrap();
+    assert_eq!(with(&CancelToken::new()), Ok(plain));
+    let fired = CancelToken::new();
+    fired.cancel();
+    assert_eq!(with(&fired), Err(TopologyError::Cancelled));
+    let expired = CancelToken::with_deadline(Deadline::in_millis(0));
+    assert_eq!(with(&expired), Err(TopologyError::DeadlineExceeded));
+}

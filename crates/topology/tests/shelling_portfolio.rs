@@ -39,7 +39,7 @@ fn assert_portfolio_matches_seq<V: ksa_topology::simplex::View>(complex: &Comple
     let reference = find_shelling_order_seq(complex);
     let ref_verdict = reference.as_ref().map(Option::is_some);
     for pool in pools() {
-        let par = pool.install(|| find_shelling_order(complex));
+        let par = pool.install(|| find_shelling_order(complex, None));
         assert_eq!(
             par.as_ref().map(Option::is_some),
             ref_verdict,
@@ -154,7 +154,7 @@ fn repeated_runs_stable_when_oversubscribed() {
     assert!(find_shelling_order_seq(&octa).unwrap().is_some());
     for run in 0..5 {
         let order = pool
-            .install(|| find_shelling_order(&octa))
+            .install(|| find_shelling_order(&octa, None))
             .unwrap()
             .unwrap_or_else(|| panic!("run {run}: octahedron must be shellable"));
         assert!(is_shelling_order(&order).unwrap(), "run {run}");
@@ -163,5 +163,41 @@ fn repeated_runs_stable_when_oversubscribed() {
             pool.install(|| is_shellable_certified(&octa, "octahedron").unwrap());
         assert!(shellable, "run {run}");
         ksa_cert::check_shelling(&cert).unwrap_or_else(|e| panic!("run {run}: {e}"));
+    }
+}
+
+/// The shelling search's token, on complexes with more than one facet
+/// (a single facet never reaches the portfolio): silent changes no
+/// verdict, fired and expired tokens stop the search.
+#[test]
+fn shelling_search_honours_the_token() {
+    use ksa_graphs::cancel::{CancelToken, Deadline};
+    use ksa_topology::TopologyError;
+
+    let complex = |facets: &[&[usize]]| {
+        Complex::from_facets(facets.iter().map(|f| {
+            Simplex::new(f.iter().map(|&v| Vertex::new(v, 0u32)).collect()).expect("distinct")
+        }))
+    };
+    let path = complex(&[&[0, 1], &[1, 2], &[2, 3]]);
+    let bowtie = complex(&[&[0, 1, 2], &[2, 3, 4]]);
+    for c in [&path, &bowtie] {
+        let plain = find_shelling_order(c, None).unwrap();
+        let silent = find_shelling_order(c, Some(&CancelToken::new())).unwrap();
+        assert_eq!(silent.is_some(), plain.is_some());
+        if let Some(order) = silent {
+            assert!(is_shelling_order(&order).unwrap());
+        }
+        let fired = CancelToken::new();
+        fired.cancel();
+        assert_eq!(
+            find_shelling_order(c, Some(&fired)),
+            Err(TopologyError::Cancelled)
+        );
+        let expired = CancelToken::with_deadline(Deadline::in_millis(0));
+        assert_eq!(
+            find_shelling_order(c, Some(&expired)),
+            Err(TopologyError::DeadlineExceeded)
+        );
     }
 }

@@ -59,8 +59,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .unwrap_or_else(|| "-".into());
             println!("  r = {r}: solvable {up}-set, impossible {lo}-set");
         }
-        let sweep =
-            core::bounds::cross_check::cross_check_round_sweep(&model, 1, rounds, 100_000_000u128)?;
+        let (sweep, _) = core::bounds::cross_check::cross_check_round_sweep(
+            &model,
+            1,
+            rounds,
+            100_000_000u128,
+            None,
+        )?;
         assert!(sweep.is_consistent(), "topology contradicts the bounds");
         print!("{sweep}");
     }

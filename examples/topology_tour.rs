@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     // (a) two triangles sharing an edge.
     let shellable = Complex::from_facets(vec![tri(0, 1, 2), tri(0, 2, 3)]);
-    let order = find_shelling_order(&shellable)?.expect("Figure 4a is shellable");
+    let order = find_shelling_order(&shellable, None)?.expect("Figure 4a is shellable");
     println!(
         "Figure 4a: shellable, order of {} facets found",
         order.len()
