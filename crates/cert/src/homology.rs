@@ -8,14 +8,24 @@
 //!   distinct leading columns (echelon shape ⇒ linearly independent)
 //!   and, for each, the set of original boundary-row indices whose XOR
 //!   reproduces it (⇒ each basis row really lies in the row space).
-//! - **rank ≤ r**: the checker reduces *every* original boundary row
-//!   against the basis; all of them must vanish.
+//! - **rank ≤ r**: the checker reduces the original rows of `∂_k`
+//!   against the basis, and all of them must vanish — except the rows
+//!   the witness of `∂_{k+1}` exempts. A basis row `B` of `∂_{k+1}` that
+//!   is verified here to be a cycle (`∂_k B = 0`) exempts the row of its
+//!   leading simplex: that row is the XOR of the rows of `B`'s other,
+//!   higher simplexes, so by downward induction every exempt row lies in
+//!   the span of the non-exempt ones. The step for `∂_k` is sound on its
+//!   own: it trusts nothing of the witness above but what it checks.
+//!   A producer that clears those rows (the twist of Chen & Kerber)
+//!   never reduces them; a witness that reduces every row is accepted
+//!   too.
 //!
 //! The original boundary rows themselves are **not** trusted from the
 //! certificate: the checker rebuilds the face closure and the boundary
 //! maps from the facet list with its own code (simple subset
 //! enumeration + binary search), independent of the top-down closure
-//! and echelon machinery in `ksa_topology::chain`.
+//! and echelon machinery in `ksa_topology::chain`. It works bottom-up,
+//! holding one dimension's rows at a time.
 
 use crate::text::{push_label, push_nums, Cursor};
 use crate::{strictly_ascending, CertError};
@@ -258,14 +268,50 @@ fn xor_into(bits: &mut [u64], cols: &[u32]) {
     }
 }
 
-/// Verify one [`RankWitness`] against independently rebuilt rows (`rows`
-/// flat with stride `k + 1`, over `ncols` columns).
+/// Whether `list` is a nonempty, strictly ascending list of indices
+/// below `bound`.
+fn is_index_list(list: &[u32], bound: usize) -> bool {
+    !list.is_empty() && strictly_ascending(list) && list.iter().all(|&i| (i as usize) < bound)
+}
+
+/// XOR the cited rows and `extra` into the parity bitset, then clear
+/// every word any of them touched; returns whether all of those words
+/// were zero, i.e. whether the XOR vanishes. Only touched words can be
+/// nonzero, so the bitset is all zeros again afterwards.
+fn xor_vanishes<'a>(
+    bits: &mut [u64],
+    cited: &[u32],
+    row: impl Fn(usize) -> &'a [u32],
+    extra: &[u32],
+) -> bool {
+    for &r in cited {
+        xor_into(bits, row(r as usize));
+    }
+    xor_into(bits, extra);
+    let mut zero = true;
+    for &c in cited.iter().flat_map(|&r| row(r as usize)).chain(extra) {
+        let word = &mut bits[c as usize / 64];
+        zero &= *word == 0;
+        *word = 0;
+    }
+    zero
+}
+
+/// Verify one [`RankWitness`] for `∂_k` against independently rebuilt
+/// rows (`rows` flat with stride `k + 1`, over `ncols` columns), given
+/// the witness for `∂_{k+1}` when there is one (its basis rows exempt
+/// rows of `∂_k` from the rank-ceiling reduction; see the module docs).
 ///
 /// Linear in the nonzeros it touches: `lead_of[c]` names the basis row
 /// whose leading column is `c` (`u32::MAX` when none), and one reusable
 /// parity bitset of `ncols` bits accumulates every XOR, returning to all
-/// zeros after each accepted combo and each vanishing row.
-fn verify_witness(w: &RankWitness, rows: &[u32], ncols: usize) -> Result<(), CertError> {
+/// zeros after each accepted combo and cycle and each vanishing row.
+fn verify_witness(
+    w: &RankWitness,
+    above: Option<&RankWitness>,
+    rows: &[u32],
+    ncols: usize,
+) -> Result<(), CertError> {
     let k = w.k;
     let stride = k as usize + 1;
     let nrows = rows.len() / stride;
@@ -283,37 +329,18 @@ fn verify_witness(w: &RankWitness, rows: &[u32], ncols: usize) -> Result<(), Cer
     // columns pairwise distinct (echelon shape ⇒ independence).
     let mut lead_of = vec![u32::MAX; ncols];
     for (i, (basis, combo)) in w.basis.iter().zip(&w.combo).enumerate() {
-        if basis.is_empty()
-            || !strictly_ascending(basis)
-            || basis.iter().any(|&c| c as usize >= ncols)
-        {
+        if !is_index_list(basis, ncols) {
             return Err(CertError::Reject(format!(
                 "∂_{k} basis row {i} is not a nonempty ascending column list below {ncols}"
             )));
         }
-        if combo.is_empty()
-            || !strictly_ascending(combo)
-            || combo.iter().any(|&r| r as usize >= nrows)
-        {
+        if !is_index_list(combo, nrows) {
             return Err(CertError::Reject(format!(
                 "∂_{k} combo {i} is not a nonempty ascending row-index list below {nrows}"
             )));
         }
         // The cited rows XOR the basis row is zero iff they are equal.
-        // Only words some cited row or the basis row touches can be
-        // nonzero; check and clear exactly those.
-        for &r in combo {
-            xor_into(&mut bits, row(r as usize));
-        }
-        xor_into(&mut bits, basis);
-        let mut equal = true;
-        let touched = combo.iter().flat_map(|&r| row(r as usize)).chain(basis);
-        for &c in touched {
-            let word = &mut bits[c as usize / 64];
-            equal &= *word == 0;
-            *word = 0;
-        }
-        if !equal {
+        if !xor_vanishes(&mut bits, combo, row, basis) {
             return Err(CertError::Reject(format!(
                 "∂_{k} basis row {i} is not the XOR of its cited boundary rows"
             )));
@@ -327,13 +354,31 @@ fn verify_witness(w: &RankWitness, rows: &[u32], ncols: usize) -> Result<(), Cer
         }
         *lead = i as u32;
     }
-    // Every original row must reduce to zero against the basis, which
-    // bounds the rank from above by the witnessed value. A basis row
-    // only has columns at or after its leading one, so each step clears
-    // the lowest set bit and sets only higher ones: the scan for the
-    // next leading column never moves back, and it stops at the highest
-    // word any XOR reached.
-    for ri in 0..nrows {
+    // Each basis row of ∂_{k+1} is a list of k-simplexes (rows of ∂_k);
+    // once it is shown to be a cycle, its leading row is exempt.
+    let mut exempt = vec![false; nrows];
+    for (i, cycle) in above.map_or(&[][..], |a| &a.basis[..]).iter().enumerate() {
+        if !is_index_list(cycle, nrows) {
+            return Err(CertError::Reject(format!(
+                "∂_{} basis row {i} is not a nonempty ascending column list below {nrows}",
+                k + 1
+            )));
+        }
+        if !xor_vanishes(&mut bits, cycle, row, &[]) {
+            return Err(CertError::Reject(format!(
+                "∂_{} basis row {i} is not a cycle: its ∂_{k} rows do not XOR to zero",
+                k + 1
+            )));
+        }
+        exempt[cycle[0] as usize] = true;
+    }
+    // Every other original row must reduce to zero against the basis,
+    // which bounds the rank from above by the witnessed value. A basis
+    // row only has columns at or after its leading one, so each step
+    // clears the lowest set bit and sets only higher ones: the scan for
+    // the next leading column never moves back, and it stops at the
+    // highest word any XOR reached.
+    for ri in (0..nrows).filter(|&ri| !exempt[ri]) {
         let r = row(ri);
         xor_into(&mut bits, r);
         let mut word = r[0] as usize / 64;
@@ -363,7 +408,8 @@ fn verify_witness(w: &RankWitness, rows: &[u32], ncols: usize) -> Result<(), Cer
 ///
 /// Rebuilds the face closure and boundary maps from the facet list,
 /// verifies every rank witness (independence + row-space membership +
-/// full-row reduction), then recomputes the reduced Betti table
+/// reduction of every row the witness above does not exempt by a
+/// verified cycle), then recomputes the reduced Betti table
 /// `b̃_k = c_k − rank ∂_k − rank ∂_{k+1}` (with the augmentation rank
 /// `rank ∂_0 = 1`) and the connectivity, and compares both against the
 /// certificate's claims.
@@ -398,19 +444,22 @@ pub fn check_homology(cert: &HomologyCert) -> Result<(), CertError> {
             cert.ranks.len()
         )));
     }
+    for (i, w) in cert.ranks.iter().enumerate() {
+        if w.k as usize != i + 1 {
+            return Err(CertError::Reject(format!(
+                "rank witness {i} is for ∂_{} but ∂_{} was expected",
+                w.k,
+                i + 1
+            )));
+        }
+    }
     // rank ∂_0 (augmentation) = 1, rank ∂_{dim+1} = 0.
     let mut rank = vec![0u64; dim + 2];
     rank[0] = 1;
     for (i, w) in cert.ranks.iter().enumerate() {
         let k = i + 1;
-        if w.k as usize != k {
-            return Err(CertError::Reject(format!(
-                "rank witness {i} is for ∂_{} but ∂_{k} was expected",
-                w.k
-            )));
-        }
         let rows = boundary_rows(&closure[k], &closure[k - 1], k);
-        verify_witness(w, &rows, closure[k - 1].len() / k)?;
+        verify_witness(w, cert.ranks.get(k), &rows, closure[k - 1].len() / k)?;
         rank[k] = w.rank as u64;
     }
     for k in 0..=dim {

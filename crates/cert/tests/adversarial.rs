@@ -125,6 +125,46 @@ fn full_simplex_cert(m: u32, copies: usize) -> HomologyCert {
     }
 }
 
+/// The hollow tetrahedron (a 2-sphere): b̃ = (0, 0, 1), connectivity 1,
+/// with the given `∂_1` witness and the full echelon witness of
+/// `∂_2` (rank 3; the fourth triangle row reduces to zero).
+///
+/// Edges sorted: 01 02 03 12 13 23 (ids 0..6); triangles sorted:
+/// 012 013 023 123, whose `∂_2` rows are [0,1,3], [0,2,4], [1,2,5],
+/// [3,4,5]. The `∂_2` basis rows lead with edges 0, 1 and 3.
+fn sphere_cert(d1_basis: Vec<Vec<u32>>, d1_combo: Vec<Vec<u32>>) -> HomologyCert {
+    HomologyCert {
+        label: "sphere".into(),
+        facets: vec![vec![0, 1, 2], vec![0, 1, 3], vec![0, 2, 3], vec![1, 2, 3]],
+        betti: vec![0, 0, 1],
+        connectivity: 1,
+        ranks: vec![
+            RankWitness {
+                k: 1,
+                rank: d1_basis.len() as u32,
+                basis: d1_basis,
+                combo: d1_combo,
+            },
+            RankWitness {
+                k: 2,
+                rank: 3,
+                basis: vec![vec![0, 1, 3], vec![1, 2, 3, 4], vec![3, 4, 5]],
+                combo: vec![vec![0], vec![0, 1], vec![0, 1, 2]],
+            },
+        ],
+    }
+}
+
+/// The sphere with a *cleared* `∂_1` witness: the edge rows 0, 1 and 3
+/// lead the `∂_2` basis cycles, so only edges 03, 13 and 23 (rows 2, 4
+/// and 5) are absorbed.
+fn sphere_cleared_cert() -> HomologyCert {
+    sphere_cert(
+        vec![vec![0, 3], vec![1, 3], vec![2, 3]],
+        vec![vec![2], vec![4], vec![5]],
+    )
+}
+
 fn rejected(result: Result<(), CertError>) -> bool {
     matches!(result, Err(CertError::Reject(_)))
 }
@@ -249,6 +289,65 @@ fn homology_rejects_empty_basis_row() {
     assert!(rejected_for(
         check_homology(&bad),
         "basis row 0 is not a nonempty"
+    ));
+}
+
+#[test]
+fn homology_accepts_cleared_and_full_reduction_witnesses() {
+    // Cleared: the ∂_1 rows the ∂_2 basis leads with were never reduced.
+    assert_eq!(check_homology(&sphere_cleared_cert()), Ok(()));
+    // Full reduction of every ∂_1 row, in edge order.
+    let full = sphere_cert(
+        vec![vec![0, 1], vec![1, 2], vec![2, 3]],
+        vec![vec![0], vec![0, 1], vec![1, 2]],
+    );
+    assert_eq!(check_homology(&full), Ok(()));
+    // The full-reduction fixtures are accepted unchanged.
+    assert_eq!(check_homology(&circle_cert()), Ok(()));
+    for m in 2..=6 {
+        assert_eq!(check_homology(&full_simplex_cert(m, 1)), Ok(()), "m = {m}");
+    }
+}
+
+#[test]
+fn homology_rejects_non_cycle_exemptions() {
+    // Under-claim rank ∂_1 = 2: against the basis [0,3], [1,3] the edge
+    // rows 0, 2 and 4 vanish, but rows 1, 3 and 5 ([0,2], [1,2], [2,3])
+    // are left with leading column 2 uncovered.
+    let mut bad = sphere_cert(vec![vec![0, 3], vec![1, 3]], vec![vec![2], vec![4]]);
+    bad.betti = vec![1, 1, 1];
+    bad.connectivity = -1;
+    assert!(rejected_for(
+        check_homology(&bad),
+        "leading column 2 uncovered"
+    ));
+    // Forge the ∂_2 basis so that its rows lead with exactly those
+    // three edges. Single edges are not cycles, so they exempt nothing;
+    // the Betti arithmetic (ranks 2 and 3) agrees with the lie.
+    bad.ranks[1].basis = vec![vec![1], vec![3], vec![5]];
+    assert!(rejected_for(
+        check_homology(&bad),
+        "∂_2 basis row 0 is not a cycle"
+    ));
+    // One forged row among honest cycles is caught all the same.
+    let mut bad = sphere_cleared_cert();
+    bad.ranks[1].basis[2] = vec![3, 4];
+    assert!(rejected_for(
+        check_homology(&bad),
+        "∂_2 basis row 2 is not a cycle"
+    ));
+    // The exempting rows are range-checked before they index ∂_1.
+    let mut bad = sphere_cleared_cert();
+    bad.ranks[1].basis[2] = vec![3, 4, 6];
+    assert!(rejected_for(
+        check_homology(&bad),
+        "∂_2 basis row 2 is not a nonempty ascending column list below 6"
+    ));
+    let mut bad = sphere_cleared_cert();
+    bad.ranks[1].basis[1] = vec![3, 2, 1, 4];
+    assert!(rejected_for(
+        check_homology(&bad),
+        "∂_2 basis row 1 is not a nonempty ascending column list below 6"
     ));
 }
 

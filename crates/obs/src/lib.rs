@@ -57,7 +57,12 @@ pub enum Counter {
     BoundaryRows,
     /// Nonzeros across those boundary rows.
     BoundaryNnz,
-    /// GF(2) rank reductions completed (sparse echelon + dense).
+    /// Boundary rows the certified rank path skipped because the basis
+    /// of the boundary one dimension up already leads with them
+    /// (clearing): `Σ_{k≥2} rank ∂_k` per certified complex.
+    BoundaryRowsCleared,
+    /// GF(2) rank reductions completed (union-find on `∂_1`, sparse
+    /// echelon, or the scalar `rank_seq` oracle).
     RanksComputed,
     /// Connectivity scans that stopped before their requested cap.
     ConnectivityEarlyExits,
@@ -112,12 +117,13 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in presentation order.
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 24] = [
         Counter::FacetsEnumerated,
         Counter::FacesClosed,
         Counter::ViewsInterned,
         Counter::BoundaryRows,
         Counter::BoundaryNnz,
+        Counter::BoundaryRowsCleared,
         Counter::RanksComputed,
         Counter::ConnectivityEarlyExits,
         Counter::CspVerdicts,
@@ -146,6 +152,7 @@ impl Counter {
             Counter::ViewsInterned => "views_interned",
             Counter::BoundaryRows => "boundary_rows",
             Counter::BoundaryNnz => "boundary_nnz",
+            Counter::BoundaryRowsCleared => "boundary_rows_cleared",
             Counter::RanksComputed => "ranks_computed",
             Counter::ConnectivityEarlyExits => "connectivity_early_exits",
             Counter::CspVerdicts => "csp_verdicts",

@@ -20,12 +20,16 @@
 //!   echelon-basis elimination (`Echelon`) over the incidence rows. The
 //!   matrices are ultra-sparse (`k+1` entries per row) with low
 //!   fill-in on the protocol complexes of the experiments, which makes
-//!   this an order of magnitude faster than dense bit-packed elimination
-//!   ([`crate::gf2::Gf2Matrix`] remains as the dense cross-check
-//!   oracle). `∂_1` is the incidence matrix of the
+//!   this an order of magnitude faster than dense elimination (the
+//!   scalar [`crate::gf2::Gf2Matrix::rank_seq`] remains as the
+//!   reference oracle). `∂_1` is the incidence matrix of the
 //!   1-skeleton, whose rank over any field is `|V| − #components`, so it
 //!   is ranked by a union-find over the edge rows instead: the echelon
 //!   walked whole paths there, one fresh row per step (DESIGN.md §7.1).
+//! * **Clearing in the certified path** — [`reduced_betti_certified`]
+//!   records its rank witnesses from `∂_dim` down to `∂_1` and skips
+//!   every row of `∂_k` that leads a basis row of `∂_{k+1}`, since that
+//!   basis row is a cycle (Chen & Kerber's twist; DESIGN.md §11.2).
 //! * **Laziness** — ranks are computed per dimension on demand and
 //!   cached, so [`ChainComplex::connectivity_up_to`] reduces `∂_1, ∂_2,
 //!   …` dimension by dimension and stops at the first non-zero Betti
@@ -78,12 +82,11 @@ fn sort_dedup_chunks(data: &[u32], stride: usize) -> (Vec<u32>, Vec<u32>) {
 /// a value independent of absorption order, though the engine always
 /// absorbs in canonical simplex order so intermediate bases are
 /// reproducible too.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Echelon {
     rows: Vec<Vec<u32>>,
     /// `pivot_of[col]`: index into `rows` of the basis row leading with
-    /// `col`, or `u32::MAX`. [`Echelon::new`] sizes it to the column
-    /// count; `WitnessEchelon` starts from `default()` and grows it.
+    /// `col`, or `u32::MAX`; sized to the column count.
     pivot_of: Vec<u32>,
 }
 
@@ -124,9 +127,10 @@ impl Echelon {
 /// witness carried by homology certificates (DESIGN.md §11). The
 /// standalone checker re-derives both rank bounds from this: distinct
 /// leading columns give independence (rank ≥ r), re-reducing every
-/// original row to zero gives the ceiling (rank ≤ r), and the recorded
-/// combinations prove each basis row lies in the row space.
-#[derive(Debug, Clone, Default)]
+/// original row the witness of `∂_{k+1}` does not exempt gives the
+/// ceiling (rank ≤ r), and the recorded combinations prove each basis
+/// row lies in the row space.
+#[derive(Debug, Clone)]
 struct WitnessEchelon {
     ech: Echelon,
     /// `combos[i]`: ascending original-row indices XOR-summing to
@@ -135,6 +139,14 @@ struct WitnessEchelon {
 }
 
 impl WitnessEchelon {
+    /// An empty basis over `cols` columns.
+    fn new(cols: usize) -> Self {
+        WitnessEchelon {
+            ech: Echelon::new(cols),
+            combos: Vec::new(),
+        }
+    }
+
     /// Absorbs the `idx`-th original row, tracking its combination.
     fn absorb(&mut self, row: &[u32], idx: u32) {
         let mut row = row.to_vec();
@@ -143,9 +155,6 @@ impl WitnessEchelon {
             let Some(&lead) = row.first() else {
                 return;
             };
-            if self.ech.pivot_of.len() <= lead as usize {
-                self.ech.pivot_of.resize(lead as usize + 1, u32::MAX);
-            }
             let p = self.ech.pivot_of[lead as usize];
             if p == u32::MAX {
                 self.ech.pivot_of[lead as usize] = self.ech.rows.len() as u32;
@@ -355,19 +364,34 @@ impl ChainComplex {
     }
 
     /// Reduces `∂_k` like [`ChainComplex::compute_rank`] while
-    /// recording the rank witness for certification. Absorption runs in
-    /// canonical simplex order, so the witness is schedule-invariant.
-    fn compute_rank_witnessed(&self, k: usize) -> ksa_cert::RankWitness {
+    /// recording the rank witness for certification, skipping every row
+    /// `σ` with `cleared[σ]` (an empty `cleared` skips none).
+    /// Absorption runs in canonical simplex order, so the witness is
+    /// schedule-invariant.
+    ///
+    /// The caller clears the leading columns of the basis rows of
+    /// `∂_{k+1}` (the *clearing* step of Chen & Kerber's twist). Such a
+    /// basis row is a `k`-cycle, so the row of its leading simplex is
+    /// the XOR of rows with higher ids; by downward induction every
+    /// cleared row lies in the span of the absorbed ones, and the rank
+    /// is unchanged. Only `rank ∂_k + b̃_k` rows are absorbed.
+    fn compute_rank_witnessed(&self, k: usize, cleared: &[bool]) -> ksa_cert::RankWitness {
         // Same span name as the plain reduction — the trace contract
         // names `rank_reduce` as *the* rank-reduction span; the
         // `witnessed` arg distinguishes the certified producer.
         let _span = ksa_obs::span("chain", || "rank_reduce")
             .arg("dim", k as u64)
             .arg("witnessed", 1);
-        let mut ech = WitnessEchelon::default();
+        let mut ech = WitnessEchelon::new(self.counts[k - 1]);
+        let mut skipped = 0;
         for (i, row) in self.boundary(k).enumerate() {
-            ech.absorb(row, i as u32);
+            if cleared.get(i) == Some(&true) {
+                skipped += 1;
+            } else {
+                ech.absorb(row, i as u32);
+            }
         }
+        ksa_obs::count(Counter::BoundaryRowsCleared, skipped);
         ksa_obs::count(Counter::RanksComputed, 1);
         ksa_cert::RankWitness {
             k: k as u32,
@@ -500,9 +524,10 @@ impl ChainComplex {
 /// Returns `None` for the void complex (nothing to certify).
 ///
 /// The vertices are interned once: the same ids make the certificate's
-/// facet list and the chain complex. The per-dimension witnessed
-/// reductions fan out on `ksa-exec`; each dimension absorbs
-/// sequentially, so the witness — and therefore the certificate — is
+/// facet list and the chain complex. The witnesses are computed from
+/// `∂_dim` down to `∂_1`, each dimension clearing the rows led by the
+/// basis above it (DESIGN.md §11.2); every step absorbs sequentially in
+/// canonical order, so the witness — and therefore the certificate — is
 /// schedule-invariant.
 pub fn reduced_betti_certified<V: View>(
     complex: &Complex<V>,
@@ -519,12 +544,19 @@ pub fn reduced_betti_certified<V: View>(
         return None;
     }
     let dim = cc.counts.len() - 1;
-    let dims: Vec<usize> = (1..=dim).collect();
-    let this: &ChainComplex = &cc;
-    let witnesses: Vec<ksa_cert::RankWitness> = dims
-        .par_iter()
-        .map(|&k| this.compute_rank_witnessed(k))
-        .collect();
+    let mut witnesses: Vec<ksa_cert::RankWitness> = Vec::with_capacity(dim);
+    let mut cleared: Vec<bool> = Vec::new();
+    for k in (1..=dim).rev() {
+        let w = cc.compute_rank_witnessed(k, &cleared);
+        if k > 1 {
+            cleared = vec![false; cc.counts[k - 1]];
+            for b in &w.basis {
+                cleared[b[0] as usize] = true;
+            }
+        }
+        witnesses.push(w);
+    }
+    witnesses.reverse();
     for w in &witnesses {
         cc.ranks[w.k as usize] = Some(w.rank as usize);
     }
@@ -593,7 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn arenas_enumerate_the_closure() {
+    fn closure_counts_every_face_of_a_triangle() {
         let c = Complex::of_simplex(simplex(&[0, 1, 2]));
         let chain = ChainComplex::from_complex(&c);
         assert_eq!(chain.dim(), 2);
@@ -690,6 +722,16 @@ mod tests {
                 "{label}"
             );
             assert_eq!(ksa_cert::check_homology(&cert), Ok(()), "{label}");
+            // Clearing: no combo of ∂_k cites a row that leads a basis
+            // row of ∂_{k+1}.
+            for pair in cert.ranks.windows(2) {
+                let leads: Vec<u32> = pair[1].basis.iter().map(|b| b[0]).collect();
+                assert!(
+                    pair[0].combo.iter().flatten().all(|r| !leads.contains(r)),
+                    "{label}: ∂_{} cites a cleared row",
+                    pair[0].k
+                );
+            }
             let wrapped = ksa_cert::Cert::Homology(cert);
             assert_eq!(
                 ksa_cert::Cert::parse(&wrapped.to_text()).unwrap(),

@@ -3,7 +3,9 @@
 //! one round, `reduced_betti_certified` must produce a certificate the
 //! independent checker (`ksa_cert::check_homology`) accepts, its Betti
 //! vector must equal the dense `reduced_betti_numbers_seq` oracle, and
-//! every seeded corruption of the witness must be rejected.
+//! every seeded corruption of the witness must be rejected — a fixed
+//! list per complex here, and a random sweep over the `rounds`
+//! certificates through round 2.
 
 use ksa_cert::{check_homology, CertError, HomologyCert};
 use ksa_graphs::budget::RunBudget;
@@ -15,6 +17,8 @@ use ksa_topology::pseudosphere::Pseudosphere;
 use ksa_topology::rounds::protocol_complex_rounds;
 use ksa_topology::simplex::{Simplex, Vertex, View};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a small complex over colors 0..5 with u8 views.
 fn small_complex() -> impl Strategy<Value = Complex<u8>> {
@@ -132,4 +136,94 @@ fn certified_betti_matches_oracle_on_rounds_models_at_one_round() {
     }
     // Three corruptions per dimension of each 2-dimensional complex.
     assert_eq!(mutated, 4 * 2 * 3);
+}
+
+/// Toggles `x` in the strictly ascending list `list`.
+fn toggle(list: &mut Vec<u32>, x: u32) {
+    match list.binary_search(&x) {
+        Ok(i) => {
+            list.remove(i);
+        }
+        Err(i) => list.insert(i, x),
+    }
+}
+
+/// Mutations per class and certificate in the seeded sweep.
+const SWEEP_PER_CLASS: usize = 30;
+
+#[test]
+fn seeded_mutation_sweep_over_rounds_certificates_is_rejected() {
+    let reg = registry::builtin();
+    let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
+        .unwrap()
+        .to_complex();
+    let mut rng = StdRng::seed_from_u64(0x6b73_6163);
+    let mut rejected = 0;
+    for name in [
+        "ring{n=3}",
+        "ring{n=3,sym}",
+        "stars{n=3,s=1}",
+        "stars{n=3,s=2}",
+    ] {
+        let model = reg
+            .resolve_closed_above(name, RunBudget::DEFAULT)
+            .expect("builtin model");
+        let rc = protocol_complex_rounds(model.generators(), &input, 2, 10_000_000).unwrap();
+        for r in 1..=2 {
+            let label = format!("{name} r={r}");
+            let complex = rc.complex_at(r).expect("round computed");
+            let (_, cert) = reduced_betti_certified(complex, &label).expect("nonvoid complex");
+            assert_eq!(check_homology(&cert), Ok(()), "{label}: honest certificate");
+            // c_k = b̃_k + rank ∂_k + rank ∂_{k+1}, with rank ∂_0 = 1.
+            let rank = |k: usize| match k {
+                0 => 1,
+                _ => cert.ranks.get(k - 1).map_or(0, |w| u64::from(w.rank)),
+            };
+            let count: Vec<u64> = (0..cert.betti.len())
+                .map(|k| cert.betti[k] + rank(k) + rank(k + 1))
+                .collect();
+            let witnessed: Vec<usize> = (0..cert.ranks.len())
+                .filter(|&i| cert.ranks[i].rank > 0)
+                .collect();
+            for class in 0..3 {
+                for _ in 0..SWEEP_PER_CLASS {
+                    let i = witnessed[rng.random_range(0..witnessed.len())];
+                    let k = i + 1;
+                    let j = rng.random_range(0..cert.ranks[i].rank as usize);
+                    let mut bad = cert.clone();
+                    let w = &mut bad.ranks[i];
+                    let what = match class {
+                        0 => {
+                            let col = rng.random_range(0..count[k - 1] as u32);
+                            toggle(&mut w.basis[j], col);
+                            format!("∂_{k} basis row {j}: column {col} toggled")
+                        }
+                        1 => {
+                            let row = rng.random_range(0..count[k] as u32);
+                            toggle(&mut w.combo[j], row);
+                            format!("∂_{k} combo {j}: row {row} toggled")
+                        }
+                        _ => {
+                            // Keep the Betti arithmetic consistent with
+                            // the lower rank, so only the witness
+                            // verification can refute it.
+                            w.basis.remove(j);
+                            w.combo.remove(j);
+                            w.rank -= 1;
+                            bad.betti[k - 1] += 1;
+                            bad.betti[k] += 1;
+                            bad.connectivity = connectivity_of(&bad.betti);
+                            format!("∂_{k} basis/combo pair {j} dropped")
+                        }
+                    };
+                    assert!(
+                        matches!(check_homology(&bad), Err(CertError::Reject(_))),
+                        "{label}: {what} was not rejected"
+                    );
+                    rejected += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(rejected, 4 * 2 * 3 * SWEEP_PER_CLASS);
 }

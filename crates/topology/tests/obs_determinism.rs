@@ -21,7 +21,7 @@
 
 use ksa_exec::ThreadPool;
 use ksa_graphs::Digraph;
-use ksa_topology::chain::ChainComplex;
+use ksa_topology::chain::{reduced_betti_certified, ChainComplex};
 use ksa_topology::complex::Complex;
 use ksa_topology::connectivity::{connectivity, connectivity_seq};
 use ksa_topology::homology::{reduced_betti_numbers, reduced_betti_numbers_seq};
@@ -118,6 +118,27 @@ proptest! {
         });
         let closed = delta.iter().find(|&&(name, _)| name == "faces_closed").map(|&(_, v)| v);
         prop_assert_eq!(closed, Some(c.all_simplexes().len() as u64));
+    }
+
+    /// The certified path skips exactly the rows the basis one
+    /// dimension up leads with: `boundary_rows_cleared` advances by
+    /// `Σ_{k≥2} rank ∂_k` per certified complex, at every pool size.
+    #[test]
+    fn certified_rows_cleared_is_the_rank_above(c in small_complex()) {
+        let _guard = counter_lock();
+        for pool in pools() {
+            let mut certified = None;
+            let delta = det_delta(|| {
+                certified = pool.install(|| reduced_betti_certified(&c, "small"));
+            });
+            let (_, cert) = certified.expect("nonvoid complex");
+            let above: u64 = cert.ranks.iter().skip(1).map(|w| u64::from(w.rank)).sum();
+            let cleared = delta
+                .iter()
+                .find(|&&(name, _)| name == "boundary_rows_cleared")
+                .map(|&(_, v)| v);
+            prop_assert_eq!(cleared, Some(above));
+        }
     }
 
     /// Pseudosphere materialization + nerve expansion: the facet
@@ -231,4 +252,36 @@ fn sphere_betti_counts_its_boundary_work() {
             ("ranks_computed", 2),
         ]
     );
+}
+
+/// The same pin on the `rounds` complexes through round 2, and on the
+/// 2-sphere, where rank ∂_2 = 3 of the 6 edge rows are cleared.
+#[test]
+fn certified_rounds_complexes_clear_the_rank_above() {
+    let _guard = counter_lock();
+    let tet = Simplex::new((0..4).map(|c| Vertex::new(c, 0u8)).collect()).unwrap();
+    let delta = det_delta(|| {
+        reduced_betti_certified(&Complex::boundary_of(&tet), "sphere");
+    });
+    assert!(delta.contains(&("boundary_rows_cleared", 3)), "{delta:?}");
+    let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
+        .unwrap()
+        .to_complex();
+    for gens in [
+        vec![ksa_graphs::families::cycle(3).unwrap()],
+        vec![ksa_graphs::families::broadcast_star(3, 0).unwrap()],
+    ] {
+        let rc = protocol_complex_rounds(&gens, &input, 2, BUDGET).unwrap();
+        for complex in rc.complexes() {
+            let mut certified = None;
+            let delta = det_delta(|| certified = reduced_betti_certified(complex, "round"));
+            let (_, cert) = certified.expect("nonvoid complex");
+            let above: u64 = cert.ranks.iter().skip(1).map(|w| u64::from(w.rank)).sum();
+            assert!(above > 0);
+            assert!(
+                delta.contains(&("boundary_rows_cleared", above)),
+                "{delta:?}"
+            );
+        }
+    }
 }
