@@ -86,7 +86,11 @@ impl ExperimentOutcome {
             self.line(format!("    checker said: {e}"));
         }
         self.certified = Some(self.certified.unwrap_or(true) && ok);
-        self.certs.push((cert.label().to_string(), cert.to_text()));
+        let text = {
+            let _span = ksa_obs::span("cert", || "serialize");
+            cert.to_text()
+        };
+        self.certs.push((cert.label().to_string(), text));
     }
 }
 

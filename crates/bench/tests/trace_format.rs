@@ -164,12 +164,16 @@ fn trace_of_a_real_run_is_wellformed_trace_event_json() {
     assert_valid_json(&doc);
     assert!(doc.contains("\"traceEvents\""), "missing traceEvents array");
     if cfg!(feature = "obs") {
-        // The acceptance contract's three span layers, all exercised by
-        // the rounds experiment.
+        // The span layers the rounds experiment crosses: experiment,
+        // round construction, rank reduction, and certificate
+        // production, checking and serialization.
         for needle in [
             "\"cat\": \"experiment\"",
             "\"name\": \"round\"",
             "\"name\": \"rank_reduce\"",
+            "\"name\": \"produce\", \"cat\": \"cert\"",
+            "\"name\": \"check\", \"cat\": \"cert\"",
+            "\"name\": \"serialize\", \"cat\": \"cert\"",
         ] {
             assert!(doc.contains(needle), "trace lacks {needle}:\n{doc}");
         }

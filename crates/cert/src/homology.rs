@@ -22,10 +22,14 @@
 //!
 //! The original boundary rows themselves are **not** trusted from the
 //! certificate: the checker rebuilds the face closure and the boundary
-//! maps from the facet list with its own code (simple subset
-//! enumeration + binary search), independent of the top-down closure
-//! and echelon machinery in `ksa_topology::chain`. It works bottom-up,
-//! holding one dimension's rows at a time.
+//! maps from the facet list with its own code, written against the
+//! certificate format alone and independent of `ksa_topology::chain`.
+//! The closure runs top-down: each distinct simplex drops one vertex at
+//! a time, and each level is sorted, deduplicated and numbered here, so
+//! the column ids of every `∂_k` row come out of the numbering with no
+//! search and no order taken on trust. The witnesses are then verified
+//! bottom-up, `∂_1` first, and each dimension's rows are freed once
+//! verified.
 
 use crate::text::{push_label, push_nums, Cursor};
 use crate::{strictly_ascending, CertError};
@@ -34,9 +38,6 @@ use crate::{strictly_ascending, CertError};
 /// dimensions). Way above anything the experiments emit; guards the
 /// offline checker against adversarial blowup.
 const MAX_CLOSURE_FACES: usize = 5_000_000;
-
-/// Buffered faces below which [`face_closure`] does not compact.
-const COMPACT_FLOOR: usize = 1 << 16;
 
 /// An echelon basis + row-combination witness for `rank ∂_k = rank`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,23 +154,39 @@ impl HomologyCert {
     }
 }
 
-/// Rebuild the face closure of `facets`, sorted per dimension. Returns
-/// `closure[d]` = the `d`-simplexes as one flat buffer of strictly
-/// sorted, deduplicated rows of stride `d + 1`.
+/// The checker's own closure of a facet list: how many simplexes each
+/// dimension has, and the GF(2) boundary rows over those simplexes in
+/// sorted order.
+struct Closure {
+    /// `counts[d]`: the number of distinct `d`-simplexes.
+    counts: Vec<usize>,
+    /// `rows[k]`, `k ≥ 1`: `∂_k` as one flat buffer of stride `k + 1`.
+    /// Row `i` lists, ascending, the indices of the sorted `k`-simplex
+    /// `i`'s facets in the sorted `(k−1)`-simplex list. `rows[0]` is
+    /// empty.
+    rows: Vec<Vec<u32>>,
+}
+
+/// Close `facets` downward, top dimension first, numbering each level
+/// and writing the boundary rows of the level above as it goes.
 ///
-/// Subsets are appended unsorted and compacted (sort + dedup) whenever
-/// the buffered total passes twice the larger of the last distinct count
-/// and [`COMPACT_FLOOR`], so memory follows the distinct closure (and
-/// hence `MAX_CLOSURE_FACES`), never the raw subset count of duplicated
-/// facets. The cap counts distinct faces, as a set would, so duplicated
-/// facets never trip it; the verdict and message are those of a
-/// set-based closure that stops at the first face past the cap.
-fn face_closure(facets: &[Vec<u32>]) -> Result<Vec<Vec<u32>>, CertError> {
-    let dim = facets.iter().map(|f| f.len() - 1).max().unwrap_or(0);
-    let mut by_dim: Vec<Vec<u32>> = vec![Vec::new(); dim + 1];
-    // Faces held in `by_dim` (distinct up to the last compaction).
-    let mut held = 0usize;
-    let mut distinct = 0usize;
+/// Level `d` gathers stride-`(d+1)` candidates: the faces of every
+/// distinct `(d+1)`-simplex, dropping one position at a time from last
+/// to first, then the `d`-dimensional facets. It sorts and numbers them
+/// ([`number_rows`]). A face's number is its column in `∂_{d+1}`, and
+/// dropping a later position gives a lexicographically smaller face, so
+/// every row comes out ascending. No facet or row order is taken from
+/// the certificate: every level is sorted here.
+///
+/// A facet of more than 25 vertices is refused outright, and so is one
+/// whose own faces alone exceed [`MAX_CLOSURE_FACES`], before any level
+/// is allocated. Otherwise the distinct faces are counted level by level,
+/// and the closure stops as soon as they pass the cap. The cap counts
+/// distinct faces, as a set would, so duplicated facets never trip it.
+/// A level holds its distinct faces and `d + 2` candidates per distinct
+/// face above it, so memory follows the distinct closure, never the raw
+/// subset count.
+fn face_closure(facets: &[Vec<u32>]) -> Result<Closure, CertError> {
     let too_many = || {
         CertError::TooLarge(format!(
             "face closure exceeds {MAX_CLOSURE_FACES} simplexes"
@@ -177,88 +194,94 @@ fn face_closure(facets: &[Vec<u32>]) -> Result<Vec<Vec<u32>>, CertError> {
     };
     for f in facets {
         if f.len() > 25 {
-            // A set-based closure would already have failed on the cap
-            // if the facets before this one exceed it.
-            if compact(&mut by_dim) > MAX_CLOSURE_FACES {
-                return Err(too_many());
-            }
             return Err(CertError::TooLarge(format!(
                 "facet with {} vertices (subset closure would blow up)",
                 f.len()
             )));
         }
-        for mask in 1u32..(1u32 << f.len()) {
-            let d = mask.count_ones() as usize - 1;
-            by_dim[d].extend(
-                f.iter()
-                    .enumerate()
-                    .filter(|&(i, _)| (mask >> i) & 1 == 1)
-                    .map(|(_, &v)| v),
-            );
-            held += 1;
-            if held > 2 * distinct.max(COMPACT_FLOOR) {
-                distinct = compact(&mut by_dim);
-                held = distinct;
-                if distinct > MAX_CLOSURE_FACES {
-                    return Err(too_many());
-                }
+        if (1usize << f.len()) - 1 > MAX_CLOSURE_FACES {
+            return Err(too_many());
+        }
+    }
+    let dim = facets.iter().map(|f| f.len() - 1).max().unwrap_or(0);
+    let mut counts = vec![0; dim + 1];
+    let mut rows = vec![Vec::new(); dim + 1];
+    let mut total = 0;
+    // The sorted distinct (d+1)-simplexes, flat; empty at the top.
+    let mut upper: Vec<u32> = Vec::new();
+    for d in (0..=dim).rev() {
+        let stride = d + 1;
+        let own = || facets.iter().filter(|f| f.len() == stride);
+        let above = std::mem::take(&mut upper);
+        // Candidates are numbered by `u32` input indices.
+        let candidates = above.len() / (stride + 1) * (stride + 1) + own().count();
+        if u32::try_from(candidates).is_err() {
+            return Err(CertError::TooLarge(format!(
+                "{candidates} candidate {d}-faces exceed the u32 index range"
+            )));
+        }
+        let mut cand = Vec::with_capacity(candidates * stride);
+        for s in above.chunks_exact(stride + 1) {
+            for gone in (0..=stride).rev() {
+                cand.extend_from_slice(&s[..gone]);
+                cand.extend_from_slice(&s[gone + 1..]);
             }
         }
-    }
-    if compact(&mut by_dim) > MAX_CLOSURE_FACES {
-        return Err(too_many());
-    }
-    Ok(by_dim)
-}
-
-/// Sort and deduplicate every dimension's rows in place; returns the
-/// distinct face count across all dimensions.
-fn compact(by_dim: &mut [Vec<u32>]) -> usize {
-    let mut total = 0;
-    for (d, flat) in by_dim.iter_mut().enumerate() {
-        let mut rows: Vec<&[u32]> = flat.chunks_exact(d + 1).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        total += rows.len();
-        *flat = rows.concat();
-    }
-    total
-}
-
-/// Index of `key` among the sorted stride-`key.len()` rows of `flat`.
-fn find_row(flat: &[u32], key: &[u32]) -> Option<usize> {
-    let stride = key.len();
-    let (mut lo, mut hi) = (0, flat.len() / stride);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        match flat[mid * stride..(mid + 1) * stride].cmp(key) {
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Some(mid),
+        let faces_above = cand.len() / stride;
+        drop(above);
+        for f in own() {
+            cand.extend_from_slice(f);
         }
+        let (distinct, cols) = number_rows(&cand, stride, faces_above);
+        drop(cand);
+        counts[d] = distinct.len() / stride;
+        total += counts[d];
+        if total > MAX_CLOSURE_FACES {
+            return Err(too_many());
+        }
+        if d < dim {
+            rows[d + 1] = cols;
+        }
+        upper = distinct;
     }
-    None
+    Ok(Closure { counts, rows })
 }
 
-/// Assemble the GF(2) boundary rows `∂_k` as one flat buffer of stride
-/// `k + 1`: row `i` lists, ascending, the indices of the `k`-simplex
-/// `i`'s facets in the sorted `(k−1)`-simplex list.
+/// Sort the stride-`stride` rows of `flat` and number the distinct ones
+/// from 0 in that order. Returns the distinct rows, flat, and the
+/// numbers of the first `numbered` input rows.
 ///
-/// Dropping a later vertex of a sorted simplex gives a lexicographically
-/// smaller face, so visiting the dropped position from last to first
-/// yields the indices already ascending.
-fn boundary_rows(k_simplexes: &[u32], km1_simplexes: &[u32], k: usize) -> Vec<u32> {
-    let mut rows = Vec::with_capacity(k_simplexes.len());
-    let mut face = vec![0u32; k];
-    for s in k_simplexes.chunks_exact(k + 1) {
-        for drop in (0..=k).rev() {
-            face[..drop].copy_from_slice(&s[..drop]);
-            face[drop..].copy_from_slice(&s[drop + 1..]);
-            let col = find_row(km1_simplexes, &face).expect("closure contains every face");
-            rows.push(col as u32);
+/// Rows of up to three ids sort as single `u128` words: the ids, most
+/// significant first, above the row's input index. Longer rows sort as
+/// indices compared through the rows.
+fn number_rows(flat: &[u32], stride: usize, numbered: usize) -> (Vec<u32>, Vec<u32>) {
+    let row = |i: usize| &flat[i * stride..][..stride];
+    let mut distinct: Vec<u32> = Vec::new();
+    let mut number = vec![0; numbered];
+    let mut visit = |i: usize| {
+        if distinct.is_empty() || distinct[distinct.len() - stride..] != *row(i) {
+            distinct.extend_from_slice(row(i));
         }
+        if let Some(n) = number.get_mut(i) {
+            *n = (distinct.len() / stride - 1) as u32;
+        }
+    };
+    if stride <= 3 {
+        let mut keyed: Vec<u128> = flat
+            .chunks_exact(stride)
+            .enumerate()
+            .map(|(i, r)| {
+                r.iter().fold(0u128, |key, &v| key << 32 | u128::from(v)) << 32 | i as u128
+            })
+            .collect();
+        keyed.sort_unstable();
+        keyed.into_iter().for_each(|x| visit(x as u32 as usize));
+    } else {
+        let mut order: Vec<u32> = (0..(flat.len() / stride) as u32).collect();
+        order.sort_unstable_by(|&a, &b| row(a as usize).cmp(row(b as usize)));
+        order.into_iter().for_each(|i| visit(i as usize));
     }
-    rows
+    (distinct, number)
 }
 
 /// Flip the bits of `cols` in the parity bitset.
@@ -419,6 +442,7 @@ fn verify_witness(
 /// [`CertError::Reject`] with the refuting reason; [`CertError::TooLarge`]
 /// if the closure exceeds the checker's replay cap.
 pub fn check_homology(cert: &HomologyCert) -> Result<(), CertError> {
+    let _span = ksa_obs::span("cert", || "check");
     ksa_obs::count(ksa_obs::Counter::CertsChecked, 1);
     if cert.facets.is_empty() {
         return Err(CertError::Reject("certificate has no facets".into()));
@@ -430,8 +454,8 @@ pub fn check_homology(cert: &HomologyCert) -> Result<(), CertError> {
             )));
         }
     }
-    let closure = face_closure(&cert.facets)?;
-    let dim = closure.len() - 1;
+    let Closure { counts, mut rows } = face_closure(&cert.facets)?;
+    let dim = counts.len() - 1;
     if cert.betti.len() != dim + 1 {
         return Err(CertError::Reject(format!(
             "betti table has {} entries for a {dim}-dimensional complex",
@@ -458,12 +482,12 @@ pub fn check_homology(cert: &HomologyCert) -> Result<(), CertError> {
     rank[0] = 1;
     for (i, w) in cert.ranks.iter().enumerate() {
         let k = i + 1;
-        let rows = boundary_rows(&closure[k], &closure[k - 1], k);
-        verify_witness(w, cert.ranks.get(k), &rows, closure[k - 1].len() / k)?;
+        let rows_k = std::mem::take(&mut rows[k]);
+        verify_witness(w, cert.ranks.get(k), &rows_k, counts[k - 1])?;
         rank[k] = w.rank as u64;
     }
     for k in 0..=dim {
-        let c_k = (closure[k].len() / (k + 1)) as u64;
+        let c_k = counts[k] as u64;
         let expect = c_k
             .checked_sub(rank[k] + rank[k + 1])
             .ok_or_else(|| CertError::Reject(format!("ranks exceed chain dimension at k = {k}")))?;
@@ -497,6 +521,117 @@ pub(crate) fn connectivity_from_betti(betti: &[u64], dim: usize) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The oracle for [`face_closure`]: every nonempty subset of every
+    /// facet, sorted and deduplicated per dimension, with each boundary
+    /// face found by binary search.
+    mod subset_oracle {
+        /// `closure[d]`: the sorted distinct `d`-simplexes, flat with
+        /// stride `d + 1`.
+        pub fn closure(facets: &[Vec<u32>]) -> Vec<Vec<u32>> {
+            let dim = facets.iter().map(|f| f.len() - 1).max().unwrap_or(0);
+            let mut by_dim: Vec<Vec<u32>> = vec![Vec::new(); dim + 1];
+            for f in facets {
+                for mask in 1u32..(1u32 << f.len()) {
+                    let d = mask.count_ones() as usize - 1;
+                    by_dim[d].extend(
+                        f.iter()
+                            .enumerate()
+                            .filter(|&(i, _)| (mask >> i) & 1 == 1)
+                            .map(|(_, &v)| v),
+                    );
+                }
+            }
+            for (d, flat) in by_dim.iter_mut().enumerate() {
+                let mut rows: Vec<&[u32]> = flat.chunks_exact(d + 1).collect();
+                rows.sort_unstable();
+                rows.dedup();
+                *flat = rows.concat();
+            }
+            by_dim
+        }
+
+        /// `∂_k` over the sorted simplexes, flat with stride `k + 1`.
+        pub fn boundary_rows(closure: &[Vec<u32>], k: usize) -> Vec<u32> {
+            let lower: Vec<&[u32]> = closure[k - 1].chunks_exact(k).collect();
+            let mut rows = Vec::new();
+            for s in closure[k].chunks_exact(k + 1) {
+                for drop in (0..=k).rev() {
+                    let face: Vec<u32> = s[..drop].iter().chain(&s[drop + 1..]).copied().collect();
+                    let col = lower
+                        .binary_search(&&face[..])
+                        .expect("closure contains every face");
+                    rows.push(col as u32);
+                }
+            }
+            rows
+        }
+    }
+
+    /// Facets drawn from a pool of sparse vertex ids, small and near
+    /// `u32::MAX − 1`: each mask picks a nonempty subset of the pool.
+    fn facets_from(pool: &[u32], masks: &[u32], repeats: &[usize]) -> Vec<Vec<u32>> {
+        let mut facets: Vec<Vec<u32>> = masks
+            .iter()
+            .map(|&m| {
+                let f: Vec<u32> = (0..pool.len())
+                    .filter(|&i| (m >> i) & 1 == 1)
+                    .map(|i| pool[i])
+                    .collect();
+                if f.is_empty() {
+                    vec![pool[m as usize % pool.len()]]
+                } else {
+                    f
+                }
+            })
+            .collect();
+        for &r in repeats {
+            facets.push(facets[r % facets.len()].clone());
+        }
+        facets
+    }
+
+    proptest! {
+        #[test]
+        fn top_down_closure_matches_the_subset_oracle(
+            small in proptest::collection::btree_set(0u32..16, 0..5),
+            high in proptest::collection::btree_set(u32::MAX - 8..u32::MAX, 0..4),
+            wide in proptest::collection::btree_set(0u32..u32::MAX, 1..4),
+            masks in proptest::collection::vec(0u32..(1 << 10), 1..12),
+            repeats in proptest::collection::vec(0usize..12, 0..6),
+        ) {
+            let mut pool: Vec<u32> = small.into_iter().chain(high).chain(wide).collect();
+            pool.sort_unstable();
+            pool.dedup();
+            let facets = facets_from(&pool, &masks, &repeats);
+            let oracle = subset_oracle::closure(&facets);
+            let closure = face_closure(&facets).unwrap();
+            let counts: Vec<usize> = oracle
+                .iter()
+                .enumerate()
+                .map(|(d, flat)| flat.len() / (d + 1))
+                .collect();
+            prop_assert_eq!(&closure.counts, &counts);
+            prop_assert!(closure.rows[0].is_empty());
+            for k in 1..oracle.len() {
+                prop_assert_eq!(&closure.rows[k], &subset_oracle::boundary_rows(&oracle, k));
+            }
+        }
+    }
+
+    #[test]
+    fn a_23_vertex_facet_is_refused_before_closing() {
+        // 2^23 − 1 ≈ 8.4 M faces: over the cap on its own, so the
+        // closure refuses it up front instead of building any level.
+        let facets = vec![vec![0, 1], (0..23).collect()];
+        assert_eq!(
+            face_closure(&facets).err(),
+            Some(CertError::TooLarge(format!(
+                "face closure exceeds {MAX_CLOSURE_FACES} simplexes"
+            )))
+        );
+    }
 
     /// Hollow triangle: b̃ = (0, 1), rank ∂_1 = 2.
     fn circle() -> HomologyCert {

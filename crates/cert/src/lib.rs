@@ -180,4 +180,59 @@ mod tests {
         ));
         assert!(matches!(Cert::parse(""), Err(CertError::Parse { .. })));
     }
+
+    #[test]
+    fn numbers_round_trip_at_digit_and_width_edges() {
+        let cert = Cert::Homology(HomologyCert {
+            label: "edges".into(),
+            facets: vec![vec![0, 9, 10, u32::MAX], vec![99, 100]],
+            betti: vec![u64::MAX, 10],
+            connectivity: -1,
+            ranks: vec![RankWitness {
+                k: 1,
+                rank: 1,
+                basis: vec![vec![0, 9, 10, u32::MAX]],
+                combo: vec![vec![9, 10]],
+            }],
+        });
+        let text = cert.to_text();
+        assert!(text.contains("\n0 9 10 4294967295\n"), "{text}");
+        assert!(text.contains("\nbetti 18446744073709551615 10\n"), "{text}");
+        assert_eq!(Cert::parse(&text), Ok(cert));
+    }
+
+    #[test]
+    fn parse_errors_keep_their_messages_and_lines() {
+        let parse_err = |text: &str| match Cert::parse(text) {
+            Err(CertError::Parse { line, msg }) => (line, msg),
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        let head = "ksa-cert/1 homology\n";
+        assert_eq!(
+            parse_err(&format!("{head}label x\n")),
+            (
+                3,
+                "unexpected end of certificate, expected `facets ...`".into()
+            )
+        );
+        assert_eq!(
+            parse_err(&format!("{head}label x\nfacts 1\n")),
+            (3, "expected `facets ...`, found `facts 1`".into())
+        );
+        assert_eq!(
+            parse_err(&format!("{head}\nlabel x\n")),
+            (2, "blank line, expected `label ...`".into())
+        );
+        assert_eq!(
+            parse_err(&format!("{head}label x\nfacets 1\n")),
+            (
+                4,
+                "unexpected end of certificate, expected a facet vertex line".into()
+            )
+        );
+        assert_eq!(
+            parse_err(&format!("{head}label x\nfacets 1\n0 x\n")),
+            (4, "bad number `x` in a facet vertex line".into())
+        );
+    }
 }

@@ -1,6 +1,7 @@
 //! Line-based text (de)serialization helpers shared by the cert kinds.
 
 use crate::CertError;
+use std::fmt;
 
 /// A strict line cursor over a certificate payload.
 ///
@@ -34,12 +35,16 @@ impl<'a> Cursor<'a> {
     }
 
     /// Consume and return the next line; `what` names the expectation
-    /// for the truncated-input error message.
-    pub(crate) fn next(&mut self, what: &str) -> Result<&'a str, CertError> {
-        let line = self.lines.get(self.pos).copied().ok_or(CertError::Parse {
-            line: self.pos + 1,
-            msg: format!("unexpected end of certificate, expected {what}"),
-        })?;
+    /// for the error messages, and is only formatted when one is raised.
+    pub(crate) fn next(&mut self, what: impl fmt::Display) -> Result<&'a str, CertError> {
+        let line = self
+            .lines
+            .get(self.pos)
+            .copied()
+            .ok_or_else(|| CertError::Parse {
+                line: self.pos + 1,
+                msg: format!("unexpected end of certificate, expected {what}"),
+            })?;
         self.pos += 1;
         if line.is_empty() {
             return Err(self.err(format!("blank line, expected {what}")));
@@ -50,7 +55,7 @@ impl<'a> Cursor<'a> {
     /// Consume a line of the form `<tag> <rest>`, returning `rest`
     /// (which may be empty for tags that carry no payload).
     pub(crate) fn tagged(&mut self, tag: &str) -> Result<&'a str, CertError> {
-        let line = self.next(&format!("`{tag} ...`"))?;
+        let line = self.next(format_args!("`{tag} ...`"))?;
         match line.strip_prefix(tag) {
             Some("") => Ok(""),
             Some(rest) if rest.starts_with(' ') => Ok(rest.trim_start()),
@@ -84,15 +89,23 @@ pub(crate) fn parse_nums<T: std::str::FromStr>(s: &str) -> Result<Vec<T>, String
         .collect()
 }
 
-/// Append `nums` to `out` separated by single spaces, then a newline.
-pub(crate) fn push_nums<T: std::fmt::Display>(out: &mut String, nums: impl IntoIterator<Item = T>) {
-    let mut first = true;
+/// Append `nums` to `out` in decimal, separated by single spaces, then a
+/// newline. The digits are written straight into `out`.
+pub(crate) fn push_nums<T: Into<u64>>(out: &mut String, nums: impl IntoIterator<Item = T>) {
+    let mut sep = "";
     for n in nums {
-        if !first {
-            out.push(' ');
+        out.push_str(sep);
+        sep = " ";
+        let (mut n, mut digits, mut at) = (n.into(), [0u8; 20], 20);
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
         }
-        first = false;
-        out.push_str(&n.to_string());
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     }
     out.push('\n');
 }

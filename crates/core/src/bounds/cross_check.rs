@@ -123,7 +123,8 @@ impl fmt::Display for RoundSweepReport {
 /// With `certify: None` one chain-engine sweep measures every round and
 /// the certificate list is empty. With `certify: Some(label)` every row
 /// is re-derived through the *certified* Betti path
-/// ([`ksa_topology::chain::reduced_betti_certified`]), and one
+/// ([`RoundsComplex::certified_betti`], which interns each round through
+/// its dense view table), and one
 /// [`ksa_cert::HomologyCert`] per round, labelled `"<label> r=<round>"`,
 /// comes back with the report (DESIGN.md §11). The report is
 /// bit-identical either way, since ranks are properties of the matrices;
@@ -167,12 +168,9 @@ pub fn cross_check_round_sweep<'a>(
             let mut certs = Vec::with_capacity(rounds);
             for r in 1..=rounds {
                 run.checkpoint()?;
-                let complex = rc.complex_at(r).expect("round was materialized");
-                let (betti, cert) = ksa_topology::chain::reduced_betti_certified(
-                    complex,
-                    &format!("{label} r={r}"),
-                )
-                .expect("protocol complexes are never void");
+                let (betti, cert) = rc
+                    .certified_betti(r, &format!("{label} r={r}"))
+                    .expect("protocol complexes are never void");
                 // `HomologyCert::connectivity` uses the same convention as
                 // `Connectivity::from_reduced_betti`: first nonzero index
                 // minus one, or the dimension when the table vanishes.

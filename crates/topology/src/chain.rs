@@ -81,13 +81,17 @@ fn sort_dedup_chunks(data: &[u32], stride: usize) -> (Vec<u32>, Vec<u32>) {
 /// zero (dependent). The basis size is the rank of everything absorbed —
 /// a value independent of absorption order, though the engine always
 /// absorbs in canonical simplex order so intermediate bases are
-/// reproducible too.
+/// reproducible too. The reduction runs in one reused work row with
+/// [`xor_in_place`]; the only allocation is the exact-size copy of a row
+/// that joins the basis.
 #[derive(Debug, Clone)]
 struct Echelon {
     rows: Vec<Vec<u32>>,
     /// `pivot_of[col]`: index into `rows` of the basis row leading with
     /// `col`, or `u32::MAX`; sized to the column count.
     pivot_of: Vec<u32>,
+    /// The row being reduced.
+    work: Vec<u32>,
 }
 
 impl Echelon {
@@ -96,25 +100,41 @@ impl Echelon {
         Echelon {
             rows: Vec::new(),
             pivot_of: vec![u32::MAX; cols],
+            work: Vec::new(),
         }
+    }
+
+    /// Copies `row` into the work row and reduces it until its leading
+    /// column has no basis row (returned) or it vanishes (`None`),
+    /// calling `step(p)` after each XOR of basis row `p` into it.
+    fn reduce(&mut self, row: &[u32], mut step: impl FnMut(usize)) -> Option<u32> {
+        self.work.clear();
+        self.work.extend_from_slice(row);
+        loop {
+            let &lead = self.work.first()?;
+            let p = self.pivot_of[lead as usize];
+            if p == u32::MAX {
+                return Some(lead);
+            }
+            xor_in_place(&mut self.work, &self.rows[p as usize]);
+            step(p as usize);
+        }
+    }
+
+    /// Inserts the reduced work row, which leads with `lead`.
+    fn insert(&mut self, lead: u32) {
+        self.pivot_of[lead as usize] = self.rows.len() as u32;
+        self.rows.push(self.work.to_vec());
     }
 
     /// Absorbs one sparse row, whose column ids must lie below the count
     /// given to [`Echelon::new`]; returns whether the rank grew.
     fn absorb(&mut self, row: &[u32]) -> bool {
-        let mut row = row.to_vec();
-        loop {
-            let Some(&lead) = row.first() else {
-                return false;
-            };
-            let p = self.pivot_of[lead as usize];
-            if p == u32::MAX {
-                self.pivot_of[lead as usize] = self.rows.len() as u32;
-                self.rows.push(row);
-                return true;
-            }
-            row = symm_diff(&row, &self.rows[p as usize]);
-        }
+        let Some(lead) = self.reduce(row, |_| {}) else {
+            return false;
+        };
+        self.insert(lead);
+        true
     }
 
     fn rank(&self) -> usize {
@@ -130,12 +150,20 @@ impl Echelon {
 /// original row the witness of `∂_{k+1}` does not exempt gives the
 /// ceiling (rank ≤ r), and the recorded combinations prove each basis
 /// row lies in the row space.
+///
+/// A row's combination is only needed if the row joins the basis, so
+/// the reduction just logs which basis rows it adds; the combination is
+/// XORed together from that log after the row turns out independent.
 #[derive(Debug, Clone)]
 struct WitnessEchelon {
     ech: Echelon,
     /// `combos[i]`: ascending original-row indices XOR-summing to
     /// `ech.rows[i]`.
     combos: Vec<Vec<u32>>,
+    /// The basis rows added to the row being reduced, in order.
+    added: Vec<usize>,
+    /// The combination of the row being inserted.
+    combo: Vec<u32>,
 }
 
 impl WitnessEchelon {
@@ -144,53 +172,55 @@ impl WitnessEchelon {
         WitnessEchelon {
             ech: Echelon::new(cols),
             combos: Vec::new(),
+            added: Vec::new(),
+            combo: Vec::new(),
         }
     }
 
     /// Absorbs the `idx`-th original row, tracking its combination.
     fn absorb(&mut self, row: &[u32], idx: u32) {
-        let mut row = row.to_vec();
-        let mut combo = vec![idx];
-        loop {
-            let Some(&lead) = row.first() else {
-                return;
-            };
-            let p = self.ech.pivot_of[lead as usize];
-            if p == u32::MAX {
-                self.ech.pivot_of[lead as usize] = self.ech.rows.len() as u32;
-                self.ech.rows.push(row);
-                self.combos.push(combo);
-                return;
-            }
-            row = symm_diff(&row, &self.ech.rows[p as usize]);
-            combo = symm_diff(&combo, &self.combos[p as usize]);
+        let WitnessEchelon {
+            ech,
+            combos,
+            added,
+            combo,
+        } = self;
+        added.clear();
+        let Some(lead) = ech.reduce(row, |p| added.push(p)) else {
+            return;
+        };
+        ech.insert(lead);
+        combo.clear();
+        combo.push(idx);
+        for &p in added.iter() {
+            xor_in_place(combo, &combos[p]);
         }
+        combos.push(combo.to_vec());
     }
 }
 
-/// The symmetric difference of two ascending id lists (GF(2) row XOR).
-fn symm_diff(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
+/// GF(2) row addition on ascending id lists, in place: `acc ← acc △
+/// other`. `acc` grows by `other.len()` and its ids move to the tail;
+/// the merge then writes from the front, never past the next unread id,
+/// and the result is truncated to its length.
+fn xor_in_place(acc: &mut Vec<u32>, other: &[u32]) {
+    let (a, b) = (acc.len(), other.len());
+    acc.resize(a + b, 0);
+    acc.copy_within(0..a, b);
+    let (mut r, mut j, mut w) = (b, 0, 0);
+    while r < a + b && j < b {
+        let (x, y) = (acc[r], other[j]);
+        if x != y {
+            acc[w] = x.min(y);
+            w += 1;
         }
+        r += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+    acc.copy_within(r.., w);
+    w += a + b - r;
+    acc[w..w + b - j].copy_from_slice(&other[j..]);
+    acc.truncate(w + b - j);
 }
 
 /// A simplicial complex flattened for homology: per-dimension simplex
@@ -533,12 +563,25 @@ pub fn reduced_betti_certified<V: View>(
     complex: &Complex<V>,
     label: &str,
 ) -> Option<(Vec<usize>, ksa_cert::HomologyCert)> {
+    let _span = ksa_obs::span("cert", || "produce");
     let mut facet_ids: Vec<Vec<u32>> = Vec::with_capacity(complex.facet_count());
+    let vertex_count = intern_facets(complex, |ids| facet_ids.push(ids.to_vec()));
+    certified_from_facet_ids(vertex_count, facet_ids, label)
+}
+
+/// [`reduced_betti_certified`] over interned facets: `facet_ids` lists
+/// the complex's facets, in facet order, as ascending ids that are
+/// positions in the sorted vertex table (so every id in
+/// `0..vertex_count` occurs). The list becomes the certificate's facets.
+pub(crate) fn certified_from_facet_ids(
+    vertex_count: usize,
+    facet_ids: Vec<Vec<u32>>,
+    label: &str,
+) -> Option<(Vec<usize>, ksa_cert::HomologyCert)> {
     let mut facets = Vec::new();
-    let vertex_count = intern_facets(complex, |ids| {
-        facet_ids.push(ids.to_vec());
+    for ids in &facet_ids {
         file_facet(&mut facets, ids);
-    });
+    }
     let mut cc = ChainComplex::from_facet_ids(vertex_count, facets);
     if cc.is_void() {
         return None;
@@ -622,6 +665,20 @@ mod tests {
 
     fn simplex(colors: &[usize]) -> Simplex<u32> {
         Simplex::new(colors.iter().map(|&c| Vertex::new(c, 0u32)).collect()).unwrap()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn xor_in_place_is_the_symmetric_difference(
+            a in proptest::collection::btree_set(0u32..48, 0..24),
+            b in proptest::collection::btree_set(0u32..48, 0..24),
+        ) {
+            let mut acc: Vec<u32> = a.iter().copied().collect();
+            let other: Vec<u32> = b.iter().copied().collect();
+            xor_in_place(&mut acc, &other);
+            let expect: Vec<u32> = a.symmetric_difference(&b).copied().collect();
+            proptest::prop_assert_eq!(acc, expect);
+        }
     }
 
     #[test]

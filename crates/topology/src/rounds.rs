@@ -28,7 +28,7 @@
 //! are bit-identical at any `KSA_THREADS`, proptest-pinned at pool sizes
 //! 1/2/8.
 
-use crate::chain::{file_facet, ChainComplex};
+use crate::chain::{certified_from_facet_ids, file_facet, ChainComplex};
 use crate::complex::Complex;
 use crate::connectivity::Connectivity;
 use crate::error::TopologyError;
@@ -171,6 +171,27 @@ impl<V: View> RoundsComplex<V> {
                 })
             })
             .collect()
+    }
+
+    /// The certified homology of the protocol complex after `round`
+    /// rounds (1-based): byte for byte what
+    /// [`reduced_betti_certified`](crate::chain::reduced_betti_certified)
+    /// returns for [`complex_at(round)`](Self::complex_at), interned
+    /// through the round's dense view table instead of a vertex sort.
+    /// `None` when the round was not computed or its complex is void.
+    pub fn certified_betti(
+        &self,
+        round: usize,
+        label: &str,
+    ) -> Option<(Vec<usize>, ksa_cert::HomologyCert)> {
+        let _span = ksa_obs::span("cert", || "produce");
+        let t = round.checked_sub(1)?;
+        let complex = self.complexes.get(t)?;
+        let mut facet_ids: Vec<Vec<u32>> = Vec::with_capacity(complex.facet_count());
+        let vertex_count = dense_facet_ids(complex, self.tables[t].len(), |ids| {
+            facet_ids.push(ids.to_vec())
+        });
+        certified_from_facet_ids(vertex_count, facet_ids, label)
     }
 
     /// Re-materializes the **round-1** complex with explicit flat views —

@@ -5,9 +5,11 @@
 //! vector must equal the dense `reduced_betti_numbers_seq` oracle, and
 //! every seeded corruption of the witness must be rejected — a fixed
 //! list per complex here, and a random sweep over the `rounds`
-//! certificates through round 2.
+//! certificates through round 2. The round-table path
+//! (`RoundsComplex::certified_betti`) must emit the generic path's
+//! certificate text byte for byte on every round of those models.
 
-use ksa_cert::{check_homology, CertError, HomologyCert};
+use ksa_cert::{check_homology, Cert, CertError, HomologyCert};
 use ksa_graphs::budget::RunBudget;
 use ksa_models::registry;
 use ksa_topology::chain::reduced_betti_certified;
@@ -136,6 +138,40 @@ fn certified_betti_matches_oracle_on_rounds_models_at_one_round() {
     }
     // Three corruptions per dimension of each 2-dimensional complex.
     assert_eq!(mutated, 4 * 2 * 3);
+}
+
+#[test]
+fn round_table_certificates_match_the_generic_path() {
+    // The `rounds` experiment's model table: (name, rounds).
+    let reg = registry::builtin();
+    let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
+        .unwrap()
+        .to_complex();
+    for (name, rounds) in [
+        ("ring{n=3}", 3),
+        ("ring{n=3,sym}", 2),
+        ("stars{n=3,s=1}", 2),
+        ("stars{n=3,s=2}", 2),
+    ] {
+        let model = reg
+            .resolve_closed_above(name, RunBudget::DEFAULT)
+            .expect("builtin model");
+        let rc = protocol_complex_rounds(model.generators(), &input, rounds, 10_000_000).unwrap();
+        for r in 1..=rounds {
+            let label = format!("{name} r={r}");
+            let (dense_betti, dense) = rc.certified_betti(r, &label).expect("round computed");
+            let complex = rc.complex_at(r).expect("round computed");
+            let (betti, generic) = reduced_betti_certified(complex, &label).expect("nonvoid");
+            assert_eq!(dense_betti, betti, "{label}");
+            assert_eq!(
+                Cert::Homology(dense).to_text(),
+                Cert::Homology(generic).to_text(),
+                "{label}"
+            );
+        }
+        assert!(rc.certified_betti(0, name).is_none());
+        assert!(rc.certified_betti(rounds + 1, name).is_none());
+    }
 }
 
 /// Toggles `x` in the strictly ascending list `list`.
