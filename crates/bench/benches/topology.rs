@@ -131,13 +131,12 @@ fn bench_input_complex(c: &mut Criterion) {
     group.finish();
 }
 
-/// The shelling portfolio vs the pinned sequential oracle (DESIGN.md
-/// §11): the Fig 4 exemplars (tiny accept/reject pair), the octahedron
-/// (cross-polytope n = 3, the largest shellable zoo complex) and the
-/// n = 4 cross-polytope, each through both search paths plus the
-/// certified producer.
+/// The shelling search (DESIGN.md §11.3): the Fig 4 exemplars (tiny
+/// accept/reject pair), the octahedron (cross-polytope n = 3, the
+/// largest shellable zoo complex) and the n = 4 cross-polytope, each
+/// through the plain search and the certified producer.
 fn bench_shelling(c: &mut Criterion) {
-    use ksa_topology::shelling::{find_shelling_order_seq, is_shellable_certified};
+    use ksa_topology::shelling::is_shellable_certified;
     use ksa_topology::simplex::{Simplex, Vertex};
 
     let mut group = c.benchmark_group("shelling");
@@ -168,11 +167,8 @@ fn bench_shelling(c: &mut Criterion) {
         cases.push((format!("cross_polytope_{n}"), complex));
     }
     for (name, complex) in &cases {
-        group.bench_with_input(BenchmarkId::new("portfolio", name), complex, |b, cx| {
+        group.bench_with_input(BenchmarkId::new("search", name), complex, |b, cx| {
             b.iter(|| find_shelling_order(black_box(cx), None))
-        });
-        group.bench_with_input(BenchmarkId::new("seq_oracle", name), complex, |b, cx| {
-            b.iter(|| find_shelling_order_seq(black_box(cx)))
         });
         group.bench_with_input(BenchmarkId::new("certified", name), complex, |b, cx| {
             b.iter(|| is_shellable_certified(black_box(cx), "bench"))

@@ -154,7 +154,7 @@ pub fn fig4() -> R {
     out.line(format!("Figure 4b shellable: {b} (paper: no)"));
     out.check("4a shellable", a);
     out.check("4b not shellable", !b);
-    // The portfolio's verdicts agree with the pinned sequential oracle.
+    // The certified and plain entry points agree.
     out.check(
         "4a verdict matches is_shellable",
         is_shellable(&fig4a)? == a,
@@ -773,9 +773,7 @@ pub fn cor55() -> R {
 /// this is where the pruned search's wall-clock win lands, so the
 /// timings start a fresh baseline series (see EXPERIMENTS.md).
 pub fn solv() -> R {
-    use ksa_core::solvability::{
-        decide_one_round_sweep, decide_one_round_with_table, NoGoodTable, Solvability,
-    };
+    use ksa_core::solvability::{decide_one_round, decide_one_round_sweep, Solvability};
     let mut out = ExperimentOutcome::new("solv");
     out.line("extension — exact one-round oblivious solvability (incremental k-sweep, certified)");
     out.line(format!(
@@ -839,14 +837,12 @@ pub fn solv() -> R {
             // certified path (cheap after the pruned search) and emit a
             // machine-checkable certificate for the verdict. The sweep
             // uses per-k inputs over {0, …, k}, so value_max = k.
-            let table = NoGoodTable::new();
-            let (scratch, _, cert) = decide_one_round_with_table(
+            let (scratch, _, cert) = decide_one_round(
                 &model,
                 k,
                 k,
                 2_000_000u128,
                 50_000_000,
-                &table,
                 Some(&format!("{name} k={k}")),
             )?;
             out.check(

@@ -13,7 +13,7 @@
 //!   rebuilds the face closure and boundary rows from the facet list
 //!   and verifies an explicit row-combination witness; the solvability
 //!   checker replays the decision map over every execution. A bug in
-//!   the portfolio search, the chain engine, or the CSP solver cannot
+//!   the shelling search, the chain engine, or the CSP solver cannot
 //!   silently re-confirm itself.
 //! - **Differential surface for parallelism.** Certificates are checked
 //!   in-run by the `fig4`/`rounds`/`solv` experiments and offline by

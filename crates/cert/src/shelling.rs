@@ -2,7 +2,7 @@
 //!
 //! The checker re-implements the shelling step condition from scratch
 //! over sorted `u32` slices — it shares no code with
-//! `ksa_topology::shelling`, whose simplex types and portfolio search
+//! `ksa_topology::shelling`, whose simplex types and memoized search
 //! produce the certificates.
 
 use crate::text::{push_label, push_nums, Cursor};
@@ -22,8 +22,8 @@ pub enum ShellingVerdict {
     /// `states` dead facet subsets. Refuted by brute force up to
     /// [`BRUTE_FORCE_MAX_FACETS`] facets, attested above that.
     Exhausted {
-        /// Dead used-sets recorded by the producing search (schedule-
-        /// dependent for the portfolio; attestation data, not replayed).
+        /// Dead used-sets recorded by the producing search (a function
+        /// of the facet list; attestation data, not replayed).
         states: u64,
     },
 }

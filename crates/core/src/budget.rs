@@ -11,7 +11,7 @@
 //!
 //! [`CancelToken`] and [`Deadline`] live next to the budget for the same
 //! reason: every long-running search (the CSP k-sweep, the rounds/chain
-//! pipeline, the shelling portfolio) polls the same token type, and the
+//! pipeline, the shelling search) polls the same token type, and the
 //! graphs crate is the one layer all of them can see. A budget bounds
 //! *how much* a computation may do; a token decides *whether it may keep
 //! going* — both surface as dedicated [`CoreError`](crate::CoreError)

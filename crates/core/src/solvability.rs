@@ -31,19 +31,16 @@
 //!   of their decision set under the group; sibling branches with equal
 //!   canonical keys are orbit duplicates and explored once.
 //! * **A monotone no-good table** — refuted canonical decision sets are
-//!   published to a shared, lock-sharded [`NoGoodTable`]. Every entry is
-//!   a fact about the *instance* ("no solution extends this orbit"),
-//!   never about one strategy's schedule, so lookups only skip work and
-//!   can never flip a verdict: determinism at any `KSA_THREADS` holds by
-//!   construction.
+//!   recorded in a search-local table. Every entry is a fact about the
+//!   *instance* ("no solution extends this orbit"), so a lookup only
+//!   skips work whose outcome is already decided.
 //!
-//! Strategy variants (value-iteration
-//! direction, tie-breaking rule) race on the `ksa-exec` work-stealing
-//! pool sharing one table; the first to complete cancels the rest.
-//! Verdicts are intrinsic to the instance, hence identical at any thread
-//! count (only the synthesized witness map may differ — any witness
-//! returned is valid). [`decide_one_round_seq`] keeps the historical
-//! forward-checking search, untouched, as the differential-test oracle.
+//! One search runs, on the calling thread, in one fixed variable and
+//! value order, so verdicts, witness maps and search statistics are a
+//! function of the instance alone — bit-identical at any `KSA_THREADS`.
+//! [`decide_one_round_seq`] keeps the historical forward-checking search
+//! (no propagation, no orbits, no table) as the differential-test
+//! oracle.
 //! The up-front [`RunBudget`] guard makes oversized instances fail fast
 //! instead of enumerating unbounded superset spaces.
 //!
@@ -374,12 +371,11 @@ fn validate_k(k: usize) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// The enumeration prologue shared by [`decide_one_round`] and
-/// [`decide_one_round_with_table`]: validates `k`, polls the token,
-/// admits the raw superset space against the budget, then enumerates
-/// every input assignment on the pool ([`merge_all`] numbers views and
-/// executions exactly as [`merge_all_seq`] does) and polls again.
-/// Returns the value count and the merged instance.
+/// The enumeration prologue of [`decide_one_round`]: validates `k`,
+/// polls the token, admits the raw superset space against the budget,
+/// then enumerates every input assignment on the pool ([`merge_all`]
+/// numbers views and executions exactly as [`merge_all_seq`] does) and
+/// polls again. Returns the value count and the merged instance.
 fn enumerate_one_round(
     model: &ClosedAboveModel,
     k: usize,
@@ -405,31 +401,40 @@ fn enumerate_one_round(
 }
 
 /// Decides one-round oblivious solvability of k-set agreement on `model`
-/// with inputs from `{0, …, value_max}`.
+/// with inputs from `{0, …, value_max}`, returning the verdict, the
+/// search's work accounting and — with `certify: Some(label)` — a
+/// machine-checkable certificate of a decided verdict.
 ///
 /// `run` carries the [`RunBudget`] of the search (a `u128` converts): it
 /// bounds both the raw superset space scanned by the enumeration
 /// (checked **up front**, so oversized instances fail fast instead of
 /// running unbounded) and the number of distinct executions retained.
-/// `node_budget` bounds the backtracking nodes per search strategy
-/// (exceeding it returns [`Solvability::Unknown`]).
+/// `node_budget` bounds the backtracking nodes (exceeding it returns
+/// [`Solvability::Unknown`]).
 ///
 /// The CSP runs the pruned search (propagation, orbit symmetry breaking
-/// and a no-good table, with strategy variants racing on the
-/// work-stealing pool — see the module docs). Decided verdicts
-/// (`Solvable`/`Unsolvable`) are intrinsic to the instance and therefore
-/// identical to [`decide_one_round_seq`] at any thread count; at the
-/// `node_budget` boundary, however, the pruned search may decide an
-/// instance the sequential scan gives up on (it returns a verdict where
-/// the reference returns [`Solvability::Unknown`] — never a *different*
-/// decided verdict).
+/// and a no-good table — see the module docs) on the calling thread.
+/// Verdict, witness map and [`SearchStats`] are a function of the
+/// instance, identical at any thread count. Decided verdicts agree with
+/// [`decide_one_round_seq`]; at the `node_budget` boundary the two
+/// searches may differ in which instances they give up on, never in a
+/// decided verdict. Instances whose value range exceeds the bitmask
+/// width fall back to the sequential reference and report default stats.
 ///
-/// The run's [`CancelToken`], if any, is polled around the enumeration,
-/// and the racing portfolio polls a *child* of it at every decision
-/// node, so an external cancellation (or deadline) stops all strategies
-/// and surfaces as an error instead of a verdict. A token that never
-/// fires is side-effect-free: verdicts stay bit-identical to the
-/// token-free run at any `KSA_THREADS`.
+/// The run's [`CancelToken`], if any, is polled around the enumeration
+/// and at every decision node, so an external cancellation (or deadline)
+/// surfaces as an error instead of a verdict. A token that never fires
+/// is side-effect-free.
+///
+/// With `certify: Some(label)` a decided verdict also yields a
+/// [`ksa_cert::SolvabilityCert`] (DESIGN.md §11): `Solvable` carries the
+/// full decision map, `Unsolvable` an exhaustion attestation built from
+/// the [`SearchStats`]; `Unknown` yields none. The certificate's closure
+/// graphs are enumerated independently of the search (the same
+/// [`ksa_graphs::closure::enumerate_closure`] surface the replay
+/// verifier uses), under the run's budget as the graph ceiling, so the
+/// standalone checker replays decisions against a graph set the
+/// producer did not hand-pick.
 ///
 /// # Errors
 ///
@@ -437,17 +442,19 @@ fn enumerate_one_round(
 /// the superset space exceeds the budget; [`CoreError::Topology`]
 /// (budget) when the distinct-execution count exceeds it;
 /// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] when the
-/// token fires.
+/// token fires; graph-layer errors when a certified closure enumeration
+/// overruns the budget.
 pub fn decide_one_round<'a>(
     model: &ClosedAboveModel,
     k: usize,
     value_max: usize,
     run: impl Into<Run<'a>>,
     node_budget: usize,
-) -> Result<Solvability, CoreError> {
+    certify: Option<&str>,
+) -> Result<(Solvability, SearchStats, Option<ksa_cert::SolvabilityCert>), CoreError> {
     let run = run.into();
     let (values, merger) = enumerate_one_round(model, k, value_max, run)?;
-    let verdict = solve_csp(
+    let (verdict, stats) = solve_csp(
         model.generators(),
         values,
         merger.views,
@@ -456,18 +463,23 @@ pub fn decide_one_round<'a>(
         node_budget,
         run.cancel,
     )?;
-    // A fired token degrades the search to `Unknown` (abandoned
-    // subtrees publish nothing); report the interruption instead.
+    // A fired token degrades the search to `Unknown`; report the
+    // interruption instead.
     run.checkpoint()?;
-    Ok(verdict)
+    let cert = match certify {
+        Some(label) => solvability_cert(model, k, value_max, &verdict, &stats, run.budget, label)?,
+        None => None,
+    };
+    Ok((verdict, stats, cert))
 }
 
 /// The sequential reference implementation of [`decide_one_round`]:
 /// single-threaded enumeration and the canonical most-constrained-first
 /// backtracking search, on the calling thread.
 ///
-/// Exists so tests (and skeptical users) can cross-check that the
-/// portfolio search returns the same verdicts.
+/// Plain forward checking with no propagation, orbits or no-good table:
+/// an algorithm independent of the pruned search, so tests (and
+/// skeptical users) can cross-check its verdicts.
 ///
 /// # Errors
 ///
@@ -495,6 +507,17 @@ pub fn decide_one_round_seq(
     )
 }
 
+/// The verdict of [`decide_one_round`] alone, at a generous node budget.
+#[cfg(test)]
+fn verdict_of(
+    model: &ClosedAboveModel,
+    k: usize,
+    value_max: usize,
+    execs: u128,
+) -> Result<Solvability, CoreError> {
+    decide_one_round(model, k, value_max, execs, 50_000_000, None).map(|(verdict, _, _)| verdict)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,9 +532,9 @@ mod tests {
         // 3-set solvable. The decision procedure finds exactly that
         // boundary.
         let m = named::star_unions(3, 1).unwrap();
-        let s2 = decide_one_round(&m, 2, 2, EXECS as u128, NODES).unwrap();
+        let s2 = verdict_of(&m, 2, 2, EXECS as u128).unwrap();
         assert_eq!(s2, Solvability::Unsolvable);
-        let s3 = decide_one_round(&m, 3, 3, EXECS as u128, NODES).unwrap();
+        let s3 = verdict_of(&m, 3, 3, EXECS as u128).unwrap();
         assert!(s3.is_solvable());
     }
 
@@ -520,9 +543,9 @@ mod tests {
         // Sym(C3): γ_eq(C3) = 2 upper; Thm 5.4 l+1 = 1: consensus
         // impossible; 2-set solvable.
         let m = named::symmetric_ring(3).unwrap();
-        let s1 = decide_one_round(&m, 1, 1, EXECS as u128, NODES).unwrap();
+        let s1 = verdict_of(&m, 1, 1, EXECS as u128).unwrap();
         assert_eq!(s1, Solvability::Unsolvable);
-        let s2 = decide_one_round(&m, 2, 2, EXECS as u128, NODES).unwrap();
+        let s2 = verdict_of(&m, 2, 2, EXECS as u128).unwrap();
         assert!(s2.is_solvable());
     }
 
@@ -531,20 +554,17 @@ mod tests {
         // n=3, s=2: upper n−s+1 = 2, lower n−s = 1 impossible.
         let m = named::star_unions(3, 2).unwrap();
         assert_eq!(
-            decide_one_round(&m, 1, 1, EXECS as u128, NODES).unwrap(),
+            verdict_of(&m, 1, 1, EXECS as u128).unwrap(),
             Solvability::Unsolvable
         );
-        assert!(decide_one_round(&m, 2, 2, EXECS as u128, NODES)
-            .unwrap()
-            .is_solvable());
+        assert!(verdict_of(&m, 2, 2, EXECS as u128).unwrap().is_solvable());
     }
 
     #[test]
     fn witness_is_a_working_algorithm() {
         use ksa_graphs::closure::enumerate_closure;
         let m = named::star_unions(3, 2).unwrap();
-        let Solvability::Solvable(map) = decide_one_round(&m, 2, 2, EXECS as u128, NODES).unwrap()
-        else {
+        let Solvability::Solvable(map) = verdict_of(&m, 2, 2, EXECS as u128).unwrap() else {
             panic!("solvable");
         };
         assert!(!map.is_empty());
@@ -582,9 +602,7 @@ mod tests {
     fn clique_solves_consensus() {
         let m = ksa_models::ClosedAboveModel::new(vec![ksa_graphs::Digraph::complete(3).unwrap()])
             .unwrap();
-        assert!(decide_one_round(&m, 1, 1, EXECS as u128, NODES)
-            .unwrap()
-            .is_solvable());
+        assert!(verdict_of(&m, 1, 1, EXECS as u128).unwrap().is_solvable());
     }
 
     #[test]
@@ -593,20 +611,18 @@ mod tests {
         // the synthesized map.
         let m = named::simple_ring(3).unwrap();
         assert_eq!(
-            decide_one_round(&m, 1, 1, EXECS as u128, NODES).unwrap(),
+            verdict_of(&m, 1, 1, EXECS as u128).unwrap(),
             Solvability::Unsolvable
         );
-        assert!(decide_one_round(&m, 2, 2, EXECS as u128, NODES)
-            .unwrap()
-            .is_solvable());
+        assert!(verdict_of(&m, 2, 2, EXECS as u128).unwrap().is_solvable());
     }
 
     #[test]
     fn parameters_validated() {
         let m = named::simple_ring(3).unwrap();
-        assert!(decide_one_round(&m, 0, 1, EXECS as u128, NODES).is_err());
+        assert!(verdict_of(&m, 0, 1, EXECS as u128).is_err());
         // Tiny execution budget trips the guard.
-        assert!(decide_one_round(&m, 2, 2, 1, NODES).is_err());
+        assert!(verdict_of(&m, 2, 2, 1).is_err());
     }
 
     #[test]
@@ -617,7 +633,7 @@ mod tests {
         // (previously the enumeration scanned the whole raw space and
         // only the distinct-execution limit could stop it, maybe never).
         let m = named::star_unions(6, 1).unwrap();
-        let err = decide_one_round(&m, 2, 1, 100_000, NODES).unwrap_err();
+        let err = verdict_of(&m, 2, 1, 100_000).unwrap_err();
         assert!(matches!(err, crate::CoreError::Budget(_)), "{err:?}");
         // The sequential reference enforces the same guard.
         assert!(decide_one_round_seq(&m, 2, 1, 100_000, NODES).is_err());
@@ -625,18 +641,17 @@ mod tests {
 
     #[test]
     fn portfolio_agrees_with_sequential_reference() {
-        // The racing portfolio must return bit-identical verdicts to the
-        // sequential most-constrained-first scan on the whole small zoo.
-        // One solvable and one unsolvable case from two different model
-        // families (the randomized breadth lives in the
-        // `solvability_parallel` proptest suite).
+        // The pruned search must return the verdicts of the independent
+        // forward-checking scan on the small zoo. Solvable and
+        // unsolvable cases from three model families (the randomized
+        // breadth lives in the `solvability_parallel` proptest suite).
         for (model, k) in [
             (named::star_unions(3, 1).unwrap(), 2),
             (named::star_unions(3, 1).unwrap(), 3),
             (named::symmetric_ring(3).unwrap(), 1),
             (named::simple_ring(3).unwrap(), 2),
         ] {
-            let par = decide_one_round(&model, k, k, EXECS as u128, NODES).unwrap();
+            let par = verdict_of(&model, k, k, EXECS as u128).unwrap();
             let seq = decide_one_round_seq(&model, k, k, EXECS, NODES).unwrap();
             assert_eq!(
                 std::mem::discriminant(&par),
@@ -756,7 +771,7 @@ pub fn decide_rounds_explicit(
     // The instance's process symmetries are the permutations stabilizing
     // the (deduplicated) set of r-round products — executions are
     // per-product, so any such relabeling maps executions to executions.
-    solve_csp(
+    let (verdict, _) = solve_csp(
         &products,
         values,
         merger.views,
@@ -764,14 +779,15 @@ pub fn decide_rounds_explicit(
         k,
         node_budget,
         None,
-    )
+    )?;
+    Ok(verdict)
 }
 
 // --- The CSP core ----------------------------------------------------------
 
 /// A preprocessed solvability CSP: one variable per reachable view, its
 /// domain the values heard in that view, one ≤-k-distinct constraint per
-/// execution. Shared by the sequential and portfolio searches.
+/// execution. Shared by the sequential and pruned searches.
 struct CspInstance {
     views: Vec<FlatView<Value>>,
     /// Per-view candidate decisions (heard values, sorted ascending).
@@ -888,12 +904,13 @@ fn view_consistent(csp: &CspInstance, v: usize, assignment: &[Option<Value>]) ->
 }
 
 /// Decides a solvability CSP with the pruned search (propagation + orbit
-/// symmetry breaking + no-good table), racing strategy variants on the
-/// pool. `sym_graphs` is the graph set whose stabilizer
-/// is the instance's process-symmetry group (the model generators for
-/// one round, the deduplicated schedule products for explicit rounds).
-/// Falls back to the sequential forward-checking reference when the
-/// value range exceeds the bitmask-domain width.
+/// symmetry breaking + no-good table) on the calling thread, returning
+/// the verdict with the search's work accounting. `sym_graphs` is the
+/// graph set whose stabilizer is the instance's process-symmetry group
+/// (the model generators for one round, the deduplicated schedule
+/// products for explicit rounds). Falls back to the sequential
+/// forward-checking reference (with default stats) when the value range
+/// exceeds the bitmask-domain width.
 fn solve_csp(
     sym_graphs: &[Digraph],
     values: Value,
@@ -902,53 +919,20 @@ fn solve_csp(
     k: usize,
     node_budget: usize,
     cancel: Option<&CancelToken>,
-) -> Result<Solvability, CoreError> {
+) -> Result<(Solvability, SearchStats), CoreError> {
     let instance = CspInstance::new(views, executions, k);
     let _span = ksa_obs::span("core", || "csp_decide").arg("views", instance.views.len() as u64);
     if values > MAX_MASK_VALUES {
         // The sequential fallback has no per-node poll point; callers
         // poll the token right before it.
-        return solve_csp_seq(instance, node_budget);
+        return Ok((
+            solve_csp_seq(instance, node_budget)?,
+            SearchStats::default(),
+        ));
     }
     let sym = CspSymmetry::detect(sym_graphs, &instance.views, values);
-    record_pruned_entry(&instance, &sym);
-    let table = NoGoodTable::new();
-    Ok(solve_csp_pruned_portfolio(
-        instance,
-        &sym,
-        &table,
-        node_budget,
-        cancel,
-    ))
-}
-
-/// Deterministic observability for one pruned-search entry: the verdict
-/// tick, the symmetry-group order, and the (pre-race, scheduling-free)
-/// count of orbit-duplicate branches at the root. Emitted once per
-/// decided instance regardless of thread count, so the deterministic
-/// counter stream is bit-identical at any `KSA_THREADS`.
-fn record_pruned_entry(csp: &CspInstance, sym: &CspSymmetry) {
-    ksa_obs::count(ksa_obs::Counter::CspVerdicts, 1);
-    ksa_obs::count(ksa_obs::Counter::CspSymmetries, sym.order() as u64);
-    let mut doms = csp.masks();
-    let root_prunes = if propagate(csp, &mut doms) {
-        match pick_var(csp, &doms, false) {
-            Some(v) => {
-                let mut seen: HashSet<NoGoodKey> = HashSet::new();
-                let mut dups = 0u64;
-                for val in mask_values(doms[v], false) {
-                    if !seen.insert(sym.canonical_signature(&[(v as u32, val)])) {
-                        dups += 1;
-                    }
-                }
-                dups
-            }
-            None => 0,
-        }
-    } else {
-        0
-    };
-    ksa_obs::count(ksa_obs::Counter::CspOrbitRootPrunes, root_prunes);
+    let (outcome, stats) = solve_pruned(&instance, &sym, cancel, node_budget);
+    Ok((finish_pruned(instance, outcome), stats))
 }
 
 /// The sequential most-constrained-first backtracking search (the
@@ -1020,8 +1004,8 @@ const SYM_ORDER_CAP: usize = 1024;
 
 /// Canonical signature of a partial decision set: the lex-least image of
 /// the sorted `(view, value)` pairs under the instance's symmetry group.
-/// Strategy-independent — the no-good table keys entries by it.
-pub type NoGoodKey = Box<[(u32, Value)]>;
+/// The no-good table keys entries by it.
+type NoGoodKey = Box<[(u32, Value)]>;
 
 /// One non-identity symmetry of a CSP instance: a relabeling of view ids
 /// together with the value relabeling that induced it.
@@ -1156,93 +1140,17 @@ impl CspSymmetry {
     }
 }
 
-/// A shared table of refuted canonical decision sets — a **monotone
-/// pruning oracle** (see `ksa_exec::ShardedSet` for the contract).
-///
-/// Entries are published only for subtrees the search *proved* empty
-/// (exhausted or propagation-refuted) — never for subtrees abandoned to
-/// the node budget or a cancellation — and keyed by strategy-independent
-/// canonical signatures. A hit therefore only skips work whose outcome
-/// is already decided; verdicts are unaffected by construction, at any
-/// thread count and under any seeding. Seeding entries that are not
-/// genuine no-goods of the *same* instance is safe exactly when they can
-/// never match a probed signature (e.g. out-of-range view ids); seeding
-/// a false matching entry would violate the contract.
-///
-/// Lock-sharded so racing strategies share one table.
-pub struct NoGoodTable {
-    inner: ksa_exec::ShardedSet<NoGoodKey>,
-}
-
-impl NoGoodTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        NoGoodTable {
-            inner: ksa_exec::ShardedSet::new(),
-        }
-    }
-
-    /// Number of published no-goods.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Publishes an externally-supplied entry (normalized to sorted
-    /// order). Intended for re-seeding a table from [`Self::snapshot`] of
-    /// an earlier search of the **same** instance; see the type docs for
-    /// what seeding may never do.
-    pub fn seed(&self, entry: &[(u32, Value)]) {
-        let mut key: Vec<(u32, Value)> = entry.to_vec();
-        key.sort_unstable();
-        self.insert(key.into_boxed_slice());
-    }
-
-    /// All published entries, in unspecified order — for harvesting a
-    /// finished search's facts to [`Self::seed`] a later one.
-    pub fn snapshot(&self) -> Vec<NoGoodKey> {
-        self.inner.snapshot()
-    }
-
-    fn contains(&self, key: &NoGoodKey) -> bool {
-        self.inner.contains(key)
-    }
-
-    fn insert(&self, key: NoGoodKey) -> bool {
-        self.inner.insert(key)
-    }
-}
-
-impl Default for NoGoodTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for NoGoodTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NoGoodTable")
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
-/// Work accounting of one pruned-search strategy. `nodes` is the hard
-/// determinism anchor of the differential tests: with an empty table and
-/// one strategy it is a pure function of the instance; with a seeded or
-/// shared table it can only shrink, never grow.
+/// Work accounting of the pruned search — a pure function of the
+/// instance (and the node budget), so the differential tests pin it and
+/// the deterministic observability tier counts it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Decision nodes expanded.
     pub nodes: u64,
     /// Branches skipped because their canonical signature was already
-    /// published as a no-good.
+    /// recorded as a no-good.
     pub nogood_hits: u64,
-    /// No-goods this strategy published first.
+    /// No-goods recorded.
     pub nogood_inserts: u64,
     /// Sibling branches skipped as orbit duplicates of an explored one.
     pub orbit_prunes: u64,
@@ -1250,26 +1158,7 @@ pub struct SearchStats {
     pub symmetry_order: u64,
 }
 
-/// Strategy knobs of the pruned search. All variants share the table;
-/// verdicts are knob-independent.
-#[derive(Debug, Clone, Copy)]
-struct PrunedKnobs {
-    /// Iterate candidate values high-to-low instead of low-to-high.
-    value_reverse: bool,
-    /// Break MRV ties by constraint degree (most-watched view first)
-    /// instead of lowest view id.
-    tie_degree: bool,
-}
-
-impl PrunedKnobs {
-    /// The canonical (deterministic-reference) variant.
-    const CANONICAL: PrunedKnobs = PrunedKnobs {
-        value_reverse: false,
-        tie_degree: false,
-    };
-}
-
-/// Outcome of one pruned-search strategy.
+/// Outcome of the pruned search.
 enum PrunedOutcome {
     /// All domains singleton — `doms` encodes the witness.
     Solved(Vec<u32>),
@@ -1277,17 +1166,13 @@ enum PrunedOutcome {
     Exhausted,
     /// Node budget ran out first.
     OutOfBudget,
-    /// Another strategy completed first.
+    /// The caller's token fired.
     Cancelled,
 }
 
-/// The candidate values of a domain mask in strategy order.
-fn mask_values(mask: u32, reverse: bool) -> impl Iterator<Item = Value> {
-    let mut vals: Vec<Value> = (0..32).filter(|&b| mask >> b & 1 == 1).collect();
-    if reverse {
-        vals.reverse();
-    }
-    vals.into_iter()
+/// The candidate values of a domain mask, ascending.
+fn mask_values(mask: u32) -> impl Iterator<Item = Value> {
+    (0..32).filter(move |&b| mask >> b & 1 == 1)
 }
 
 /// Generalized arc consistency on the ≤-k-distinct constraints, to
@@ -1339,26 +1224,16 @@ fn propagate(csp: &CspInstance, doms: &mut [u32]) -> bool {
 }
 
 /// The MRV branch variable: smallest non-singleton domain, ties broken
-/// per the strategy (lowest id, or highest constraint degree then lowest
-/// id). `None` means every domain is singleton — solved.
-fn pick_var(csp: &CspInstance, doms: &[u32], tie_degree: bool) -> Option<usize> {
-    let mut best: Option<(u32, usize, usize)> = None;
+/// by lowest id. `None` means every domain is singleton — solved.
+fn pick_var(doms: &[u32]) -> Option<usize> {
+    let mut best: Option<(u32, usize)> = None;
     for (v, &d) in doms.iter().enumerate() {
         let c = d.count_ones();
-        if c < 2 {
-            continue;
-        }
-        let tie = if tie_degree {
-            usize::MAX - csp.exec_of_view[v].len()
-        } else {
-            0
-        };
-        let key = (c, tie, v);
-        if best.is_none_or(|b| key < b) {
-            best = Some(key);
+        if c >= 2 && best.is_none_or(|(bc, _)| c < bc) {
+            best = Some((c, v));
         }
     }
-    best.map(|(_, _, v)| v)
+    best.map(|(_, v)| v)
 }
 
 /// Whether a fully-singleton domain vector satisfies every execution —
@@ -1374,123 +1249,133 @@ fn complete_assignment_ok(csp: &CspInstance, doms: &[u32]) -> bool {
         })
 }
 
-/// Per-strategy context of the pruned search.
-struct PrunedCtx<'a> {
+/// The pruned search over one instance: the read-only context, the
+/// search-local no-good table and the work accounting.
+struct PrunedSearch<'a> {
     csp: &'a CspInstance,
     sym: &'a CspSymmetry,
-    table: &'a NoGoodTable,
     cancel: Option<&'a CancelToken>,
-    knobs: PrunedKnobs,
     budget: u64,
+    /// Canonical signatures of decision sets proved to have no
+    /// extension to a solution.
+    nogoods: HashSet<NoGoodKey>,
+    stats: SearchStats,
 }
 
-/// Propagating DFS with orbit and no-good pruning. `doms` is the
-/// propagated state reached by `decisions`; each candidate branch is
-/// keyed by the canonical signature of its extended decision set, probed
-/// against sibling orbits and the shared table, and — once *proved*
-/// empty (propagation wipeout or exhausted recursion) — published.
-/// Subtrees abandoned to the budget or a cancellation are never
-/// published, which is the monotonicity half of the table contract.
-fn pruned_dfs(
-    ctx: &PrunedCtx<'_>,
-    doms: &[u32],
-    decisions: &mut Vec<(u32, Value)>,
-    stats: &mut SearchStats,
-) -> PrunedOutcome {
-    if let Some(token) = ctx.cancel {
-        if token.is_cancelled() {
+impl PrunedSearch<'_> {
+    /// Propagating DFS with orbit and no-good pruning. `doms` is the
+    /// propagated state reached by `decisions`; each candidate branch is
+    /// keyed by the canonical signature of its extended decision set,
+    /// probed against sibling orbits and the table, and — once *proved*
+    /// empty (propagation wipeout or exhausted recursion) — recorded.
+    /// Subtrees abandoned to the budget or a cancellation are never
+    /// recorded, so every entry is a fact about the instance.
+    fn dfs(&mut self, doms: &[u32], decisions: &mut Vec<(u32, Value)>) -> PrunedOutcome {
+        if self.cancel.is_some_and(CancelToken::is_cancelled) {
             return PrunedOutcome::Cancelled;
         }
-    }
-    let Some(v) = pick_var(ctx.csp, doms, ctx.knobs.tie_degree) else {
-        debug_assert!(complete_assignment_ok(ctx.csp, doms));
-        return PrunedOutcome::Solved(doms.to_vec());
-    };
-    stats.nodes += 1;
-    if stats.nodes > ctx.budget {
-        return PrunedOutcome::OutOfBudget;
-    }
-    // Every signature in here is a *proved* dead branch (wipeout,
-    // exhausted recursion, or an earlier table hit), so any later
-    // sibling in the same orbit is dead too.
-    let mut dead_sigs: Vec<NoGoodKey> = Vec::new();
-    for val in mask_values(doms[v], ctx.knobs.value_reverse) {
-        decisions.push((v as u32, val));
-        let sig = ctx.sym.canonical_signature(decisions);
-        decisions.pop();
-        if dead_sigs.contains(&sig) {
-            stats.orbit_prunes += 1;
-            continue;
+        let Some(v) = pick_var(doms) else {
+            debug_assert!(complete_assignment_ok(self.csp, doms));
+            return PrunedOutcome::Solved(doms.to_vec());
+        };
+        self.stats.nodes += 1;
+        if self.stats.nodes > self.budget {
+            return PrunedOutcome::OutOfBudget;
         }
-        if ctx.table.contains(&sig) {
-            stats.nogood_hits += 1;
-            dead_sigs.push(sig);
-            continue;
-        }
-        let mut child = doms.to_vec();
-        child[v] = 1u32 << val;
-        if propagate(ctx.csp, &mut child) {
+        // Every signature in here is a *proved* dead branch (wipeout,
+        // exhausted recursion, or a table hit), so any later sibling in
+        // the same orbit is dead too.
+        let mut dead_sigs: Vec<NoGoodKey> = Vec::new();
+        for val in mask_values(doms[v]) {
             decisions.push((v as u32, val));
-            let out = pruned_dfs(ctx, &child, decisions, stats);
+            let sig = self.sym.canonical_signature(decisions);
             decisions.pop();
-            match out {
-                PrunedOutcome::Exhausted => {
-                    if ctx.table.insert(sig.clone()) {
-                        stats.nogood_inserts += 1;
-                    }
-                    dead_sigs.push(sig);
-                }
-                other => return other,
+            if dead_sigs.contains(&sig) {
+                self.stats.orbit_prunes += 1;
+                continue;
             }
-        } else {
-            if ctx.table.insert(sig.clone()) {
-                stats.nogood_inserts += 1;
+            if self.nogoods.contains(&sig) {
+                self.stats.nogood_hits += 1;
+                dead_sigs.push(sig);
+                continue;
+            }
+            let mut child = doms.to_vec();
+            child[v] = 1u32 << val;
+            if propagate(self.csp, &mut child) {
+                decisions.push((v as u32, val));
+                let out = self.dfs(&child, decisions);
+                decisions.pop();
+                if !matches!(out, PrunedOutcome::Exhausted) {
+                    return out;
+                }
+            }
+            if self.nogoods.insert(sig.clone()) {
+                self.stats.nogood_inserts += 1;
             }
             dead_sigs.push(sig);
         }
+        PrunedOutcome::Exhausted
     }
-    PrunedOutcome::Exhausted
 }
 
-/// Runs one strategy of the pruned search from the root.
-fn run_pruned_strategy(
+/// Runs the pruned search from the root, propagating the root domains
+/// once, and records the decision's deterministic observability: the
+/// verdict tick, the symmetry-group order, the orbit-duplicate branches
+/// at the root and — unless the token interrupted the search — its work
+/// counters.
+fn solve_pruned(
     csp: &CspInstance,
     sym: &CspSymmetry,
-    table: &NoGoodTable,
     cancel: Option<&CancelToken>,
-    knobs: PrunedKnobs,
     node_budget: usize,
 ) -> (PrunedOutcome, SearchStats) {
-    let mut stats = SearchStats {
-        symmetry_order: sym.order() as u64,
-        ..SearchStats::default()
-    };
-    let mut doms = csp.masks();
-    if !propagate(csp, &mut doms) {
-        return (PrunedOutcome::Exhausted, stats);
-    }
-    let ctx = PrunedCtx {
+    ksa_obs::count(ksa_obs::Counter::CspVerdicts, 1);
+    ksa_obs::count(ksa_obs::Counter::CspSymmetries, sym.order() as u64);
+    let mut search = PrunedSearch {
         csp,
         sym,
-        table,
         cancel,
-        knobs,
         budget: node_budget as u64,
+        nogoods: HashSet::new(),
+        stats: SearchStats {
+            symmetry_order: sym.order() as u64,
+            ..SearchStats::default()
+        },
     };
-    let mut decisions = Vec::new();
-    let out = pruned_dfs(&ctx, &doms, &mut decisions, &mut stats);
-    (out, stats)
+    let mut doms = csp.masks();
+    let outcome = if propagate(csp, &mut doms) {
+        ksa_obs::count(
+            ksa_obs::Counter::CspOrbitRootPrunes,
+            root_orbit_duplicates(sym, &doms),
+        );
+        search.dfs(&doms, &mut Vec::new())
+    } else {
+        PrunedOutcome::Exhausted
+    };
+    let stats = search.stats;
+    if !matches!(outcome, PrunedOutcome::Cancelled) {
+        ksa_obs::count(ksa_obs::Counter::SearchNodes, stats.nodes);
+        ksa_obs::count(ksa_obs::Counter::NoGoodHits, stats.nogood_hits);
+        ksa_obs::count(ksa_obs::Counter::NoGoodInserts, stats.nogood_inserts);
+    }
+    (outcome, stats)
 }
 
-/// Flushes one strategy's work counters to the perf (scheduling-
-/// dependent) observability tier.
-fn flush_pruned_perf(stats: &SearchStats) {
-    ksa_obs::perf_count(ksa_obs::PerfCounter::PortfolioNodes, stats.nodes);
-    ksa_obs::perf_count(ksa_obs::PerfCounter::NoGoodHits, stats.nogood_hits);
-    ksa_obs::perf_count(ksa_obs::PerfCounter::NoGoodInserts, stats.nogood_inserts);
+/// How many root branches are orbit duplicates: values of the first
+/// branch variable whose one-decision canonical signature repeats an
+/// earlier value's. Read off the propagated root domains before any
+/// branch is explored, so it does not depend on the course of the search.
+fn root_orbit_duplicates(sym: &CspSymmetry, doms: &[u32]) -> u64 {
+    let Some(v) = pick_var(doms) else {
+        return 0;
+    };
+    let mut seen: HashSet<NoGoodKey> = HashSet::new();
+    mask_values(doms[v])
+        .filter(|&val| !seen.insert(sym.canonical_signature(&[(v as u32, val)])))
+        .count() as u64
 }
 
-/// Maps a strategy outcome to the public verdict, synthesizing the
+/// Maps a search outcome to the public verdict, synthesizing the
 /// witness map from singleton domains.
 fn finish_pruned(instance: CspInstance, outcome: PrunedOutcome) -> Solvability {
     match outcome {
@@ -1506,171 +1391,8 @@ fn finish_pruned(instance: CspInstance, outcome: PrunedOutcome) -> Solvability {
     }
 }
 
-/// Races the strategy variants of the pruned search on the pool, all
-/// sharing one no-good table; the first to complete (either verdict)
-/// cancels the rest. Spawn order puts the canonical variant last: the
-/// scope's worker pops its deque LIFO, so a lone worker runs canonical
-/// first and only then the alternates (which immediately observe the
-/// cancellation), while idle workers steal the alternates FIFO.
-///
-/// The race flag is a *child* [`CancelToken`] of the caller's token
-/// (when one is supplied): the winner cancels only the child, so
-/// siblings stop, while an external cancellation or deadline on the
-/// parent reaches every strategy through the same poll — one
-/// cancellation idiom for both uses (DESIGN.md §12.2).
-///
-/// Verdicts are intrinsic to the instance — identical at any thread
-/// count. At the node-budget boundary a strategy helped by the shared
-/// table may decide an instance the lone canonical variant would give up
-/// on; that can only upgrade `Unknown` to a decided verdict, never flip
-/// a decided one.
-fn solve_csp_pruned_portfolio(
-    instance: CspInstance,
-    sym: &CspSymmetry,
-    table: &NoGoodTable,
-    node_budget: usize,
-    external: Option<&CancelToken>,
-) -> Solvability {
-    use std::sync::Mutex;
-
-    let alternates = [
-        PrunedKnobs {
-            value_reverse: true,
-            tie_degree: false,
-        },
-        PrunedKnobs {
-            value_reverse: false,
-            tie_degree: true,
-        },
-    ];
-    let race = match external {
-        Some(token) => token.child(),
-        None => CancelToken::new(),
-    };
-    let winner: Mutex<Option<PrunedOutcome>> = Mutex::new(None);
-    let csp = &instance;
-    let report = |outcome: PrunedOutcome| -> bool {
-        let mut slot = winner.lock().expect("winner slot poisoned");
-        if slot.is_none() {
-            *slot = Some(outcome);
-            race.cancel();
-            true
-        } else {
-            false
-        }
-    };
-    ksa_exec::scope(|s| {
-        for knobs in alternates {
-            let (race, report) = (&race, &report);
-            s.spawn(move |_| {
-                let (out, stats) =
-                    run_pruned_strategy(csp, sym, table, Some(race), knobs, node_budget);
-                flush_pruned_perf(&stats);
-                if matches!(out, PrunedOutcome::Solved(_) | PrunedOutcome::Exhausted) && report(out)
-                {
-                    ksa_obs::perf_count(ksa_obs::PerfCounter::PortfolioAlternateWins, 1);
-                }
-            });
-        }
-        {
-            let (race, report) = (&race, &report);
-            s.spawn(move |_| {
-                let (out, stats) = run_pruned_strategy(
-                    csp,
-                    sym,
-                    table,
-                    Some(race),
-                    PrunedKnobs::CANONICAL,
-                    node_budget,
-                );
-                flush_pruned_perf(&stats);
-                if matches!(out, PrunedOutcome::Solved(_) | PrunedOutcome::Exhausted) && report(out)
-                {
-                    ksa_obs::perf_count(ksa_obs::PerfCounter::PortfolioCanonicalWins, 1);
-                }
-            });
-        }
-    });
-    match winner.into_inner().expect("winner slot poisoned") {
-        Some(outcome) => finish_pruned(instance, outcome),
-        // No strategy completed: every one was cancelled (external
-        // token) or ran out of budget without reporting.
-        None => Solvability::Unknown,
-    }
-}
-
-/// [`decide_one_round`] against a caller-supplied [`NoGoodTable`],
-/// running the single canonical strategy — the deterministic surface of
-/// the differential tests, the incremental-reuse path and the certified
-/// decision.
-///
-/// With an empty fresh table the returned [`SearchStats`] (in
-/// particular `nodes`) are a pure function of the instance; seeding the
-/// table with facts harvested from an earlier search of the same
-/// instance can only shrink the work counters. Verdicts are identical to
-/// [`decide_one_round`] away from the node-budget boundary (the racing
-/// variants can only upgrade `Unknown`). `run` is honoured as
-/// [`decide_one_round`] honours it; the canonical strategy polls the
-/// token itself at every node.
-///
-/// Instances whose value range exceeds the bitmask width fall back to
-/// the sequential reference and report default stats.
-///
-/// With `certify: Some(label)` a decided verdict also yields a
-/// machine-checkable [`ksa_cert::SolvabilityCert`] (DESIGN.md §11):
-/// `Solvable` carries the full decision map, `Unsolvable` an exhaustion
-/// attestation built from the [`SearchStats`]; `Unknown` yields none.
-/// The certificate's closure graphs are enumerated independently of the
-/// search (the same [`ksa_graphs::closure::enumerate_closure`] surface
-/// the replay verifier uses), under the run's budget as the graph
-/// ceiling, so the standalone checker replays decisions against a graph
-/// set the producer did not hand-pick.
-///
-/// # Errors
-///
-/// Same conditions as [`decide_one_round`], plus graph-layer errors when
-/// a certified closure enumeration overruns the budget.
-pub fn decide_one_round_with_table<'a>(
-    model: &ClosedAboveModel,
-    k: usize,
-    value_max: usize,
-    run: impl Into<Run<'a>>,
-    node_budget: usize,
-    table: &NoGoodTable,
-    certify: Option<&str>,
-) -> Result<(Solvability, SearchStats, Option<ksa_cert::SolvabilityCert>), CoreError> {
-    let run = run.into();
-    let (values, merger) = enumerate_one_round(model, k, value_max, run)?;
-    let instance = CspInstance::new(merger.views, merger.executions, k);
-    let (verdict, stats) = if values > MAX_MASK_VALUES {
-        (
-            solve_csp_seq(instance, node_budget)?,
-            SearchStats::default(),
-        )
-    } else {
-        let sym = CspSymmetry::detect(model.generators(), &instance.views, values);
-        record_pruned_entry(&instance, &sym);
-        let (outcome, stats) = run_pruned_strategy(
-            &instance,
-            &sym,
-            table,
-            run.cancel,
-            PrunedKnobs::CANONICAL,
-            node_budget,
-        );
-        flush_pruned_perf(&stats);
-        (finish_pruned(instance, outcome), stats)
-    };
-    run.checkpoint()?;
-    let cert = match certify {
-        Some(label) => solvability_cert(model, k, value_max, &verdict, &stats, run.budget, label)?,
-        None => None,
-    };
-    Ok((verdict, stats, cert))
-}
-
 /// The certificate of a one-round verdict (`None` for `Unknown`); see
-/// [`decide_one_round_with_table`].
+/// [`decide_one_round`].
 fn solvability_cert(
     model: &ClosedAboveModel,
     k: usize,
@@ -1793,7 +1515,7 @@ pub struct SweepProgress {
 
 /// [`decide_one_round_sweep`] with a cooperative [`CancelToken`] and a
 /// progress callback: the token is polled between instances *and*
-/// threaded into every search's portfolio (per-node granularity), so a
+/// threaded into every search (per-node granularity), so a
 /// deadline fires mid-search, not just between searches. A token that
 /// never fires leaves the sweep bit-identical to
 /// [`decide_one_round_sweep`] at any `KSA_THREADS`.
@@ -1839,7 +1561,7 @@ fn sweep_impl(
     while lo <= hi {
         let mid = lo + (hi - lo) / 2;
         searched += 1;
-        match decide_one_round(model, mid, mid, run, node_budget)? {
+        match decide_one_round(model, mid, mid, run, node_budget, None)?.0 {
             Solvability::Solvable(witness) => {
                 verdicts[mid - 1] = Some(Solvability::Solvable(witness.clone()));
                 let mut lifted = witness;
@@ -1876,7 +1598,7 @@ fn sweep_impl(
     for k in 1..=k_max {
         if verdicts[k - 1].is_none() {
             searched += 1;
-            verdicts[k - 1] = Some(decide_one_round(model, k, k, run, node_budget)?);
+            verdicts[k - 1] = Some(decide_one_round(model, k, k, run, node_budget, None)?.0);
             report_sweep_progress(progress, k, &verdicts);
         }
     }
@@ -2003,35 +1725,16 @@ mod pruned_tests {
         // of millions of backtracking nodes. Propagation alone must now
         // refute it at the root (zero or one decision nodes).
         let m = named::star_unions(3, 1).unwrap();
-        let table = NoGoodTable::new();
-        let (verdict, stats, _) =
-            decide_one_round_with_table(&m, 2, 2, EXECS as u128, NODES, &table, None).unwrap();
+        let (verdict, stats, _) = decide_one_round(&m, 2, 2, EXECS as u128, NODES, None).unwrap();
         assert_eq!(verdict, Solvability::Unsolvable);
         assert!(stats.nodes <= 1, "nodes = {}", stats.nodes);
-    }
-
-    #[test]
-    fn table_reuse_only_shrinks_work() {
-        let m = named::symmetric_ring(3).unwrap();
-        let table = NoGoodTable::new();
-        let (v1, s1, _) =
-            decide_one_round_with_table(&m, 1, 1, EXECS as u128, NODES, &table, None).unwrap();
-        let published = table.len();
-        let (v2, s2, _) =
-            decide_one_round_with_table(&m, 1, 1, EXECS as u128, NODES, &table, None).unwrap();
-        assert_eq!(v1, v2);
-        assert!(s2.nodes <= s1.nodes);
-        assert!(s2.nogood_inserts == 0, "everything already published");
-        assert!(table.len() == published);
     }
 
     #[test]
     fn certified_decide_emits_checkable_certs() {
         let m = named::star_unions(3, 1).unwrap();
         let certified = |k: usize, label: &str| {
-            let table = NoGoodTable::new();
-            decide_one_round_with_table(&m, k, k, EXECS as u128, NODES, &table, Some(label))
-                .unwrap()
+            decide_one_round(&m, k, k, EXECS as u128, NODES, Some(label)).unwrap()
         };
         // k = 3 is solvable: the certificate carries the decision map
         // and the standalone checker replays every execution.
@@ -2054,9 +1757,8 @@ mod pruned_tests {
         ksa_cert::check_solvability(&cert).unwrap();
 
         // Certifying must not perturb the plain verdict or the stats.
-        let table = NoGoodTable::new();
         let (plain, plain_stats, none) =
-            decide_one_round_with_table(&m, 3, 3, EXECS as u128, NODES, &table, None).unwrap();
+            decide_one_round(&m, 3, 3, EXECS as u128, NODES, None).unwrap();
         assert!(none.is_none());
         let (wrapped, wrapped_stats, _) = certified(3, "x");
         assert_eq!(plain, wrapped);
@@ -2076,7 +1778,7 @@ mod pruned_tests {
         assert!(sweep.searched <= 2, "searched = {}", sweep.searched);
         assert_eq!(sweep.searched + sweep.seeded + sweep.pruned, 3);
         for (i, v) in sweep.verdicts.iter().enumerate() {
-            let scratch = decide_one_round(&m, i + 1, i + 1, EXECS as u128, NODES).unwrap();
+            let scratch = verdict_of(&m, i + 1, i + 1, EXECS as u128).unwrap();
             assert_eq!(
                 std::mem::discriminant(v),
                 std::mem::discriminant(&scratch),
@@ -2092,7 +1794,7 @@ mod pruned_tests {
         let sweep = decide_one_round_sweep(&m, 3, EXECS, NODES).unwrap();
         for (i, v) in sweep.verdicts.iter().enumerate() {
             if let Solvability::Solvable(map) = v {
-                let scratch = decide_one_round(&m, i + 1, i + 1, EXECS as u128, NODES).unwrap();
+                let scratch = verdict_of(&m, i + 1, i + 1, EXECS as u128).unwrap();
                 let Solvability::Solvable(scratch_map) = scratch else {
                     panic!("sweep says solvable at k = {}", i + 1);
                 };
@@ -2148,11 +1850,11 @@ mod multi_round_tests {
         let m = named::star_unions(3, 2).unwrap();
         let graphs = closure_of(&m);
         let explicit = decide_rounds_explicit(&graphs, 2, 2, 1, EXECS, NODES).unwrap();
-        let direct = decide_one_round(&m, 2, 2, EXECS as u128, NODES).unwrap();
+        let direct = verdict_of(&m, 2, 2, EXECS as u128).unwrap();
         assert_eq!(explicit.is_solvable(), direct.is_solvable());
         assert!(explicit.is_solvable());
         let explicit1 = decide_rounds_explicit(&graphs, 1, 1, 1, EXECS, NODES).unwrap();
-        let direct1 = decide_one_round(&m, 1, 1, EXECS as u128, NODES).unwrap();
+        let direct1 = verdict_of(&m, 1, 1, EXECS as u128).unwrap();
         assert_eq!(explicit1, Solvability::Unsolvable);
         assert_eq!(direct1, Solvability::Unsolvable);
     }

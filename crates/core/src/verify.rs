@@ -209,7 +209,8 @@ mod tests {
     fn decision_map_replay_validates_a_witness() {
         use crate::solvability::{decide_one_round, Solvability};
         let m = named::star_unions(3, 2).unwrap();
-        let Solvability::Solvable(map) = decide_one_round(&m, 2, 2, 1 << 21, 1 << 24).unwrap()
+        let (Solvability::Solvable(map), _, _) =
+            decide_one_round(&m, 2, 2, 1 << 21, 1 << 24, None).unwrap()
         else {
             panic!("solvable");
         };
@@ -228,7 +229,8 @@ mod tests {
     fn decision_map_replay_budget_guard() {
         use crate::solvability::{decide_one_round, Solvability};
         let m = named::simple_ring(3).unwrap();
-        let Solvability::Solvable(map) = decide_one_round(&m, 2, 2, 1 << 21, 1 << 24).unwrap()
+        let (Solvability::Solvable(map), _, _) =
+            decide_one_round(&m, 2, 2, 1 << 21, 1 << 24, None).unwrap()
         else {
             panic!("solvable");
         };

@@ -1,12 +1,14 @@
-//! Property tests cross-checking the parallel portfolio solvability
-//! search against the sequential reference on **randomized** small
-//! models — the determinism contract (DESIGN.md §4): same verdict,
-//! bit-identical, at any thread count and for any portfolio winner.
+//! Property tests cross-checking the pruned solvability search against
+//! the sequential reference on **randomized** small models — the
+//! determinism contract (DESIGN.md §4): same verdict as the reference,
+//! and the same verdict, witness included, at any thread count.
 
 use ksa_core::solvability::{decide_one_round, decide_one_round_seq, Solvability};
+use ksa_exec::ThreadPool;
 use ksa_graphs::Digraph;
 use ksa_models::ClosedAboveModel;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 const EXECS: usize = 1 << 21;
 // Large enough that almost every sampled instance is decided outright,
@@ -40,6 +42,19 @@ fn model3() -> impl Strategy<Value = ClosedAboveModel> {
         .prop_map(|gens| ClosedAboveModel::new(gens).expect("non-empty generators"))
 }
 
+/// The shared pools (1/2/8 workers), started once for the whole test
+/// binary so proptest cases don't churn threads.
+fn pools() -> &'static [ThreadPool] {
+    static POOLS: OnceLock<Vec<ThreadPool>> = OnceLock::new();
+    POOLS.get_or_init(|| [1, 2, 8].into_iter().map(ThreadPool::new).collect())
+}
+
+fn decide(model: &ClosedAboveModel, k: usize) -> Solvability {
+    let (verdict, _, _) =
+        decide_one_round(model, k, k, EXECS as u128, NODES, None).expect("within budget");
+    verdict
+}
+
 fn verdict_name(s: &Solvability) -> &'static str {
     match s {
         Solvability::Solvable(_) => "solvable",
@@ -53,12 +68,12 @@ proptest! {
 
     #[test]
     fn portfolio_verdicts_match_sequential(model in model3(), k in 1usize..=2) {
-        let par = decide_one_round(&model, k, k, EXECS as u128, NODES).expect("within budget");
+        let par = decide(&model, k);
         let seq = decide_one_round_seq(&model, k, k, EXECS, NODES).expect("within budget");
         match (&par, &seq) {
-            // `Unknown` marks a node-budget boundary: there the portfolio
-            // may legitimately out-search (or under-search) the canonical
-            // sequential ordering. Decided verdicts, however, must never
+            // `Unknown` marks a node-budget boundary: there the pruned
+            // search may legitimately out-search (or under-search) the
+            // forward-checking reference. Decided verdicts, however, must never
             // disagree — a Solvable/Unsolvable split would be a
             // soundness bug in one of the searches.
             (Solvability::Unknown, _) | (_, Solvability::Unknown) => {}
@@ -79,12 +94,14 @@ proptest! {
 
     #[test]
     fn repeated_parallel_runs_agree(model in model3(), k in 1usize..=2) {
-        // Scheduling noise must never flip a verdict run over run.
-        let first = decide_one_round(&model, k, k, EXECS as u128, NODES).expect("within budget");
-        for _ in 0..3 {
-            let again =
-                decide_one_round(&model, k, k, EXECS as u128, NODES).expect("within budget");
-            prop_assert_eq!(verdict_name(&again), verdict_name(&first));
+        // Scheduling must never change a verdict or a witness, run over
+        // run and pool size over pool size.
+        let first = decide(&model, k);
+        for pool in pools() {
+            for _ in 0..2 {
+                let again = pool.install(|| decide(&model, k));
+                prop_assert_eq!(&again, &first, "pool {}", pool.num_threads());
+            }
         }
     }
 }

@@ -3,17 +3,16 @@
 //! against the untouched sequential oracle `decide_one_round_seq`, on
 //! registry-sampled random models across `ksa-exec` pool sizes 1/2/8:
 //!
-//! * verdicts are bit-identical to the oracle at every pool size;
+//! * verdicts agree with the oracle, and verdict, witness map and
+//!   search statistics are bit-identical at every pool size;
 //! * every returned `DecisionMap` witness actually solves the model
 //!   (replayed over all executions through `ksa_core::verify`);
-//! * `decide_one_round_with_table` on a fresh table is a pure function
-//!   of the instance, and seeding the table — with harvested facts, with
-//!   reordered/duplicated facts, or with deliberately-useless keys —
-//!   never changes a verdict and only shrinks the work counters;
-//! * repeated runs on an oversubscribed pool are stable.
+//! * repeated runs on an oversubscribed pool, and the k-sweeps of the
+//!   n = 3 models the analysis-server benchmark serves, are bit-identical
+//!   across pool sizes, witnesses included.
 
 use ksa_core::solvability::{
-    decide_one_round, decide_one_round_seq, decide_one_round_with_table, NoGoodTable, Solvability,
+    decide_one_round, decide_one_round_seq, decide_one_round_sweep, Solvability,
 };
 use ksa_core::verify::verify_decision_map;
 use ksa_exec::ThreadPool;
@@ -49,7 +48,7 @@ fn random_model_name() -> impl Strategy<Value = String> {
 fn resolve(name: &str) -> ClosedAboveModel {
     registry::builtin()
         .resolve_closed_above(name, RunBudget::DEFAULT)
-        .expect("random{n=3,…} resolves")
+        .expect("registry spec resolves")
 }
 
 fn verdict_name(s: &Solvability) -> &'static str {
@@ -70,15 +69,15 @@ proptest! {
     ) {
         let model = resolve(&name);
         let oracle = decide_one_round_seq(&model, k, k, EXECS, NODES).expect("within budget");
-        let mut first: Option<&'static str> = None;
+        let mut first = None;
         for pool in pools() {
-            let pruned = pool
-                .install(|| decide_one_round(&model, k, k, EXECS as u128, NODES))
+            let (pruned, stats, _) = pool
+                .install(|| decide_one_round(&model, k, k, EXECS as u128, NODES, None))
                 .expect("within budget");
             match (&pruned, &oracle) {
-                // At the node-budget boundary the pruned search may
-                // decide what the oracle gives up on (never the
-                // reverse of a decided verdict).
+                // At the node-budget boundary the two searches may give
+                // up on different instances (never disagree on a decided
+                // verdict).
                 (_, Solvability::Unknown) | (Solvability::Unknown, _) => {}
                 _ => prop_assert_eq!(
                     verdict_name(&pruned),
@@ -89,137 +88,97 @@ proptest! {
                     pool.num_threads()
                 ),
             }
-            // Across pool sizes the verdict must be bit-identical.
-            match first {
-                None => first = Some(verdict_name(&pruned)),
-                Some(f) => prop_assert_eq!(f, verdict_name(&pruned), "{} k={}", name, k),
-            }
             // Any witness must genuinely solve the model.
             if let Solvability::Solvable(map) = &pruned {
                 prop_assert!(!map.is_empty());
                 let replay = verify_decision_map(&model, k, k, map, GRAPHS).expect("replay fits");
                 prop_assert!(replay.is_valid(), "{} k={}: {:?}", name, k, replay);
             }
+            // Across pool sizes verdict, witness and stats are
+            // bit-identical.
+            match &first {
+                None => first = Some((pruned, stats)),
+                Some(f) => prop_assert_eq!(f, &(pruned, stats), "{} k={}", name, k),
+            }
         }
-    }
-
-    #[test]
-    fn with_table_runs_are_pure_and_seeding_is_monotone(
-        name in random_model_name(),
-        k in 1usize..=2,
-    ) {
-        let model = resolve(&name);
-        // Two fresh-table runs: bit-identical verdicts (witness included)
-        // and stats — the deterministic anchor of the differential suite.
-        let fresh_a = NoGoodTable::new();
-        let (v_a, s_a, _) =
-            decide_one_round_with_table(&model, k, k, EXECS as u128, NODES, &fresh_a, None)
-                .expect("in budget");
-        let fresh_b = NoGoodTable::new();
-        let (v_b, s_b, _) =
-            decide_one_round_with_table(&model, k, k, EXECS as u128, NODES, &fresh_b, None)
-                .expect("in budget");
-        prop_assert_eq!(&v_a, &v_b, "{} k={}", name, k);
-        prop_assert_eq!(s_a, s_b);
-
-        // Seeding the harvested facts back (a "stale" table from an
-        // earlier search of the same instance): verdict unchanged, work
-        // counters only shrink.
-        let seeded = NoGoodTable::new();
-        let mut facts = fresh_a.snapshot();
-        // Seed in a scrambled order with duplicates — table semantics
-        // must be order- and multiplicity-independent.
-        facts.reverse();
-        for f in &facts {
-            seeded.seed(f);
-        }
-        if let Some(first) = facts.first() {
-            seeded.seed(first);
-        }
-        let (v_s, s_s, _) =
-            decide_one_round_with_table(&model, k, k, EXECS as u128, NODES, &seeded, None)
-                .expect("in budget");
-        prop_assert_eq!(&v_a, &v_s, "{} k={} (seeded)", name, k);
-        prop_assert!(s_s.nodes <= s_a.nodes, "{} k={}: {} > {}", name, k, s_s.nodes, s_a.nodes);
-        prop_assert!(s_s.nogood_inserts <= s_a.nogood_inserts);
-
-        // Deliberately-useless keys (view ids no instance reaches) can
-        // never match a probed signature: verdict *and* node count are
-        // bit-identical to the fresh run.
-        let useless = NoGoodTable::new();
-        for j in 0..64u32 {
-            useless.seed(&[(1_000_000 + j, 0)]);
-        }
-        let before = useless.len();
-        let (v_u, s_u, _) =
-            decide_one_round_with_table(&model, k, k, EXECS as u128, NODES, &useless, None)
-                .expect("in budget");
-        prop_assert_eq!(&v_a, &v_u, "{} k={} (useless)", name, k);
-        prop_assert_eq!(s_u.nodes, s_a.nodes);
-        prop_assert_eq!(s_u.nogood_hits, 0u64);
-        prop_assert_eq!(useless.len(), before + s_u.nogood_inserts as usize);
     }
 }
 
-/// The fixed boundary cases of the `solv` zoo, decided repeatedly on an
-/// oversubscribed pool (8 workers regardless of the host's cores):
-/// scheduling noise must never flip a verdict.
+/// The n = 3 models the analysis-server benchmark (`serve_mix`) serves.
+const SERVE_MIX_MODELS: [&str; 29] = [
+    "kernel{n=3}",
+    "path{n=3}",
+    "path{n=3,sym}",
+    "product(ring{n=3},ring{n=3})",
+    "random{n=3,p=0.5,seed=0,count=4}",
+    "random{n=3,p=0.5,seed=1,count=4}",
+    "random{n=3,p=0.5,seed=2,count=4}",
+    "random{n=3,p=0.5,seed=3,count=4}",
+    "random{n=3,p=0.5,seed=4,count=4}",
+    "random{n=3,p=0.5,seed=5,count=4}",
+    "random{n=3,p=0.5,seed=6,count=4}",
+    "random{n=3,p=0.5,seed=7,count=4}",
+    "random{n=3,p=0.75,seed=0,count=4}",
+    "random{n=3,p=0.75,seed=1,count=4}",
+    "random{n=3,p=0.75,seed=2,count=4}",
+    "random{n=3,p=0.75,seed=3,count=4}",
+    "random{n=3,p=0.75,seed=4,count=4}",
+    "random{n=3,p=0.75,seed=5,count=4}",
+    "random{n=3,p=0.75,seed=6,count=4}",
+    "random{n=3,p=0.75,seed=7,count=4}",
+    "ring{n=3,sym}",
+    "ring{n=3}",
+    "stars{n=3,s=1}",
+    "stars{n=3,s=2}",
+    "stars{n=3,s=3}",
+    "tournament{n=3}",
+    "tree{n=3,sym}",
+    "tree{n=3}",
+    "union(ring{n=3},stars{n=3,s=2})",
+];
+
+/// The fixed boundary cases of the `solv` zoo, decided repeatedly, and
+/// the `k_max = 3` sweep vectors of the `serve_mix` models (lifted
+/// witnesses included), on pools of 1, 2 and 8 workers (8
+/// oversubscribes any CI machine): scheduling must never change a
+/// verdict, and every witness map is bit-identical at every pool size
+/// and run.
 #[test]
 fn oversubscribed_pool_runs_are_stable() {
     use ksa_models::named;
-    let cases: Vec<(ClosedAboveModel, usize, Solvability)> = vec![
-        (
-            named::star_unions(3, 1).unwrap(),
-            2,
-            Solvability::Unsolvable,
-        ),
-        (
-            named::symmetric_ring(3).unwrap(),
-            1,
-            Solvability::Unsolvable,
-        ),
-        (named::simple_ring(3).unwrap(), 1, Solvability::Unsolvable),
+    let cases: Vec<(ClosedAboveModel, usize, &'static str)> = vec![
+        (named::star_unions(3, 1).unwrap(), 2, "unsolvable"),
+        (named::symmetric_ring(3).unwrap(), 1, "unsolvable"),
+        (named::simple_ring(3).unwrap(), 1, "unsolvable"),
+        (named::star_unions(3, 1).unwrap(), 3, "solvable"),
+        (named::symmetric_ring(3).unwrap(), 2, "solvable"),
     ];
-    let pool = ThreadPool::new(8);
     for (model, k, expected) in &cases {
-        for round in 0..5 {
-            let got = pool
-                .install(|| decide_one_round(model, *k, *k, EXECS as u128, NODES))
-                .expect("within budget");
-            assert_eq!(&got, expected, "k = {k}, round {round}");
+        let (reference, _, _) =
+            decide_one_round(model, *k, *k, EXECS as u128, NODES, None).expect("within budget");
+        assert_eq!(verdict_name(&reference), *expected, "k = {k}");
+        for pool in pools() {
+            for round in 0..3 {
+                let (got, _, _) = pool
+                    .install(|| decide_one_round(model, *k, *k, EXECS as u128, NODES, None))
+                    .expect("within budget");
+                assert_eq!(
+                    got,
+                    reference,
+                    "k = {k}, pool {}, round {round}",
+                    pool.num_threads()
+                );
+            }
         }
     }
-    // Solvable boundary cases: the verdict kind is stable (the witness
-    // map may legitimately differ between racing strategies).
-    for (model, k) in [
-        (named::star_unions(3, 1).unwrap(), 3),
-        (named::symmetric_ring(3).unwrap(), 2),
-    ] {
-        for round in 0..5 {
-            let got = pool
-                .install(|| decide_one_round(&model, k, k, EXECS as u128, NODES))
+    for name in SERVE_MIX_MODELS {
+        let model = resolve(name);
+        let reference = decide_one_round_sweep(&model, 3, EXECS, NODES).expect("within budget");
+        for pool in pools() {
+            let sweep = pool
+                .install(|| decide_one_round_sweep(&model, 3, EXECS, NODES))
                 .expect("within budget");
-            assert!(got.is_solvable(), "k = {k}, round {round}");
+            assert_eq!(sweep, reference, "{name} pool {}", pool.num_threads());
         }
     }
-}
-
-/// An adversarially-seeded table must leave the *shared-table portfolio*
-/// path untouched too: `decide_one_round` has its own internal table, so
-/// this exercises the public path before/after heavy `with_table` churn
-/// on the same instances.
-#[test]
-fn portfolio_verdicts_survive_table_churn() {
-    use ksa_models::named;
-    let model = named::star_unions(3, 1).unwrap();
-    let before = decide_one_round(&model, 2, 2, EXECS as u128, NODES).unwrap();
-    // Churn: many seeded searches of both k values on shared tables.
-    let table = NoGoodTable::new();
-    for _ in 0..3 {
-        let (v, _, _) =
-            decide_one_round_with_table(&model, 2, 2, EXECS as u128, NODES, &table, None).unwrap();
-        assert_eq!(v, Solvability::Unsolvable);
-    }
-    let after = decide_one_round(&model, 2, 2, EXECS as u128, NODES).unwrap();
-    assert_eq!(before, after);
 }

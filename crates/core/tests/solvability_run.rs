@@ -1,11 +1,11 @@
-//! The one-round deciders under a [`Run`] carrying a token: a token that
+//! The one-round decider under a [`Run`] carrying a token: a token that
 //! never fires leaves verdicts, search statistics and certificate text
 //! identical to the token-free run, and a fired or expired token
 //! surfaces as [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`]
 //! (DESIGN.md §12.2).
 
 use ksa_core::budget::{CancelToken, Deadline, Run, RunBudget};
-use ksa_core::solvability::{decide_one_round, decide_one_round_with_table, NoGoodTable};
+use ksa_core::solvability::decide_one_round;
 use ksa_core::CoreError;
 use ksa_models::named;
 
@@ -24,17 +24,11 @@ fn silent_token_matches_the_token_free_run() {
     let m = named::star_unions(3, 1).unwrap();
     let silent = CancelToken::new();
     for k in 1..=3 {
-        let plain = decide_one_round(&m, k, k, EXECS, NODES).unwrap();
-        let tokened = decide_one_round(&m, k, k, with(&silent), NODES).unwrap();
-        assert_eq!(plain.is_solvable(), tokened.is_solvable(), "k = {k}");
-
         for certify in [None, Some("s31")] {
-            let table = |run: Run<'_>| {
-                decide_one_round_with_table(&m, k, k, run, NODES, &NoGoodTable::new(), certify)
-                    .unwrap()
-            };
-            let (plain, plain_stats, plain_cert) = table(EXECS.into());
-            let (tokened, tokened_stats, tokened_cert) = table(with(&silent));
+            let (plain, plain_stats, plain_cert) =
+                decide_one_round(&m, k, k, EXECS, NODES, certify).unwrap();
+            let (tokened, tokened_stats, tokened_cert) =
+                decide_one_round(&m, k, k, with(&silent), NODES, certify).unwrap();
             assert_eq!(plain, tokened, "k = {k}");
             assert_eq!(plain_stats, tokened_stats, "k = {k}");
             let text = |c: Option<ksa_cert::SolvabilityCert>| {
@@ -58,15 +52,8 @@ fn fired_and_expired_tokens_interrupt() {
             CoreError::DeadlineExceeded => assert!(!cancelled),
             other => panic!("unexpected error {other:?}"),
         };
-        check(decide_one_round(&m, 3, 3, with(token), NODES).unwrap_err());
         for certify in [None, Some("s31 k=3")] {
-            let table = NoGoodTable::new();
-            check(
-                decide_one_round_with_table(&m, 3, 3, with(token), NODES, &table, certify)
-                    .unwrap_err(),
-            );
-            // An interrupted search publishes nothing.
-            assert_eq!(table.len(), 0);
+            check(decide_one_round(&m, 3, 3, with(token), NODES, certify).unwrap_err());
         }
     }
 }

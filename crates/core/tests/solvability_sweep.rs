@@ -61,7 +61,7 @@ fn sweep_matches_from_scratch_decisions_across_the_zoo() {
             "{name}: accounting gap ({sweep:?})"
         );
         for k in 1..=K_MAX {
-            let scratch = decide_one_round(&model, k, k, EXECS as u128, NODES)
+            let (scratch, _, _) = decide_one_round(&model, k, k, EXECS as u128, NODES, None)
                 .unwrap_or_else(|e| panic!("{name} k={k}: {e}"));
             assert_eq!(
                 kind(&sweep.verdicts[k - 1]),

@@ -2,10 +2,9 @@
 //! completion.
 //!
 //! A [`JobRef`] is a fat raw pointer (data + execute fn) to a job living
-//! either on a blocked caller's stack ([`StackJob`], used by `join` and
-//! `install`) or on the heap ([`HeapJob`], used by `scope::spawn` and
-//! `ThreadPool::spawn`). Stack jobs are sound because the frame that owns
-//! them blocks — actively working, or on a lock — until the job's latch is
+//! on a blocked caller's stack ([`StackJob`], used by `join` and
+//! `install`). Stack jobs are sound because the frame that owns them
+//! blocks — actively working, or on a lock — until the job's latch is
 //! set, which happens only *after* the result has been written.
 
 use std::any::Any;
@@ -203,13 +202,14 @@ where
     }
 }
 
-/// A fire-and-forget heap job (used by `spawn`); panics are caught by the
-/// closure the spawner wraps around the user callback, so `execute` never
-/// unwinds into the worker loop.
+/// A boxed heap job, the queue tests' stand-in for real work: ownership
+/// passes to the queue and the box is freed when the job executes.
+#[cfg(test)]
 pub(crate) struct HeapJob {
     func: Box<dyn FnOnce() + Send>,
 }
 
+#[cfg(test)]
 impl HeapJob {
     pub(crate) fn new(func: Box<dyn FnOnce() + Send>) -> Box<Self> {
         Box::new(HeapJob { func })
@@ -222,6 +222,7 @@ impl HeapJob {
     }
 }
 
+#[cfg(test)]
 impl Job for HeapJob {
     unsafe fn execute(this: *const Self) {
         let boxed = Box::from_raw(this as *mut Self);

@@ -2,14 +2,13 @@
 //!
 //! A from-scratch **work-stealing execution engine** for the k-set
 //! agreement reproduction: the scheduling substrate under every
-//! fan-out hot path (the exhaustive checker, the solvability CSP search,
-//! the combinatorial-number searches, the homology pipeline). A pool of
-//! one worker is the sequential configuration.
+//! fan-out hot path (the exhaustive checker, the solvability
+//! enumeration, the combinatorial-number searches, the homology
+//! pipeline). A pool of one worker is the sequential configuration.
 //!
 //! Why work stealing rather than static chunking? The workspace's
 //! search trees are *irregular*: one branch-and-bound subtree dies at
-//! depth 2 while its sibling explodes, one CSP variable ordering finishes
-//! in milliseconds while another thrashes. Static chunking serializes
+//! depth 2 while its sibling explodes. Static chunking serializes
 //! behind the unluckiest chunk; work-stealing rebalances continuously.
 //!
 //! ## Architecture
@@ -24,9 +23,6 @@
 //! * [`join`] — the fork-join primitive: `b` is published for stealing,
 //!   the caller runs `a`, then pops `b` back (the common allocation-free
 //!   path) or helps the pool while a thief finishes `b`.
-//! * [`scope`] / [`Scope::spawn`] — structured spawning of tasks that
-//!   may borrow the enclosing frame; the scope helps the pool until all
-//!   tasks complete.
 //! * [`iter`] — rayon-style parallel iterators with **adaptive
 //!   splitting** (halve by `join` down to a pool-sized grain, finer while
 //!   workers are idle) and **ordered reduction**: every merge is in input
@@ -61,12 +57,8 @@
 pub mod iter;
 mod job;
 mod pool;
-mod scope;
-pub mod sharded;
 
 pub use pool::{helped_nanos, ThreadPool};
-pub use scope::Scope;
-pub use sharded::ShardedSet;
 
 /// The rayon-compatible imports: `par_iter`, `into_par_iter`, and the
 /// [`iter::ParallelIterator`] combinators.
@@ -137,20 +129,6 @@ where
     }
 }
 
-/// Runs `f` with a [`Scope`] on the pool serving the calling context
-/// (the enclosing pool on a worker thread, the global pool otherwise);
-/// returns once `f` and every task it spawned have completed.
-pub fn scope<'scope, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'scope>) -> R + Send,
-    R: Send,
-{
-    match pool::current_registry() {
-        Some((_, registry)) => scope::scope_in(registry, f),
-        None => global().scope(f),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -207,19 +185,5 @@ mod tests {
     fn min_by_key_breaks_ties_deterministically() {
         let v = vec![(3, 'a'), (1, 'b'), (1, 'c'), (2, 'd')];
         assert_eq!(v.into_par_iter().min_by_key(|p| p.0), Some((1, 'b')));
-    }
-
-    #[test]
-    fn scope_spawns_complete_before_return() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        super::scope(|s| {
-            for _ in 0..64 {
-                s.spawn(|_| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 64);
     }
 }

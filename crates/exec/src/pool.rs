@@ -9,7 +9,7 @@
 //! short timeout; every push wakes sleepers, and the timeout bounds the
 //! cost of any lost-wakeup race instead of complicating the protocol.
 
-use crate::job::{HeapJob, JobRef, LockLatch, StackJob};
+use crate::job::{JobRef, LockLatch, StackJob};
 use ksa_obs::PerfCounter;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -21,7 +21,7 @@ use std::time::Duration;
 thread_local! {
     /// Nanoseconds this thread has spent executing jobs acquired from
     /// *outside* its own deque (injector pops, sibling steals) while
-    /// waiting inside a `join`/`scope`. See [`helped_nanos`].
+    /// waiting inside a `join`. See [`helped_nanos`].
     static HELPED_NS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -202,8 +202,8 @@ fn worker_loop(registry: Arc<Registry>, index: usize) {
 
 /// A work-stealing thread pool.
 ///
-/// Most callers never construct one: the [`crate::join`], [`crate::scope`]
-/// and parallel-iterator entry points lazily start a process-global pool
+/// Most callers never construct one: the [`crate::join`] and
+/// parallel-iterator entry points lazily start a process-global pool
 /// sized by the `KSA_THREADS` environment variable (falling back to the
 /// number of available cores). Explicit pools exist for tests and for
 /// embedding at a forced size.
@@ -243,7 +243,7 @@ impl ThreadPool {
     }
 
     /// Runs `f` inside the pool: on a worker thread, with full access to
-    /// work-stealing `join`/`scope`. If the calling thread already is a
+    /// work-stealing `join`. If the calling thread already is a
     /// worker of this pool, `f` runs inline.
     pub fn install<F, R>(&self, f: F) -> R
     where
@@ -251,15 +251,6 @@ impl ThreadPool {
         R: Send,
     {
         install_into(&self.registry, f)
-    }
-
-    /// Runs `f` with a [`crate::Scope`] on this pool; see [`crate::scope`].
-    pub fn scope<'scope, F, R>(&self, f: F) -> R
-    where
-        F: FnOnce(&crate::Scope<'scope>) -> R + Send,
-        R: Send,
-    {
-        crate::scope::scope_in(&self.registry, f)
     }
 
     /// Work-stealing fork-join on this pool: potentially runs `a` and
@@ -279,20 +270,6 @@ impl ThreadPool {
                 join_in_worker(registry, index, a, b)
             }),
         }
-    }
-
-    /// Fire-and-forget execution of `f` on the pool.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let job = HeapJob::new(Box::new(move || {
-            // A panicking spawned task must not unwind into the worker
-            // loop; mirror std::thread and abort-free swallow it after
-            // printing (the panic hook has already reported it).
-            let _ = panic::catch_unwind(AssertUnwindSafe(f));
-        }));
-        self.registry.inject(job.into_job_ref());
     }
 }
 
@@ -395,6 +372,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::HeapJob;
 
     /// A heap job that records `id` into `log` when executed.
     fn tagged(log: &Arc<Mutex<Vec<u32>>>, id: u32) -> JobRef {

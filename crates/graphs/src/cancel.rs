@@ -2,12 +2,9 @@
 //!
 //! A [`CancelToken`] is the workspace's single cancellation idiom: the
 //! CSP solvability sweep, the multi-round pipeline, the chain engine's
-//! rank reductions and the shelling portfolio all poll the same type at
+//! rank reductions and the shelling search all poll the same type at
 //! their natural checkpoint granularity (per node, per round, per rank
-//! reduction), and the racing portfolios' internal first-success flags
-//! are *child* tokens of whatever external token the caller supplied —
-//! cancelling the parent interrupts every strategy, while a strategy
-//! winning its race cancels only its siblings.
+//! reduction).
 //!
 //! The contract, in full (DESIGN.md §12.2):
 //!
@@ -22,9 +19,10 @@
 //!   side-effect-free: every verdict computed under it is bit-identical
 //!   to the token-free run at any `KSA_THREADS`. Tokens without a
 //!   deadline never read the clock.
-//! * **No partial facts** — searches interrupted by a token publish
-//!   nothing into shared memo/no-good tables (the same monotone-table
-//!   contract budget exhaustion already obeys).
+//! * **No partial facts** — a search interrupted by a token records
+//!   nothing into its memo/no-good table (the same monotone-table
+//!   contract budget exhaustion already obeys) and returns an error, not
+//!   a verdict.
 //!
 //! [`RunBudget`](crate::budget::RunBudget) guards *how much* work a
 //! computation may do; a [`CancelToken`] decides *whether it may keep
@@ -41,8 +39,7 @@ use std::time::{Duration, Instant};
 /// Why a computation was interrupted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Interrupted {
-    /// [`CancelToken::cancel`] was called (by the caller, or by a
-    /// parent token's cancellation propagating down).
+    /// [`CancelToken::cancel`] was called.
     Cancelled,
     /// The token's [`Deadline`] passed.
     DeadlineExceeded,
@@ -118,8 +115,6 @@ struct Inner {
     /// The wall-clock trip point, if any. Tokens without one never read
     /// the clock (checkpoints stay a single atomic load).
     deadline: Option<Instant>,
-    /// Parent link: a fired parent fires this token at its next poll.
-    parent: Option<Arc<Inner>>,
 }
 
 impl Inner {
@@ -128,23 +123,6 @@ impl Inner {
             CANCELLED => return Some(Interrupted::Cancelled),
             DEADLINE => return Some(Interrupted::DeadlineExceeded),
             _ => {}
-        }
-        if let Some(parent) = &self.parent {
-            if let Some(why) = parent.status() {
-                // Latch the parent's reason locally so deep token chains
-                // pay the walk once, not per checkpoint.
-                let latched = match why {
-                    Interrupted::Cancelled => CANCELLED,
-                    Interrupted::DeadlineExceeded => DEADLINE,
-                };
-                let _ = self.state.compare_exchange(
-                    LIVE,
-                    latched,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                );
-                return Some(why);
-            }
         }
         if let Some(at) = self.deadline {
             if Instant::now() >= at {
@@ -174,16 +152,11 @@ impl Inner {
 /// let token = CancelToken::new();
 /// assert_eq!(token.checkpoint(), Ok(()));
 ///
-/// // A portfolio race flag is a *child*: cancelling it (first success)
-/// // does not fire the parent, while cancelling the parent (external
-/// // abort) fires every child.
-/// let race = token.child();
-/// race.cancel();
-/// assert!(race.is_cancelled());
-/// assert_eq!(token.checkpoint(), Ok(()));
-///
-/// token.cancel();
-/// assert_eq!(token.child().checkpoint(), Err(Interrupted::Cancelled));
+/// // Clones observe the same state: cancelling one fires them all.
+/// let handle = token.clone();
+/// handle.cancel();
+/// assert!(token.is_cancelled());
+/// assert_eq!(token.checkpoint(), Err(Interrupted::Cancelled));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CancelToken {
@@ -198,7 +171,6 @@ impl CancelToken {
             inner: Arc::new(Inner {
                 state: AtomicU8::new(LIVE),
                 deadline: None,
-                parent: None,
             }),
         }
     }
@@ -209,23 +181,6 @@ impl CancelToken {
             inner: Arc::new(Inner {
                 state: AtomicU8::new(LIVE),
                 deadline: Some(deadline.instant()),
-                parent: None,
-            }),
-        }
-    }
-
-    /// A child token: fires when this token fires (same reason), or
-    /// when [`CancelToken::cancel`] is called on the child itself —
-    /// without affecting the parent. This is how portfolio races nest
-    /// under an external token: the race winner cancels the child, an
-    /// external abort cancels the parent, and strategies polling the
-    /// child observe both.
-    pub fn child(&self) -> CancelToken {
-        CancelToken {
-            inner: Arc::new(Inner {
-                state: AtomicU8::new(LIVE),
-                deadline: None,
-                parent: Some(Arc::clone(&self.inner)),
             }),
         }
     }
@@ -246,7 +201,7 @@ impl CancelToken {
         self.inner.status()
     }
 
-    /// Whether the token has fired (cancellation, deadline, or parent).
+    /// Whether the token has fired (cancellation or deadline).
     pub fn is_cancelled(&self) -> bool {
         self.status().is_some()
     }
@@ -312,25 +267,6 @@ mod tests {
         assert!(d.remaining() > Duration::from_secs(3000));
         let t = CancelToken::with_deadline(d);
         assert_eq!(t.checkpoint(), Ok(()));
-    }
-
-    #[test]
-    fn child_cancel_does_not_fire_parent() {
-        let parent = CancelToken::new();
-        let race = parent.child();
-        race.cancel();
-        assert_eq!(race.checkpoint(), Err(Interrupted::Cancelled));
-        assert_eq!(parent.checkpoint(), Ok(()));
-    }
-
-    #[test]
-    fn parent_cancel_fires_children_with_reason() {
-        let parent = CancelToken::with_deadline(Deadline::in_millis(0));
-        let child = parent.child();
-        let grandchild = child.child();
-        assert_eq!(grandchild.checkpoint(), Err(Interrupted::DeadlineExceeded));
-        // The walk latched the reason locally.
-        assert_eq!(child.inner.state.load(Ordering::Relaxed), DEADLINE);
     }
 
     #[test]

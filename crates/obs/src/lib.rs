@@ -14,9 +14,9 @@
 //! experiment verdicts, which turns the profile into a correctness gate.
 //!
 //! **Perf stats** ([`PerfCounter`]) measure *how* the pool got it done:
-//! steals, parks, spawns, portfolio nodes explored before cancellation,
-//! restart slices, redundant racer builds. These depend on scheduling
-//! and live in a separate namespace that CI strips before diffing.
+//! steals, parks, spawns, redundant racer builds, deadline trips. These
+//! depend on scheduling and live in a separate namespace that CI strips
+//! before diffing.
 //!
 //! # Sharding and merging
 //!
@@ -69,13 +69,20 @@ pub enum Counter {
     /// CSP solvability verdicts produced (decided or Unknown).
     CspVerdicts,
     /// Symmetry-group order detected per CSP instance, summed (process
-    /// automorphisms × value permutations). Detection runs once per
-    /// instance before any racing starts, so it is schedule-invariant.
+    /// automorphisms × value permutations).
     CspSymmetries,
     /// Root branches pruned as non-lex-least orbit representatives.
     /// Computed from the instance alone (root propagation + first
-    /// branch variable), before any strategy races — deterministic.
+    /// branch variable), before the search explores any branch.
     CspOrbitRootPrunes,
+    /// Decision nodes expanded by the pruned CSP search and the
+    /// shelling search (searches a token interrupted are not counted).
+    SearchNodes,
+    /// Branches those searches skipped because a no-good (CSP) or
+    /// dead used-set (shelling) table already refuted them.
+    NoGoodHits,
+    /// Entries recorded into those tables.
+    NoGoodInserts,
     /// k-sweep verdicts derived by lifting a solvability certificate
     /// from k to k+1 (monotonicity) instead of searching.
     CspSweepSeeded,
@@ -117,7 +124,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in presentation order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 27] = [
         Counter::FacetsEnumerated,
         Counter::FacesClosed,
         Counter::ViewsInterned,
@@ -129,6 +136,9 @@ impl Counter {
         Counter::CspVerdicts,
         Counter::CspSymmetries,
         Counter::CspOrbitRootPrunes,
+        Counter::SearchNodes,
+        Counter::NoGoodHits,
+        Counter::NoGoodInserts,
         Counter::CspSweepSeeded,
         Counter::CspSweepPruned,
         Counter::BudgetAdmissions,
@@ -158,6 +168,9 @@ impl Counter {
             Counter::CspVerdicts => "csp_verdicts",
             Counter::CspSymmetries => "csp_symmetries",
             Counter::CspOrbitRootPrunes => "csp_orbit_root_prunes",
+            Counter::SearchNodes => "search_nodes",
+            Counter::NoGoodHits => "nogood_hits",
+            Counter::NoGoodInserts => "nogood_inserts",
             Counter::CspSweepSeeded => "csp_sweep_seeded",
             Counter::CspSweepPruned => "csp_sweep_pruned",
             Counter::BudgetAdmissions => "budget_admissions",
@@ -186,21 +199,6 @@ pub enum PerfCounter {
     ExecParks,
     /// Jobs made stealable (deque pushes + injector submissions).
     ExecSpawns,
-    /// CSP decision nodes explored across all portfolio strategies
-    /// (includes work thrown away at cancellation).
-    PortfolioNodes,
-    /// No-good table probes that hit a published dead subtree (work
-    /// skipped). Which prunes fire depends on publication timing, so
-    /// this is perf-tier by design — the *verdicts* they protect are
-    /// not.
-    NoGoodHits,
-    /// Canonical dead-subtree signatures published into no-good tables
-    /// (unique insertions).
-    NoGoodInserts,
-    /// Portfolio races won by the canonical strategy.
-    PortfolioCanonicalWins,
-    /// Portfolio races won by an alternate strategy.
-    PortfolioAlternateWins,
     /// Registry materializations discarded because a concurrent racer
     /// already populated the cache entry.
     RegistryRedundantBuilds,
@@ -221,15 +219,10 @@ pub enum PerfCounter {
 
 impl PerfCounter {
     /// All perf counters, in presentation order.
-    pub const ALL: [PerfCounter; 13] = [
+    pub const ALL: [PerfCounter; 8] = [
         PerfCounter::ExecSteals,
         PerfCounter::ExecParks,
         PerfCounter::ExecSpawns,
-        PerfCounter::PortfolioNodes,
-        PerfCounter::NoGoodHits,
-        PerfCounter::NoGoodInserts,
-        PerfCounter::PortfolioCanonicalWins,
-        PerfCounter::PortfolioAlternateWins,
         PerfCounter::RegistryRedundantBuilds,
         PerfCounter::CacheCorruptionsQuarantined,
         PerfCounter::RequestsShed,
@@ -243,11 +236,6 @@ impl PerfCounter {
             PerfCounter::ExecSteals => "exec_steals",
             PerfCounter::ExecParks => "exec_parks",
             PerfCounter::ExecSpawns => "exec_spawns",
-            PerfCounter::PortfolioNodes => "portfolio_nodes",
-            PerfCounter::NoGoodHits => "nogood_hits",
-            PerfCounter::NoGoodInserts => "nogood_inserts",
-            PerfCounter::PortfolioCanonicalWins => "portfolio_canonical_wins",
-            PerfCounter::PortfolioAlternateWins => "portfolio_alternate_wins",
             PerfCounter::RegistryRedundantBuilds => "registry_redundant_builds",
             PerfCounter::CacheCorruptionsQuarantined => "cache_corruptions_quarantined",
             PerfCounter::RequestsShed => "requests_shed",

@@ -12,34 +12,25 @@
 //! fine for the ≤ 20-facet complexes in the paper's figures and our
 //! experiments).
 //!
-//! # The racing portfolio (DESIGN.md §11)
+//! # The search (DESIGN.md §11.3)
 //!
-//! [`find_shelling_order`] races three
-//! facet-ordering heuristics (canonical index order, descending
-//! `(d−1)`-ridge degree, descending intersection count) as work-stealing
-//! DFS tasks on the `ksa-exec` pool, sharing a [`ksa_exec::ShardedSet`]
-//! of proved-dead facet subsets and cancelling on first success —
-//! the same shape as the solvability CSP portfolio (DESIGN.md §10.2).
-//! Whether an order exists is intrinsic to the complex and every
-//! strategy's search is complete, so the *verdict* is bit-identical at
-//! any `KSA_THREADS`; the winning *witness order* may legitimately
-//! differ across schedules (any witness re-verifies through
-//! [`is_shelling_order`] and the `ksa-cert` checker). The memoized
-//! sequential search stays available as [`find_shelling_order_seq`],
-//! the pinned oracle of the determinism contract (DESIGN.md §4): the
-//! canonical strategy is spawned last, so a lone worker pops it first
-//! (LIFO) and explores exactly the oracle's node order.
-//!
-//! Dead-subset publication follows the monotone no-good contract
-//! (DESIGN.md §10.3): a subtree publishes its used-set only after a
-//! *complete, unaborted* exploration proved no extension shells — never
-//! on cancellation — so every table entry is an instance fact, valid
-//! for every strategy.
+//! [`find_shelling_order`] is a depth-first search over facet orders
+//! that memoizes on the *set* of facets already placed: whether a facet
+//! may come next depends only on that set, so a used-set from which no
+//! order completes is recorded as dead and never expanded again. The
+//! search runs on the calling thread in index order and polls the
+//! caller's token once per node, so its verdict, witness order and
+//! dead-set count are functions of the complex alone, identical at any
+//! `KSA_THREADS`. Its oracle is the standalone checker
+//! `ksa_cert::check_shelling`, which re-verifies a witness order step by
+//! step and refutes a false exhaustion claim by brute force over facet
+//! orders, sharing no code with this search.
 
 use crate::complex::{maximal_simplexes, Complex};
 use crate::error::TopologyError;
 use crate::simplex::{Simplex, View};
-use std::collections::HashMap;
+use ksa_graphs::cancel::{CancelToken, Interrupted};
+use std::collections::HashSet;
 
 /// Whether adding `new` after the facets in `prior` satisfies the shelling
 /// condition: `(⋃ prior) ∩ new` is non-void, pure of dimension
@@ -87,275 +78,85 @@ fn search_facets<V: View>(complex: &Complex<V>) -> Result<Vec<Simplex<V>>, Topol
     Ok(facets)
 }
 
-/// Sequential memoized subset search. Returns the picked facet indices
-/// (or `None`) plus the number of dead used-sets recorded — the
-/// exhaustion statistic carried by negative certificates.
-fn search_seq<V: View>(facets: &[Simplex<V>]) -> (Option<Vec<usize>>, u64) {
-    let r = facets.len();
-    // step_ok depends only on (used-set, next); `false` is cached per
-    // used-set, `true` is never cached for incomplete states (we return
-    // on first success).
-    let mut memo: HashMap<u64, bool> = HashMap::new();
-    fn dfs<V: View>(
-        facets: &[Simplex<V>],
-        used: u64,
-        picked: &mut Vec<usize>,
-        memo: &mut HashMap<u64, bool>,
-    ) -> bool {
-        let r = facets.len();
+/// The memoized subset search over one facet list, with its work
+/// accounting.
+struct SubsetSearch<'a, V: View> {
+    facets: &'a [Simplex<V>],
+    cancel: Option<&'a CancelToken>,
+    /// Used-sets proved to admit no completion.
+    dead: HashSet<u64>,
+    nodes: u64,
+    dead_hits: u64,
+}
+
+impl<V: View> SubsetSearch<'_, V> {
+    /// Extends `picked` (whose facets form `used`) to a full shelling
+    /// order if one exists; on `Ok(false)` `used` is dead.
+    fn dfs(&mut self, used: u64, picked: &mut Vec<usize>) -> Result<bool, Interrupted> {
+        let r = self.facets.len();
         if picked.len() == r {
-            return true;
+            return Ok(true);
         }
-        if let Some(&ok) = memo.get(&used) {
-            if !ok {
-                return false;
-            }
+        if let Some(token) = self.cancel {
+            token.checkpoint()?;
         }
-        let prior: Vec<Simplex<V>> = picked.iter().map(|&i| facets[i].clone()).collect();
+        if self.dead.contains(&used) {
+            self.dead_hits += 1;
+            return Ok(false);
+        }
+        self.nodes += 1;
+        let prior: Vec<Simplex<V>> = picked.iter().map(|&i| self.facets[i].clone()).collect();
         for next in 0..r {
-            if used >> next & 1 == 1 {
+            if used >> next & 1 == 1 || !step_ok(&prior, &self.facets[next]) {
                 continue;
             }
-            if step_ok(&prior, &facets[next]) {
-                picked.push(next);
-                if dfs(facets, used | (1 << next), picked, memo) {
-                    return true;
-                }
-                picked.pop();
+            picked.push(next);
+            if self.dfs(used | (1 << next), picked)? {
+                return Ok(true);
             }
+            picked.pop();
         }
-        memo.insert(used, false);
-        false
+        self.dead.insert(used);
+        Ok(false)
     }
+}
 
+/// Decides shellability of `facets` (at least two): the picked facet
+/// indices (or `None`) plus the number of dead used-sets recorded — the
+/// exhaustion statistic carried by negative certificates. An
+/// interrupted search records no counters.
+fn search<V: View>(
+    facets: &[Simplex<V>],
+    cancel: Option<&CancelToken>,
+) -> Result<(Option<Vec<usize>>, u64), Interrupted> {
+    let mut search = SubsetSearch {
+        facets,
+        cancel,
+        dead: HashSet::new(),
+        nodes: 0,
+        dead_hits: 0,
+    };
+    let mut found = None;
     // Any facet can start.
-    for start in 0..r {
+    for start in 0..facets.len() {
         let mut picked = vec![start];
-        if dfs(facets, 1u64 << start, &mut picked, &mut memo) {
-            return (Some(picked), memo.len() as u64);
+        if search.dfs(1u64 << start, &mut picked)? {
+            found = Some(picked);
+            break;
         }
     }
-    (None, memo.len() as u64)
-}
-
-mod portfolio {
-    //! The racing shelling portfolio (module docs above; mirrors the
-    //! solvability CSP portfolio of DESIGN.md §10.2).
-
-    use super::{step_ok, Simplex, View};
-    use ksa_exec::ShardedSet;
-    use ksa_graphs::cancel::{CancelToken, Interrupted};
-    use std::sync::Mutex;
-
-    enum Search {
-        Found,
-        Dead,
-        Aborted,
-    }
-
-    /// DFS over facet subsets trying candidates in `ord`'s priority.
-    /// Publishes `used` into the shared dead table only after a
-    /// complete, unaborted exploration (the monotone contract).
-    fn dfs<V: View>(
-        facets: &[Simplex<V>],
-        ord: &[usize],
-        used: u64,
-        picked: &mut Vec<usize>,
-        dead: &ShardedSet<u64>,
-        cancel: &CancelToken,
-    ) -> Search {
-        if picked.len() == facets.len() {
-            return Search::Found;
-        }
-        if cancel.is_cancelled() {
-            return Search::Aborted;
-        }
-        if dead.contains(&used) {
-            ksa_obs::perf_count(ksa_obs::PerfCounter::NoGoodHits, 1);
-            return Search::Dead;
-        }
-        ksa_obs::perf_count(ksa_obs::PerfCounter::PortfolioNodes, 1);
-        let prior: Vec<Simplex<V>> = picked.iter().map(|&i| facets[i].clone()).collect();
-        for &next in ord {
-            if used >> next & 1 == 1 {
-                continue;
-            }
-            if step_ok(&prior, &facets[next]) {
-                picked.push(next);
-                match dfs(facets, ord, used | (1 << next), picked, dead, cancel) {
-                    Search::Found => return Search::Found,
-                    Search::Dead => {
-                        picked.pop();
-                    }
-                    Search::Aborted => {
-                        picked.pop();
-                        return Search::Aborted;
-                    }
-                }
-            }
-        }
-        // Every extension was explored to a proved-dead end (no aborts
-        // on this path), so `used` is dead for *every* strategy — safe
-        // to publish even if a cancellation just arrived.
-        if dead.insert(used) {
-            ksa_obs::perf_count(ksa_obs::PerfCounter::NoGoodInserts, 1);
-        }
-        Search::Dead
-    }
-
-    /// One strategy: try every start facet in `ord`'s priority.
-    /// `None` means the race was cancelled before this strategy could
-    /// finish; `Some(verdict)` is a complete search result.
-    fn run_strategy<V: View>(
-        facets: &[Simplex<V>],
-        ord: &[usize],
-        dead: &ShardedSet<u64>,
-        cancel: &CancelToken,
-    ) -> Option<Option<Vec<usize>>> {
-        for &start in ord {
-            if cancel.is_cancelled() {
-                return None;
-            }
-            let mut picked = vec![start];
-            match dfs(facets, ord, 1u64 << start, &mut picked, dead, cancel) {
-                Search::Found => return Some(Some(picked)),
-                Search::Dead => {}
-                Search::Aborted => return None,
-            }
-        }
-        Some(None)
-    }
-
-    /// Index order sorted by descending score, ties by ascending index.
-    fn by_desc_score(scores: &[usize]) -> Vec<usize> {
-        let mut ord: Vec<usize> = (0..scores.len()).collect();
-        ord.sort_by_key(|&i| (std::cmp::Reverse(scores[i]), i));
-        ord
-    }
-
-    /// Race the ordering heuristics; first complete search wins and
-    /// cancels the rest. Returns the winning verdict plus the shared
-    /// dead-table size (the exhaustion statistic for certificates).
-    ///
-    /// The race flag is a *child* [`CancelToken`] of `external` (when
-    /// supplied): the winner cancels only the child, while an external
-    /// cancellation or deadline reaches every strategy through the same
-    /// per-node poll and surfaces as `Err` — the one cancellation idiom
-    /// shared with the CSP portfolio (DESIGN.md §12.2).
-    pub(super) fn search<V: View>(
-        facets: &[Simplex<V>],
-        external: Option<&CancelToken>,
-    ) -> Result<(Option<Vec<usize>>, u64), Interrupted> {
-        let r = facets.len();
-        let width = facets[0].len();
-        // Pairwise intersection sizes drive both heuristics: ridge
-        // degree counts (d−1)-intersections, touch counts nonempty ones.
-        let mut inter_len = vec![0usize; r * r];
-        for i in 0..r {
-            for j in (i + 1)..r {
-                let l = facets[i].intersection(&facets[j]).len();
-                inter_len[i * r + j] = l;
-                inter_len[j * r + i] = l;
-            }
-        }
-        let ridge: Vec<usize> = (0..r)
-            .map(|i| {
-                (0..r)
-                    .filter(|&j| j != i && inter_len[i * r + j] == width - 1)
-                    .count()
-            })
-            .collect();
-        let touch: Vec<usize> = (0..r)
-            .map(|i| {
-                (0..r)
-                    .filter(|&j| j != i && inter_len[i * r + j] > 0)
-                    .count()
-            })
-            .collect();
-        let canonical: Vec<usize> = (0..r).collect();
-        let mut alternates = vec![by_desc_score(&ridge), by_desc_score(&touch)];
-        alternates.dedup();
-        alternates.retain(|ord| *ord != canonical);
-
-        let dead: ShardedSet<u64> = ShardedSet::new();
-        let cancel = match external {
-            Some(token) => token.child(),
-            None => CancelToken::new(),
-        };
-        let winner: Mutex<Option<Option<Vec<usize>>>> = Mutex::new(None);
-        let report = |verdict: Option<Vec<usize>>| -> bool {
-            let mut slot = winner.lock().unwrap_or_else(|p| p.into_inner());
-            if slot.is_none() {
-                *slot = Some(verdict);
-                cancel.cancel();
-                true
-            } else {
-                false
-            }
-        };
-
-        ksa_exec::scope(|s| {
-            for ord in &alternates {
-                let (dead, cancel, report) = (&dead, &cancel, &report);
-                s.spawn(move |_| {
-                    if let Some(verdict) = run_strategy(facets, ord, dead, cancel) {
-                        if report(verdict) {
-                            ksa_obs::perf_count(ksa_obs::PerfCounter::PortfolioAlternateWins, 1);
-                        }
-                    }
-                });
-            }
-            // Canonical last: scope workers pop LIFO, so a lone worker
-            // runs it first and walks exactly the sequential oracle's
-            // node order (bit-reproducible single-thread behavior).
-            {
-                let (canonical, dead, cancel, report) = (&canonical, &dead, &cancel, &report);
-                s.spawn(move |_| {
-                    if let Some(verdict) = run_strategy(facets, canonical, dead, cancel) {
-                        if report(verdict) {
-                            ksa_obs::perf_count(ksa_obs::PerfCounter::PortfolioCanonicalWins, 1);
-                        }
-                    }
-                });
-            }
-        });
-
-        let states = dead.len() as u64;
-        match winner.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            Some(verdict) => Ok((verdict, states)),
-            None => {
-                // No strategy completed. With an external token that is
-                // the cancellation surfacing; without one it is
-                // unreachable (a race cancel implies a reported winner),
-                // so fall back to the oracle rather than panic.
-                if let Some(token) = external {
-                    token.checkpoint()?;
-                }
-                Ok(super::search_seq(facets))
-            }
-        }
-    }
-}
-
-/// Decides shellability on the portfolio: picked facet indices (or
-/// `None`) plus the dead-state count.
-fn search<V: View>(facets: &[Simplex<V>]) -> (Option<Vec<usize>>, u64) {
-    portfolio::search(facets, None).expect("no token supplied, search cannot be interrupted")
+    let states = search.dead.len() as u64;
+    ksa_obs::count(ksa_obs::Counter::SearchNodes, search.nodes);
+    ksa_obs::count(ksa_obs::Counter::NoGoodHits, search.dead_hits);
+    ksa_obs::count(ksa_obs::Counter::NoGoodInserts, states);
+    Ok((found, states))
 }
 
 /// Searches for a shelling order of a pure complex. Returns `None` when the
 /// complex is not shellable.
 ///
-/// This races the ordering-heuristic portfolio on the `ksa-exec` pool
-/// (see the module docs); the verdict (`Some` vs `None`) is
-/// bit-identical to [`find_shelling_order_seq`] at any `KSA_THREADS`,
-/// while the witness order may differ across schedules (any witness
-/// passes [`is_shelling_order`]).
-///
-/// `cancel` parents the portfolio's race flag, so an external
-/// cancellation or deadline stops every strategy at its next per-node
-/// poll. A token that never fires leaves the verdict bit-identical to
-/// `None`.
+/// The memoized subset search of the module docs, `O(2^r · r²)` step
+/// checks for `r` facets; it polls `cancel` once per node.
 ///
 /// # Errors
 ///
@@ -365,7 +166,7 @@ fn search<V: View>(facets: &[Simplex<V>]) -> (Option<Vec<usize>>, u64) {
 /// when the token fires.
 pub fn find_shelling_order<V: View>(
     complex: &Complex<V>,
-    cancel: Option<&ksa_graphs::cancel::CancelToken>,
+    cancel: Option<&CancelToken>,
 ) -> Result<Option<Vec<Simplex<V>>>, TopologyError> {
     let facets = search_facets(complex)?;
     if facets.len() == 1 {
@@ -374,28 +175,7 @@ pub fn find_shelling_order<V: View>(
         }
         return Ok(Some(facets));
     }
-    let (picked, _states) = portfolio::search(&facets, cancel)?;
-    Ok(picked.map(|p| p.into_iter().map(|i| facets[i].clone()).collect()))
-}
-
-/// The sequential memoized search, kept verbatim as the pinned oracle
-/// of the determinism contract (DESIGN.md §4): portfolio verdicts are
-/// proptest-pinned bit-identical to this at pool sizes 1/2/8
-/// (`crates/topology/tests/shelling_portfolio.rs`).
-///
-/// Memoized subset search: `O(2^r · r²)` pair checks for `r` facets.
-///
-/// # Errors
-///
-/// Same conditions as [`find_shelling_order`].
-pub fn find_shelling_order_seq<V: View>(
-    complex: &Complex<V>,
-) -> Result<Option<Vec<Simplex<V>>>, TopologyError> {
-    let facets = search_facets(complex)?;
-    if facets.len() == 1 {
-        return Ok(Some(facets));
-    }
-    let (picked, _states) = search_seq(&facets);
+    let (picked, _states) = search(&facets, cancel)?;
     Ok(picked.map(|p| p.into_iter().map(|i| facets[i].clone()).collect()))
 }
 
@@ -443,7 +223,7 @@ pub fn is_shellable_certified<V: View>(
     let (picked, states) = if facets.len() == 1 {
         (Some(vec![0]), 0)
     } else {
-        search(&facets)
+        search(&facets, None).expect("no token supplied, search cannot be interrupted")
     };
     let (shellable, verdict) = match picked {
         Some(p) => (
@@ -681,10 +461,6 @@ mod tests {
             find_shelling_order(&c, None),
             Err(TopologyError::EmptyComplex)
         );
-        assert_eq!(
-            find_shelling_order_seq(&c),
-            Err(TopologyError::EmptyComplex)
-        );
         assert_eq!(is_shellable(&c), Err(TopologyError::EmptyComplex));
         assert_eq!(every_order_shells(&c), Err(TopologyError::EmptyComplex));
         assert!(is_shellable_certified(&c, "void").is_err());
@@ -695,7 +471,6 @@ mod tests {
         let c = Complex::of_simplex(simplex(&[0, 1, 2]));
         let order = find_shelling_order(&c, None).unwrap().unwrap();
         assert_eq!(order, vec![simplex(&[0, 1, 2])]);
-        assert_eq!(find_shelling_order_seq(&c).unwrap().unwrap(), order);
         let (shellable, cert) = is_shellable_certified(&c, "single").unwrap();
         assert!(shellable);
         assert_eq!(ksa_cert::check_shelling(&cert), Ok(()));
@@ -710,7 +485,6 @@ mod tests {
         let two = Complex::from_facets(vec![simplex(&[0]), simplex(&[1])]);
         assert!(!is_shellable(&two).unwrap());
         assert!(find_shelling_order(&two, None).unwrap().is_none());
-        assert!(find_shelling_order_seq(&two).unwrap().is_none());
         let (shellable, cert) = is_shellable_certified(&two, "two-points").unwrap();
         assert!(!shellable);
         assert_eq!(ksa_cert::check_shelling(&cert), Ok(()));

@@ -7,7 +7,7 @@
 //!   stealing vs oversubscription), and
 //! * between the parallel entry points and their sequential references.
 //!
-//! The perf tier (steals, parks, portfolio ordering) is deliberately
+//! The perf tier (steals, parks, spawns) is deliberately
 //! *not* compared — it is scheduling-dependent by design; only the
 //! namespace split makes the deterministic diff meaningful.
 //!

@@ -1,27 +1,27 @@
-//! Portfolio-vs-sequential determinism for the shelling search.
+//! The shelling search against its independent oracle.
 //!
-//! The racing portfolio ([`find_shelling_order`]) may return *any*
-//! valid shelling order — whichever strategy wins the race — but its
-//! **verdict** (shellable or not, and the whole `Result` shape on
-//! errors) must be bit-identical to the pinned sequential oracle
-//! ([`find_shelling_order_seq`]) at pool sizes 1, 2 and 8 (DESIGN.md
-//! §4, §11). Size 1 pins the lone-worker LIFO path (canonical strategy
-//! first), size 2 exercises real racing, size 8 oversubscribes the CI
-//! machine so interleavings actually vary.
+//! Every certificate [`is_shellable_certified`] emits must pass
+//! `ksa_cert::check_shelling`, whose step condition and brute-force
+//! refuter share no code with the search, and the same certificate with
+//! its verdict flipped must be rejected: a witness order becomes a false
+//! exhaustion claim, an exhaustion claim becomes a non-shelling order.
+//! Up to `BRUTE_FORCE_MAX_FACETS` facets the checker decides both
+//! directions outright, so on those complexes the search's verdict is
+//! pinned from both sides (DESIGN.md §11.3). Searches are also
+//! bit-identical on pools of 1, 2 and 8 workers, and honour the token.
 //!
 //! Random instances come from two directions, mirroring the paper's two
 //! sources of complexes: registry-sampled `random{n=3,…}` models (their
 //! uninterpreted closure complexes) and hand-rolled pure facet sets
 //! from the vendored proptest `TestRng`.
 
+use ksa_cert::{check_shelling, ShellingVerdict, BRUTE_FORCE_MAX_FACETS};
 use ksa_exec::ThreadPool;
 use ksa_graphs::budget::RunBudget;
 use ksa_models::registry;
 use ksa_topology::complex::Complex;
-use ksa_topology::shelling::{
-    find_shelling_order, find_shelling_order_seq, is_shellable_certified, is_shelling_order,
-};
-use ksa_topology::simplex::{Simplex, Vertex};
+use ksa_topology::shelling::{find_shelling_order, is_shellable_certified, is_shelling_order};
+use ksa_topology::simplex::{Simplex, Vertex, View};
 use ksa_topology::uninterpreted::closed_above_uninterpreted_complex;
 use proptest::TestRng;
 use std::sync::OnceLock;
@@ -33,31 +33,34 @@ fn pools() -> &'static [ThreadPool] {
     POOLS.get_or_init(|| [1, 2, 8].into_iter().map(ThreadPool::new).collect())
 }
 
-/// Asserts the portfolio agrees with the oracle on `complex` at every
-/// pool size, and that any witness it returns is a real shelling order.
-fn assert_portfolio_matches_seq<V: ksa_topology::simplex::View>(complex: &Complex<V>, what: &str) {
-    let reference = find_shelling_order_seq(complex);
-    let ref_verdict = reference.as_ref().map(Option::is_some);
-    for pool in pools() {
-        let par = pool.install(|| find_shelling_order(complex, None));
-        assert_eq!(
-            par.as_ref().map(Option::is_some),
-            ref_verdict,
-            "{what}: verdict mismatch at pool size {}",
-            pool.num_threads()
+/// Asserts the certificate of `complex` checks, agrees with the plain
+/// search, and — when the checker can brute-force the complex — is
+/// rejected once its verdict is flipped. Returns the verdict.
+fn assert_certificate_pins_the_verdict<V: View>(complex: &Complex<V>, what: &str) -> bool {
+    let (shellable, cert) = is_shellable_certified(complex, what).unwrap();
+    check_shelling(&cert).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let order = find_shelling_order(complex, None).unwrap();
+    assert_eq!(
+        order.is_some(),
+        shellable,
+        "{what}: plain and certified verdicts"
+    );
+    if let Some(order) = &order {
+        assert!(is_shelling_order(order).unwrap(), "{what}: witness");
+    }
+    let r = cert.facets.len();
+    if r <= BRUTE_FORCE_MAX_FACETS {
+        let mut flipped = cert.clone();
+        flipped.verdict = match &cert.verdict {
+            ShellingVerdict::Order(_) => ShellingVerdict::Exhausted { states: 1 },
+            ShellingVerdict::Exhausted { .. } => ShellingVerdict::Order((0..r as u32).collect()),
+        };
+        assert!(
+            check_shelling(&flipped).is_err(),
+            "{what}: the flipped verdict was accepted"
         );
-        if let Ok(Some(order)) = par {
-            assert!(
-                is_shelling_order(&order).unwrap(),
-                "{what}: portfolio witness is not a shelling order (pool size {})",
-                pool.num_threads()
-            );
-        }
     }
-    // The oracle's own witness must of course validate too.
-    if let Ok(Some(order)) = reference {
-        assert!(is_shelling_order(&order).unwrap(), "{what}: oracle witness");
-    }
+    shellable
 }
 
 /// A pure random complex: `r` distinct facets of width `d + 1` over a
@@ -95,21 +98,30 @@ fn random_pure_complex(rng: &mut TestRng) -> Complex<u32> {
 }
 
 #[test]
-fn portfolio_matches_seq_on_random_facet_sets() {
+fn certificates_pin_verdicts_on_random_facet_sets() {
     let mut rng = TestRng::deterministic("shelling-portfolio-facets");
+    let mut shellable = 0;
     for case in 0..48 {
         let complex = random_pure_complex(&mut rng);
-        assert_portfolio_matches_seq(&complex, &format!("case {case}"));
+        assert!(complex.facet_count() <= BRUTE_FORCE_MAX_FACETS);
+        if assert_certificate_pins_the_verdict(&complex, &format!("case {case}")) {
+            shellable += 1;
+        }
     }
+    // Both verdicts occur, so both flips were exercised.
+    assert!(
+        0 < shellable && shellable < 48,
+        "{shellable} of 48 shellable"
+    );
 }
 
 #[test]
-fn portfolio_matches_seq_on_registry_sampled_models() {
+fn certificates_pin_verdicts_on_registry_sampled_models() {
     // Uninterpreted closure complexes of seeded random registry models:
     // pure by construction (one facet per closure graph, each of width
     // n). Seeds/densities chosen so the closures stay under the 63-facet
-    // search ceiling; the verdict comparison covers the error shape too,
-    // so an over-ceiling model would still have to agree bit-for-bit.
+    // search ceiling; above the brute-force limit only the certificate
+    // check itself applies.
     let reg = registry::builtin();
     for name in [
         "random{n=3,p=0.8,seed=3,count=2}",
@@ -122,16 +134,15 @@ fn portfolio_matches_seq_on_registry_sampled_models() {
             .expect("seeded random specs resolve");
         let complex = closed_above_uninterpreted_complex(model.generators(), 2_000_000)
             .expect("small closure");
-        assert_portfolio_matches_seq(&complex, name);
+        assert_certificate_pins_the_verdict(&complex, name);
     }
 }
 
 #[test]
 fn repeated_runs_stable_when_oversubscribed() {
     // The octahedron (boundary of the 3-dim cross-polytope): 8 facets,
-    // shellable, with enough valid orders that steal races genuinely
-    // pick different witnesses — the verdict and the certificate checks
-    // must hold run after run on the oversubscribed pool.
+    // shellable, with many valid orders. The search returns the same
+    // witness and certificate on every pool size and run.
     let tri = |a: usize, b: usize, c: usize| {
         Simplex::new(vec![
             Vertex::new(a, 0u32),
@@ -149,25 +160,27 @@ fn repeated_runs_stable_when_oversubscribed() {
         }
     }
     let octa = Complex::from_facets(facets);
-    let pool = &pools()[2];
-    assert_eq!(pool.num_threads(), 8);
-    assert!(find_shelling_order_seq(&octa).unwrap().is_some());
-    for run in 0..5 {
-        let order = pool
-            .install(|| find_shelling_order(&octa, None))
-            .unwrap()
-            .unwrap_or_else(|| panic!("run {run}: octahedron must be shellable"));
-        assert!(is_shelling_order(&order).unwrap(), "run {run}");
-        // The certified path stays accept-checkable under racing.
-        let (shellable, cert) =
-            pool.install(|| is_shellable_certified(&octa, "octahedron").unwrap());
-        assert!(shellable, "run {run}");
-        ksa_cert::check_shelling(&cert).unwrap_or_else(|e| panic!("run {run}: {e}"));
+    let reference = find_shelling_order(&octa, None)
+        .unwrap()
+        .expect("the octahedron is shellable");
+    assert!(is_shelling_order(&reference).unwrap());
+    let (_, reference_cert) = is_shellable_certified(&octa, "octahedron").unwrap();
+    check_shelling(&reference_cert).unwrap();
+    for pool in pools() {
+        for run in 0..3 {
+            let what = format!("pool {}, run {run}", pool.num_threads());
+            let order = pool.install(|| find_shelling_order(&octa, None)).unwrap();
+            assert_eq!(order.as_ref(), Some(&reference), "{what}");
+            let (shellable, cert) =
+                pool.install(|| is_shellable_certified(&octa, "octahedron").unwrap());
+            assert!(shellable, "{what}");
+            assert_eq!(cert, reference_cert, "{what}");
+        }
     }
 }
 
 /// The shelling search's token, on complexes with more than one facet
-/// (a single facet never reaches the portfolio): silent changes no
+/// (a single facet never reaches the search): silent changes no
 /// verdict, fired and expired tokens stop the search.
 #[test]
 fn shelling_search_honours_the_token() {

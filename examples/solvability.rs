@@ -67,7 +67,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Synthesize a witness and run it as an actual algorithm.
     println!("synthesized 2-set algorithm for the symmetric ring, in action:");
     let model = registry.resolve_closed_above("ring{n=3,sym}", 1u128 << 10)?;
-    let Solvability::Solvable(map) = decide_one_round(&model, 2, 2, 2_000_000, 50_000_000)? else {
+    let (Solvability::Solvable(map), _, _) =
+        decide_one_round(&model, 2, 2, 2_000_000, 50_000_000, None)?
+    else {
         unreachable!("shown solvable above");
     };
     println!("  decision map covers {} reachable views", map.len());
