@@ -165,11 +165,12 @@ fn trace_of_a_real_run_is_wellformed_trace_event_json() {
     assert!(doc.contains("\"traceEvents\""), "missing traceEvents array");
     if cfg!(feature = "obs") {
         // The span layers the rounds experiment crosses: experiment,
-        // round construction, rank reduction, and certificate
-        // production, checking and serialization.
+        // round construction, face closure, rank reduction, and
+        // certificate production, checking and serialization.
         for needle in [
             "\"cat\": \"experiment\"",
             "\"name\": \"round\"",
+            "\"name\": \"closure\"",
             "\"name\": \"rank_reduce\"",
             "\"name\": \"produce\", \"cat\": \"cert\"",
             "\"name\": \"check\", \"cat\": \"cert\"",

@@ -16,6 +16,13 @@
 //!   flat stride-`(k+1)` incidence array of `∂_k`. Dropping later
 //!   positions yields lexicographically smaller faces, so every row comes
 //!   out ascending. No per-simplex hashing and no face lookups anywhere.
+//! * **Packed-key numbering** — each level is sorted and deduplicated
+//!   as one `u64` key per candidate face: its vertex ids, most
+//!   significant first, at `bits(|V| − 1)` bits each, above its input
+//!   index. The keys sort as integers, equal high bits are equal faces,
+//!   and the distinct faces are decoded from their keys. A level whose
+//!   keys would need more than 64 bits falls back to an index sort
+//!   comparing the faces as slices, which is also the kernel's oracle.
 //! * **Sparse boundary reduction** — `∂_k`, `k ≥ 2`, is ranked by an
 //!   echelon-basis elimination (`Echelon`) over the incidence rows. The
 //!   matrices are ultra-sparse (`k+1` entries per row) with low
@@ -55,9 +62,78 @@ use ksa_obs::Counter;
 
 use ksa_exec::prelude::*;
 
+/// The number of bits needed to write every value in `0..=max`.
+fn bits(max: u64) -> u32 {
+    u64::BITS - max.leading_zeros()
+}
+
+/// Numbers the `stride`-chunks of `data`, whose ids all lie below
+/// `2^id_bits`: returns the sorted distinct chunks and, for every input
+/// chunk, the position of its chunk in that output. The chunks are
+/// numbered as packed keys ([`pack_keys`], [`number_keys`]), and by
+/// [`sort_dedup_chunks`] when a chunk and its index do not fit in a
+/// `u64`; `data` is dropped once the keys are built.
+fn number_chunks(data: Vec<u32>, stride: usize, id_bits: u32) -> (Vec<u32>, Vec<u32>) {
+    let Some(keys) = pack_keys(&data, stride, id_bits) else {
+        return sort_dedup_chunks(&data, stride);
+    };
+    drop(data);
+    number_keys(keys, stride, id_bits)
+}
+
+/// One `u64` sort key per `stride`-chunk of `data`: its ids, most
+/// significant first and `id_bits` wide, above its input index; `None`
+/// when `stride · id_bits` plus the bits of the largest index exceed 64.
+/// Keys compare as their chunks do lexicographically, then by index.
+fn pack_keys(data: &[u32], stride: usize, id_bits: u32) -> Option<Vec<u64>> {
+    let rows = data.len() / stride;
+    // Ids and indices are `u32`s, so `id_bits ≤ 32` and `idx_bits ≤ 32`:
+    // every shift here and in `number_keys` stays under 64.
+    let idx_bits = bits(rows.saturating_sub(1) as u64);
+    if stride as u64 * u64::from(id_bits) + u64::from(idx_bits) > 64 {
+        return None;
+    }
+    debug_assert!(data.iter().all(|&v| u64::from(v) >> id_bits == 0));
+    let pack = |row: &[u32]| {
+        row.iter()
+            .fold(0, |acc, &v| (acc << id_bits) | u64::from(v))
+    };
+    let keys = data.chunks_exact(stride).zip(0u64..);
+    Some(keys.map(|(row, i)| (pack(row) << idx_bits) | i).collect())
+}
+
+/// Numbers the chunks behind [`pack_keys`]' output like
+/// [`number_chunks`]. After the sort, equal high bits are equal chunks:
+/// one in-order pass numbers every index and compacts the distinct
+/// chunks' bits to the front of `keys`, and the distinct chunks are
+/// decoded from there, so the chunks themselves are never read back.
+fn number_keys(mut keys: Vec<u64>, stride: usize, id_bits: u32) -> (Vec<u32>, Vec<u32>) {
+    let idx_bits = bits(keys.len().saturating_sub(1) as u64);
+    let (idx_mask, id_mask) = ((1 << idx_bits) - 1, (1 << id_bits) - 1);
+    keys.sort_unstable();
+    let mut id_of = vec![0u32; keys.len()];
+    let mut distinct = 0;
+    for i in 0..keys.len() {
+        let (ids, idx) = (keys[i] >> idx_bits, keys[i] & idx_mask);
+        // `distinct ≤ i`: the write never passes the key being read.
+        if distinct == 0 || keys[distinct - 1] != ids {
+            keys[distinct] = ids;
+            distinct += 1;
+        }
+        id_of[idx as usize] = (distinct - 1) as u32;
+    }
+    let mut sorted: Vec<u32> = Vec::with_capacity(distinct * stride);
+    for &ids in &keys[..distinct] {
+        let id = |j: usize| ((ids >> (j as u32 * id_bits)) & id_mask) as u32;
+        sorted.extend((0..stride).rev().map(id));
+    }
+    (sorted, id_of)
+}
+
 /// Sorts the `stride`-chunks of `data` lexicographically, keeping the
 /// first of each run of equal chunks. Returns the sorted distinct chunks
 /// and, for every input chunk, the position of its chunk in that output.
+/// The fallback and sequential oracle of [`number_chunks`].
 fn sort_dedup_chunks(data: &[u32], stride: usize) -> (Vec<u32>, Vec<u32>) {
     let chunk = |i: u32| &data[i as usize * stride..(i as usize + 1) * stride];
     let mut idx: Vec<u32> = (0..(data.len() / stride) as u32).collect();
@@ -289,11 +365,13 @@ impl ChainComplex {
                 ranks: Vec::new(),
             };
         };
+        let _span = ksa_obs::span("chain", || "closure").arg("dim", dim as u64);
+        let id_bits = bits(vertex_count.saturating_sub(1) as u64);
         let mut counts = vec![0; dim + 1];
         counts[0] = vertex_count;
         let mut rows = vec![Vec::new(); dim + 1];
         // `upper`: the sorted, distinct k-simplexes, top dimension first.
-        let (mut upper, _) = sort_dedup_chunks(&facets[dim], dim + 1);
+        let (mut upper, _) = number_chunks(std::mem::take(&mut facets[dim]), dim + 1, id_bits);
         for k in (1..=dim).rev() {
             counts[k] = upper.len() / (k + 1);
             if k == 1 {
@@ -312,7 +390,7 @@ impl ChainComplex {
                 }
             }
             faces.extend_from_slice(&facets[k - 1]);
-            let (lower, mut ids) = sort_dedup_chunks(&faces, k);
+            let (lower, mut ids) = number_chunks(faces, k, id_bits);
             ids.truncate(upper.len());
             rows[k] = ids;
             upper = lower;
@@ -679,6 +757,62 @@ mod tests {
             let expect: Vec<u32> = a.symmetric_difference(&b).copied().collect();
             proptest::prop_assert_eq!(acc, expect);
         }
+
+        #[test]
+        fn packed_numbering_matches_the_index_sort(
+            stride in 1usize..=4,
+            id_bits in 0u32..=32,
+            pool in proptest::collection::vec(proptest::prelude::any::<u32>(), 32),
+            pool_size in 1usize..=8,
+            picks in proptest::collection::vec(0usize..8, 1..=64),
+        ) {
+            // Few distinct rows, drawn many times; the ids keep the top
+            // `id_bits` of each pool word, so the widest ids occur and
+            // `stride · id_bits` lands on both sides of 64.
+            let id = |v: u32| v.checked_shr(32 - id_bits).unwrap_or(0);
+            let data: Vec<u32> = picks
+                .iter()
+                .flat_map(|&p| pool[(p % pool_size) * 4..][..stride].iter().map(|&v| id(v)))
+                .collect();
+            let width = stride as u32 * id_bits + bits(picks.len() as u64 - 1);
+            proptest::prop_assert_eq!(pack_keys(&data, stride, id_bits).is_some(), width <= 64);
+            let oracle = sort_dedup_chunks(&data, stride);
+            proptest::prop_assert_eq!(number_chunks(data, stride, id_bits), oracle);
+        }
+    }
+
+    #[test]
+    fn packed_numbering_packs_exactly_up_to_64_bits() {
+        // Stride 3 of 21-bit ids is 63 bits: two rows add one index bit
+        // (64, packed), three rows two (65, the index sort).
+        let top = (1 << 21) - 1;
+        let two = vec![top, top - 1, top - 2, 0, 1, top];
+        assert!(pack_keys(&two, 3, 21).is_some());
+        let numbered = (vec![0, 1, top, top, top - 1, top - 2], vec![1, 0]);
+        assert_eq!(sort_dedup_chunks(&two, 3), numbered);
+        assert_eq!(number_chunks(two, 3, 21), numbered);
+        let three = vec![top, top - 1, top - 2, 0, 1, top, top, top - 1, top - 2];
+        assert!(pack_keys(&three, 3, 21).is_none());
+        assert_eq!(
+            number_chunks(three, 3, 21),
+            (vec![0, 1, top, top, top - 1, top - 2], vec![1, 0, 1])
+        );
+    }
+
+    #[test]
+    fn packed_numbering_of_one_row_and_of_one_vertex() {
+        // One row: no index bits, and 64 id bits fill the key.
+        let row = vec![u16::MAX as u32, 7, 0, 1];
+        assert!(pack_keys(&row, 4, 16).is_some());
+        assert_eq!(number_chunks(row.clone(), 4, 16), (row, vec![0]));
+        // One vertex: zero-width ids, every row is `[0]`.
+        assert!(pack_keys(&[0; 5], 1, 0).is_some());
+        assert_eq!(number_chunks(vec![0; 5], 1, 0), (vec![0], vec![0; 5]));
+        let mut facets = Vec::new();
+        file_facet(&mut facets, &[0]);
+        let mut point = ChainComplex::from_facet_ids(1, facets);
+        assert_eq!(point.counts, vec![1]);
+        assert_eq!(point.reduced_betti(), vec![0]);
     }
 
     #[test]
@@ -708,6 +842,26 @@ mod tests {
         vs
     }
 
+    /// Every row of `∂_k`, `k ≥ 1`, is ascending and lists exactly the
+    /// faces of its simplex, slot `j` dropping vertex `k − j`.
+    fn assert_incidence_rows(chain: &ChainComplex) {
+        for k in 1..chain.counts.len() {
+            for (r, row) in chain.rows[k].chunks_exact(k + 1).enumerate() {
+                assert!(
+                    row.windows(2).all(|w| w[0] < w[1]),
+                    "∂_{k} row {r}: {row:?}"
+                );
+                let verts = vertices_of(chain, k, r as u32);
+                assert_eq!(verts.len(), k + 1, "∂_{k} row {r}");
+                for (j, &f) in row.iter().enumerate() {
+                    let mut face = verts.clone();
+                    face.remove(k - j);
+                    assert_eq!(vertices_of(chain, k - 1, f), face, "∂_{k} row {r}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn top_down_closure_emits_the_incidence_rows() {
         // Non-pure, filed out of order: a triangle, an isolated vertex,
@@ -719,22 +873,24 @@ mod tests {
         let chain = ChainComplex::from_facet_ids(6, facets);
         assert_eq!(chain.counts, vec![6, 4, 1]);
         assert_eq!(chain.rows[1], vec![0, 3, 2, 4, 2, 5, 4, 5]);
-        for k in 1..=2 {
-            for (r, row) in chain.rows[k].chunks_exact(k + 1).enumerate() {
-                assert!(
-                    row.windows(2).all(|w| w[0] < w[1]),
-                    "∂_{k} row {r}: {row:?}"
-                );
-                let verts = vertices_of(&chain, k, r as u32);
-                assert_eq!(verts.len(), k + 1, "∂_{k} row {r}");
-                // Face `j` drops vertex `k − j`: exactly the simplex's faces.
-                for (j, &f) in row.iter().enumerate() {
-                    let mut face = verts.clone();
-                    face.remove(k - j);
-                    assert_eq!(vertices_of(&chain, k - 1, f), face, "∂_{k} row {r}");
-                }
-            }
+        assert_incidence_rows(&chain);
+
+        // 65 537 vertices need 17-bit ids, so the tetrahedra (4 · 17 bits
+        // plus an index bit) take the index sort, and the levels below
+        // pack. The tetrahedron is filed twice, beside a triangle on its
+        // apex; every other vertex is isolated.
+        let apex = 1 << 16;
+        let mut facets = Vec::new();
+        for ids in [&[0, 1, 2, apex][..], &[3, 4, apex], &[0, 1, 2, apex]] {
+            file_facet(&mut facets, ids);
         }
+        for v in 5..apex {
+            file_facet(&mut facets, &[v]);
+        }
+        assert!(pack_keys(&facets[3], 4, bits(u64::from(apex))).is_none());
+        let chain = ChainComplex::from_facet_ids(apex as usize + 1, facets);
+        assert_eq!(chain.counts, vec![apex as usize + 1, 9, 5, 1]);
+        assert_incidence_rows(&chain);
     }
 
     #[test]
