@@ -1,6 +1,7 @@
 //! Criterion benches of the topology substrate: pseudosphere
 //! materialization, homology (the chain engine's tracked microbench),
-//! protocol-complex construction and connectivity verification.
+//! protocol-complex construction, multi-round construction and
+//! connectivity verification.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ksa_core::task::input_complex;
@@ -119,6 +120,28 @@ fn bench_protocol_complex(c: &mut Criterion) {
     group.finish();
 }
 
+/// Round construction (DESIGN.md §6.4): two rounds of interpretation,
+/// interning and facet materialization over binary inputs, on a random
+/// model (12 168 round-2 facets) and on the star unions (10 952).
+fn bench_rounds_build(c: &mut Criterion) {
+    use ksa_graphs::budget::RunBudget;
+    let mut group = c.benchmark_group("rounds_build");
+    group.sample_size(10);
+    let input = input_complex(3, 1, 100_000_000).expect("in budget");
+    for name in ["random{n=3,p=0.5,seed=2,count=4}", "stars{n=3,s=1}"] {
+        let model = ksa_models::registry::builtin()
+            .resolve_closed_above(name, RunBudget::DEFAULT)
+            .expect("a closed-above builtin model");
+        group.bench_function(BenchmarkId::new("r2", name), |b| {
+            b.iter(|| {
+                protocol_complex_rounds(model.generators(), black_box(&input), 2, 100_000_000u128)
+                    .expect("in budget")
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_input_complex(c: &mut Criterion) {
     let mut group = c.benchmark_group("input_complex");
     for (n, k) in [(3usize, 2usize), (4, 2), (4, 3)] {
@@ -183,6 +206,7 @@ criterion_group!(
     bench_homology,
     bench_homology_engine,
     bench_protocol_complex,
+    bench_rounds_build,
     bench_input_complex,
     bench_shelling
 );

@@ -1,7 +1,8 @@
 //! Well-formedness of the `--trace` export: the document a real
 //! experiment run produces must parse as JSON (chrome://tracing rejects
 //! anything else silently) and carry the span structure the acceptance
-//! contract names — experiment, round and rank-reduction spans.
+//! contract names — experiment, round (and its interpretation, interning
+//! and materialization steps) and rank-reduction spans.
 //!
 //! The validator is a minimal recursive-descent JSON syntax checker
 //! (the build environment has no serde): it accepts exactly the JSON
@@ -165,11 +166,15 @@ fn trace_of_a_real_run_is_wellformed_trace_event_json() {
     assert!(doc.contains("\"traceEvents\""), "missing traceEvents array");
     if cfg!(feature = "obs") {
         // The span layers the rounds experiment crosses: experiment,
-        // round construction, face closure, rank reduction, and
+        // round construction (interpretation, interning, facet
+        // materialization), face closure, rank reduction, and
         // certificate production, checking and serialization.
         for needle in [
             "\"cat\": \"experiment\"",
             "\"name\": \"round\"",
+            "\"name\": \"interpret\", \"cat\": \"topology\"",
+            "\"name\": \"intern\", \"cat\": \"topology\"",
+            "\"name\": \"materialize\", \"cat\": \"topology\"",
             "\"name\": \"closure\"",
             "\"name\": \"rank_reduce\"",
             "\"name\": \"produce\", \"cat\": \"cert\"",

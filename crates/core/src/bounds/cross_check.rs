@@ -228,10 +228,7 @@ fn round_row(
         predicted_l,
         measured_connectivity,
         betti,
-        facets: rc
-            .complex_at(r)
-            .expect("round was materialized")
-            .facet_count(),
+        facets: rc.facet_count_at(r).expect("round was materialized"),
         interned_views: rc.table_at(r).expect("round was materialized").len(),
     })
 }

@@ -23,6 +23,8 @@
 //!   and the distinct faces are decoded from their keys. A level whose
 //!   keys would need more than 64 bits falls back to an index sort
 //!   comparing the faces as slices, which is also the kernel's oracle.
+//!   The multi-round construction ([`crate::rounds`]) numbers its view
+//!   and facet rows with the same kernel.
 //! * **Sparse boundary reduction** — `∂_k`, `k ≥ 2`, is ranked by an
 //!   echelon-basis elimination (`Echelon`) over the incidence rows. The
 //!   matrices are ultra-sparse (`k+1` entries per row) with low
@@ -63,7 +65,7 @@ use ksa_obs::Counter;
 use ksa_exec::prelude::*;
 
 /// The number of bits needed to write every value in `0..=max`.
-fn bits(max: u64) -> u32 {
+pub(crate) fn bits(max: u64) -> u32 {
     u64::BITS - max.leading_zeros()
 }
 
@@ -73,7 +75,7 @@ fn bits(max: u64) -> u32 {
 /// numbered as packed keys ([`pack_keys`], [`number_keys`]), and by
 /// [`sort_dedup_chunks`] when a chunk and its index do not fit in a
 /// `u64`; `data` is dropped once the keys are built.
-fn number_chunks(data: Vec<u32>, stride: usize, id_bits: u32) -> (Vec<u32>, Vec<u32>) {
+pub(crate) fn number_chunks(data: Vec<u32>, stride: usize, id_bits: u32) -> (Vec<u32>, Vec<u32>) {
     let Some(keys) = pack_keys(&data, stride, id_bits) else {
         return sort_dedup_chunks(&data, stride);
     };

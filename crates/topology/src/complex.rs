@@ -97,6 +97,15 @@ impl<V: View> Complex<V> {
         }
     }
 
+    /// Builds a complex from facets that are already distinct,
+    /// inclusion-maximal and sorted (a protocol round's sorted facet
+    /// rows): no candidate is sorted or filtered.
+    pub(crate) fn from_sorted_facets(facets: impl IntoIterator<Item = Simplex<V>>) -> Self {
+        Complex {
+            facets: facets.into_iter().collect(),
+        }
+    }
+
     /// Iterates over the facets (inclusion-maximal simplexes).
     pub fn facets(&self) -> impl Iterator<Item = &Simplex<V>> {
         self.facets.iter()

@@ -14,10 +14,14 @@
 //!
 //! Determinism (DESIGN.md §4): ids are **canonical**, not first-come —
 //! [`ViewTable::canonical`] sorts the distinct entries and assigns ids by
-//! sorted position. Any enumeration order (sequential odometer, parallel
-//! pair fan-out) therefore produces the *same* table and the same ids,
-//! which is what lets the parallel multi-round pipeline of
-//! [`crate::rounds`] merge without coordination.
+//! sorted position, so a table is a function of its entry *set*, not of
+//! the order the entries were enumerated in. The multi-round pipeline of
+//! [`crate::rounds`] never searches a table: it encodes every view
+//! occurrence as a flat `u32` row that sorts exactly as the
+//! [`InternedView`] it stands for, numbers the rows with the chain
+//! engine's packed-key kernel, and decodes only the distinct rows — in
+//! canonical order — into the round's table. An empty view encodes as
+//! the all-zero row, which sorts first, as the empty list does.
 
 use std::fmt;
 
@@ -139,8 +143,8 @@ mod tests {
 
     #[test]
     fn order_independent() {
-        // The canonicity that the parallel merge relies on: any order of
-        // the same candidate multiset gives the same table.
+        // Canonicity: any order of the same candidate multiset gives
+        // the same table.
         let a = ViewTable::canonical(vec![3u32, 1, 2]);
         let b = ViewTable::canonical(vec![2u32, 2, 3, 1, 1]);
         assert_eq!(a, b);

@@ -74,5 +74,5 @@ pub mod uninterpreted;
 
 pub use complex::Complex;
 pub use error::TopologyError;
-pub use rounds::{protocol_complex_rounds, protocol_complex_rounds_seq, RoundsComplex};
+pub use rounds::{protocol_complex_rounds, RoundsComplex};
 pub use simplex::{Simplex, Vertex, View};

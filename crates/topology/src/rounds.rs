@@ -14,33 +14,53 @@
 //! plain [`Complex<u32>`], which is what the homology pipeline consumes
 //! for the round-sweep connectivity experiments.
 //!
+//! A round is built on flat `u32` rows and numbered by the chain
+//! engine's packed-key kernel (`chain::number_chunks`), in three steps:
+//!
+//! * **interpret** — every view occurrence `(τ, g, p, S)` (a previous
+//!   facet, a generator, a process and one of its admissible sender sets)
+//!   becomes a stride-`n` row: each sender `q ∈ S` present in `τ` writes
+//!   `q·P + id_τ(q) + 1`, in sender order, for the `P` views of the
+//!   previous round, and the row is padded with 0. Rows compare exactly
+//!   as the [`InternedView`]s they encode.
+//! * **intern** — numbering the rows yields the round's canonical view
+//!   table (only the distinct rows are decoded) and the view id of every
+//!   occurrence, with no lookups.
+//! * **materialize** — each pair's facet product is admitted against the
+//!   budget, then an odometer writes its facets as stride-`n` rows of
+//!   view ids in color order, and numbering those rows sorts and dedups
+//!   them. Every round facet carries all `n` colors, so row order is
+//!   [`Simplex`] order: the sorted rows feed the next round, the homology
+//!   and the public complex alike.
+//!
 //! The [`Run`] budget guards the per-round facet blow-up: each round's
 //! total facet product is estimated pair by pair *before* any facet is
 //! materialized, and an oversized round fails fast with
 //! [`TopologyError::Budget`]. The run's token, if any, is polled once per
 //! round.
 //!
-//! Determinism (DESIGN.md §4): [`protocol_complex_rounds_seq`] is the
-//! public sequential reference; [`protocol_complex_rounds`] fans the per-(input-facet × generator)
-//! interpretation out on the `ksa-exec` pool and merges in input order,
-//! with canonical id assignment ([`ViewTable::canonical`]) and facet
-//! canonicalization (`Complex::from_facets`) at the merge — the results
-//! are bit-identical at any `KSA_THREADS`, proptest-pinned at pool sizes
-//! 1/2/8.
+//! Determinism (DESIGN.md §4): the construction runs on the calling
+//! thread and its ids are sorted positions, so the result is a function
+//! of the generators and the input alone. Its reference is the one-round
+//! construction, which shares none of this code: round 1 expands to
+//! [`crate::interpretation::protocol_complex_one_round`], and round 2
+//! resolves to the one-round complex of the one-round complex
+//! (proptest-pinned in `tests/rounds.rs`).
 
-use crate::chain::{certified_from_facet_ids, file_facet, ChainComplex};
+use crate::chain::{bits, certified_from_facet_ids, number_chunks, ChainComplex};
 use crate::complex::Complex;
 use crate::connectivity::Connectivity;
 use crate::error::TopologyError;
 use crate::intern::{InternedView, ViewTable};
-use crate::interpretation::FlatView;
+use crate::interpretation::{superset_views, FlatView};
 use crate::simplex::{Simplex, Vertex, View};
 use ksa_graphs::budget::{Run, RunBudget};
 use ksa_graphs::cancel::CancelToken;
-use ksa_graphs::Digraph;
+use ksa_graphs::{Digraph, GraphError};
 use ksa_obs::Counter;
 
-use ksa_exec::prelude::*;
+/// The view id of a color an input facet lacks, in the round-1 rows.
+const ABSENT: u32 = u32::MAX;
 
 /// One round of [`RoundsComplex::homology_sweep`]: that round's
 /// homology verdicts.
@@ -68,8 +88,14 @@ pub struct RoundsComplex<V> {
     input_table: ViewTable<V>,
     /// `tables[t]`: the views created at round `t + 1`.
     tables: Vec<ViewTable<InternedView>>,
-    /// `complexes[t]`: the round-`(t + 1)` protocol complex.
+    /// `rows[t]`: the round-`(t + 1)` facets as sorted, distinct
+    /// stride-`n` rows of view ids, in color order.
+    rows: Vec<Vec<u32>>,
+    /// `complexes[t]`: the round-`(t + 1)` protocol complex, built from
+    /// `rows[t]`.
     complexes: Vec<Complex<u32>>,
+    /// The number of processes: every round facet's size.
+    n: usize,
 }
 
 impl<V: View> RoundsComplex<V> {
@@ -86,6 +112,12 @@ impl<V: View> RoundsComplex<V> {
     /// The protocol complex after `round` rounds (1-based), if computed.
     pub fn complex_at(&self, round: usize) -> Option<&Complex<u32>> {
         round.checked_sub(1).and_then(|t| self.complexes.get(t))
+    }
+
+    /// The number of facets after `round` rounds (1-based), if computed.
+    pub fn facet_count_at(&self, round: usize) -> Option<usize> {
+        let t = round.checked_sub(1)?;
+        self.rows.get(t).map(|rows| rows.len() / self.n)
     }
 
     /// The view table of `round` (1-based), if computed.
@@ -145,14 +177,12 @@ impl<V: View> RoundsComplex<V> {
     /// The per-round loop behind both sweeps; only the run's token is
     /// read.
     fn sweep(&self, run: Run<'_>) -> Result<Vec<SweepStep>, TopologyError> {
-        self.complexes
-            .iter()
-            .zip(&self.tables)
-            .map(|(complex, table)| {
+        (0..self.rounds())
+            .map(|t| {
                 run.checkpoint()?;
-                let mut facets = Vec::new();
-                let vertex_count =
-                    dense_facet_ids(complex, table.len(), |ids| file_facet(&mut facets, ids));
+                let (vertex_count, ids) = self.dense_facet_ids(t);
+                let mut facets = vec![Vec::new(); self.n];
+                facets[self.n - 1] = ids;
                 let mut chain = ChainComplex::from_facet_ids(vertex_count, facets);
                 if run.cancel.is_some() {
                     // Warm each dimension's cached rank one at a time,
@@ -185,13 +215,37 @@ impl<V: View> RoundsComplex<V> {
         label: &str,
     ) -> Option<(Vec<usize>, ksa_cert::HomologyCert)> {
         let _span = ksa_obs::span("cert", || "produce");
-        let t = round.checked_sub(1)?;
-        let complex = self.complexes.get(t)?;
-        let mut facet_ids: Vec<Vec<u32>> = Vec::with_capacity(complex.facet_count());
-        let vertex_count = dense_facet_ids(complex, self.tables[t].len(), |ids| {
-            facet_ids.push(ids.to_vec())
-        });
+        let t = round.checked_sub(1).filter(|&t| t < self.rounds())?;
+        let (vertex_count, ids) = self.dense_facet_ids(t);
+        let facet_ids = ids.chunks_exact(self.n).map(<[u32]>::to_vec).collect();
         certified_from_facet_ids(vertex_count, facet_ids, label)
+    }
+
+    /// Interns round `t + 1`'s facets for the chain engine without
+    /// sorting: a round vertex `(color, view)` has `view < views`, so a
+    /// `colors × views` presence table, numbered in `(color, view)`
+    /// order, assigns exactly the sorted-vertex ids of
+    /// [`crate::chain::intern_facets`]. Returns the vertex count and
+    /// every facet's ascending ids, in facet order, as stride-`n` rows.
+    fn dense_facet_ids(&self, t: usize) -> (usize, Vec<u32>) {
+        let (rows, views) = (&self.rows[t], self.tables[t].len());
+        let slot = |p: usize, view: u32| p * views + view as usize;
+        let mut id = vec![u32::MAX; self.n * views];
+        for row in rows.chunks_exact(self.n) {
+            for (p, &view) in row.iter().enumerate() {
+                id[slot(p, view)] = 0;
+            }
+        }
+        // Number the present slots (marked 0) in `(color, view)` order.
+        let mut next = 0;
+        for x in id.iter_mut().filter(|x| **x == 0) {
+            *x = next;
+            next += 1;
+        }
+        let ids = rows
+            .chunks_exact(self.n)
+            .flat_map(|row| row.iter().enumerate().map(|(p, &view)| id[slot(p, view)]));
+        (next as usize, ids.collect())
     }
 
     /// Re-materializes the **round-1** complex with explicit flat views —
@@ -218,234 +272,142 @@ impl<V: View> RoundsComplex<V> {
     }
 }
 
-/// Interns a round complex for the chain engine without sorting: a
-/// round vertex `(color, view)` has `view < views`, so a `colors × views`
-/// presence table, numbered in `(color, view)` order, assigns exactly the
-/// sorted-vertex ids of [`crate::chain::intern_facets`]. Hands each
-/// facet's ascending id list to `emit`, in facet order, and returns the
-/// vertex count.
-fn dense_facet_ids(complex: &Complex<u32>, views: usize, mut emit: impl FnMut(&[u32])) -> usize {
-    let colors = complex
-        .facets()
-        .flat_map(Simplex::vertices)
-        .map(|v| v.color + 1)
-        .max()
-        .unwrap_or(0);
-    let slot = |v: &Vertex<u32>| v.color * views + v.view as usize;
-    let mut id = vec![u32::MAX; colors * views];
-    for v in complex.facets().flat_map(Simplex::vertices) {
-        id[slot(v)] = 0;
-    }
-    // Number the present slots (marked 0) in `(color, view)` order.
-    let mut next = 0;
-    for x in id.iter_mut().filter(|x| **x == 0) {
-        *x = next;
-        next += 1;
-    }
-    let mut ids = Vec::new();
-    for f in complex.facets() {
-        ids.clear();
-        ids.extend(f.vertices().iter().map(|v| id[slot(v)]));
-        emit(&ids);
-    }
-    next as usize
-}
-
-/// Interns an input complex: canonical table of its distinct views, and
-/// its facets with views replaced by ids.
-fn intern_input<V: View>(input: &Complex<V>) -> (ViewTable<V>, Vec<Simplex<u32>>) {
+/// Interns an input complex: the canonical table of its distinct views,
+/// and its facets, in facet order, as stride-`n` rows of view ids with
+/// [`ABSENT`] for a missing color (colors from `n` up are never heard,
+/// so they are left out).
+fn intern_input<V: View>(input: &Complex<V>, n: usize) -> (ViewTable<V>, Vec<u32>) {
     let table = ViewTable::canonical(
         input
             .facets()
             .flat_map(|f| f.vertices().iter().map(|v| v.view.clone())),
     );
-    let facets = input
-        .facets()
-        .map(|f| {
-            Simplex::new(
-                f.vertices()
-                    .iter()
-                    .map(|v| Vertex::new(v.color, table.id_of(&v.view).expect("view was interned")))
-                    .collect(),
-            )
-            .expect("colors stay distinct under interning")
-        })
-        .collect();
-    (table, facets)
-}
-
-/// The admissible round-views of each process for one `(τ, g)` pair:
-/// process `p` may hear from any superset of `In_g(p)`, inducing the
-/// interned flat view `{(q, view_τ(q)) | q ∈ senders, q ∈ τ}` — the
-/// id-level mirror of `interpretation::interpreted_pseudosphere`, built
-/// on the same superset enumeration. Per-process lists come back sorted
-/// and deduplicated (as `Pseudosphere::new` does for the one-round
-/// path).
-fn pair_view_lists(tau: &Simplex<u32>, g: &Digraph) -> Vec<Vec<InternedView>> {
-    crate::interpretation::superset_views(g, |senders| {
-        senders
-            .iter()
-            .filter_map(|q| tau.view_of(q).map(|&id| (q, id)))
-            .collect()
-    })
-    .into_iter()
-    .map(|(_, mut views)| {
-        views.sort_unstable();
-        views.dedup();
-        views
-    })
-    .collect()
-}
-
-/// Maps `f` over `items` on the `ksa-exec` pool when `use_parallel`,
-/// inline otherwise — the merge is input-ordered either way, so both
-/// paths compute the same vector.
-fn map_items<T: Sync, U: Send>(
-    items: &[T],
-    f: impl Fn(&T) -> U + Sync,
-    use_parallel: bool,
-) -> Vec<U> {
-    if use_parallel {
-        return items.par_iter().map(&f).collect();
-    }
-    items.iter().map(&f).collect()
-}
-
-/// Materializes the facet product of one pair's per-process id lists
-/// (the interned pseudosphere): the odometer enumeration of one view id
-/// per process.
-fn materialize_pair(id_lists: &[Vec<u32>]) -> Vec<Simplex<u32>> {
-    let n = id_lists.len();
-    let mut idx = vec![0usize; n];
-    let mut facets = Vec::new();
-    loop {
-        facets.push(
-            Simplex::new(
-                (0..n)
-                    .map(|p| Vertex::new(p, id_lists[p][idx[p]]))
-                    .collect(),
-            )
-            .expect("process colors are distinct"),
-        );
-        let mut pos = 0;
-        loop {
-            if pos == n {
-                return facets;
-            }
-            idx[pos] += 1;
-            if idx[pos] < id_lists[pos].len() {
-                break;
-            }
-            idx[pos] = 0;
-            pos += 1;
+    let mut rows = vec![ABSENT; input.facet_count() * n];
+    for (row, f) in rows.chunks_exact_mut(n).zip(input.facets()) {
+        for v in f.vertices().iter().filter(|v| v.color < n) {
+            row[v.color] = table.id_of(&v.view).expect("view was interned");
         }
     }
+    (table, rows)
 }
 
-/// One round of iterated interpretation over the previous round's
-/// interned facets: compute each pair's admissible views, intern the
-/// round's distinct views canonically, admit the round's facet product
-/// against the budget, then materialize and canonicalize.
-fn round_step<'a>(
-    prev_facets: impl Iterator<Item = &'a Simplex<u32>>,
+/// One built round: its view table, its sorted facet rows, and its
+/// complex.
+type Round = (ViewTable<InternedView>, Vec<u32>, Complex<u32>);
+
+/// One round of iterated interpretation over the previous round's facet
+/// rows `prev` (stride `n`, ids into a table of `prev_views` views):
+/// interpret every view occurrence as a row, intern the rows, admit the
+/// round's facet product against the budget, then materialize the facet
+/// rows, sorted and distinct. Returns the round's view table, its facet
+/// rows and its complex, built from those rows.
+fn round_step(
+    prev: &[u32],
+    prev_views: usize,
     gens: &[Digraph],
+    n: usize,
     budget: RunBudget,
-    use_parallel: bool,
-) -> Result<(ViewTable<InternedView>, Complex<u32>), TopologyError> {
-    let pairs: Vec<(&Simplex<u32>, &Digraph)> = prev_facets
-        .flat_map(|tau| gens.iter().map(move |g| (tau, g)))
-        .collect();
+) -> Result<Round, TopologyError> {
+    // `sets[g]`: each process's admissible sender sets under `↑g`, one
+    // group per process; every previous facet meets every generator.
+    let sets: Vec<_> = gens.iter().map(|g| superset_views(g, |s| s)).collect();
+    let pairs = prev.len() / n * gens.len();
 
-    // Phase 1 — interpretation fan-out: per-pair admissible view lists.
-    let pair_views: Vec<Vec<Vec<InternedView>>> =
-        map_items(&pairs, |&(tau, g)| pair_view_lists(tau, g), use_parallel);
+    let (occurrences, code_bits) = {
+        let _span = ksa_obs::span("topology", || "interpret");
+        let code_max = u32::try_from(n * prev_views).expect("view codes fit in u32");
+        let code = |q: usize, id: u32| q as u32 * prev_views as u32 + id + 1;
+        let per_facet: usize = sets.iter().flatten().map(|(_, s)| s.len()).sum();
+        let mut rows = Vec::with_capacity(prev.len() / n * per_facet * n);
+        for tau in prev.chunks_exact(n) {
+            for (_, senders) in sets.iter().flatten() {
+                for s in senders {
+                    let start = rows.len();
+                    let heard = s.iter().filter(|&q| tau[q] != ABSENT);
+                    rows.extend(heard.map(|q| code(q, tau[q])));
+                    rows.resize(start + n, 0);
+                }
+            }
+        }
+        (rows, bits(code_max.into()))
+    };
 
-    // Phase 2 — budget: the round's facet blow-up is the sum over pairs
-    // of the per-pair view products; admit the running total *before*
-    // materializing anything, identically in both code paths.
+    let (table, mut view_ids) = {
+        let _span = ksa_obs::span("topology", || "intern");
+        let (distinct, view_ids) = number_chunks(occurrences, n, code_bits);
+        let decode = |c: u32| ((c - 1) as usize / prev_views, (c - 1) % prev_views as u32);
+        let views = distinct.chunks_exact(n).map(|row| {
+            let codes = row.iter().take_while(|&&c| c != 0);
+            codes.map(|&c| decode(c)).collect::<InternedView>()
+        });
+        (ViewTable::canonical(views), view_ids)
+    };
+
+    let _span = ksa_obs::span("topology", || "materialize");
+    // One view list per (pair, process), in occurrence order: that
+    // group's ids, sorted and deduplicated in place (senders missing from
+    // a partial facet make different sets induce one view).
+    let mut lists: Vec<(usize, usize)> = Vec::with_capacity(pairs * n);
+    let mut start = 0;
+    while start < view_ids.len() {
+        for (_, senders) in sets.iter().flatten() {
+            let group = &mut view_ids[start..start + senders.len()];
+            group.sort_unstable();
+            let mut len = 1;
+            for i in 1..group.len() {
+                if group[i] != group[len - 1] {
+                    group[len] = group[i];
+                    len += 1;
+                }
+            }
+            lists.push((start, len));
+            start += senders.len();
+        }
+    }
+
+    // The round's facet blow-up is the sum over pairs of the per-pair
+    // view products; admit the running total *before* materializing
+    // anything.
     let mut total: u128 = 0;
-    for views in &pair_views {
-        let count = views
+    for pair in lists.chunks_exact(n) {
+        let count = pair
             .iter()
-            .fold(1u128, |acc, vs| acc.saturating_mul(vs.len() as u128));
+            .fold(1u128, |acc, &(_, len)| acc.saturating_mul(len as u128));
         total = total.saturating_add(count);
         budget.admit("multi-round protocol-complex facets", total)?;
     }
-
-    // Phase 3 — canonical interning of the round's distinct views: ids
-    // are sorted positions, so any enumeration order yields this table.
-    // Dedup by reference first — occurrences vastly outnumber distinct
-    // views, and only the distinct ones are worth cloning into the arena.
-    let mut distinct: Vec<&InternedView> = pair_views.iter().flatten().flatten().collect();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let table: ViewTable<InternedView> = ViewTable::canonical(distinct.into_iter().cloned());
     ksa_obs::count(Counter::ViewsInterned, table.len() as u64);
-    let id_lists: Vec<Vec<Vec<u32>>> = pair_views
-        .iter()
-        .map(|views| {
-            views
-                .iter()
-                .map(|vs| {
-                    vs.iter()
-                        .map(|v| table.id_of(v).expect("view was interned"))
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
+    ksa_obs::count(Counter::FacetsEnumerated, total as u64);
 
-    // Phase 4 — materialization fan-out with input-ordered merge and
-    // canonicalization at the merge (Complex::from_facets).
-    let groups: Vec<Vec<Simplex<u32>>> =
-        map_items(&id_lists, |lists| materialize_pair(lists), use_parallel);
-    ksa_obs::count(
-        Counter::FacetsEnumerated,
-        groups.iter().map(|g| g.len() as u64).sum(),
-    );
-
-    Ok((table, Complex::from_facets(groups.into_iter().flatten())))
-}
-
-/// Shared driver for the sequential and parallel entry points. The
-/// per-round iteration is the pipeline's coarse poll point: a fired
-/// token stops before the next round's fan-out (finer polls — per rank
-/// reduction — live in [`RoundsComplex::homology_sweep_cancellable`],
-/// which consumes the result).
-fn rounds_driver<V: View>(
-    gens: &[Digraph],
-    input: &Complex<V>,
-    rounds: usize,
-    run: Run<'_>,
-    use_parallel: bool,
-) -> Result<RoundsComplex<V>, TopologyError> {
-    if gens.is_empty() {
-        return Err(ksa_graphs::GraphError::EmptyGraphSet.into());
+    // The odometer: one view id per process, first process fastest.
+    let mut facets: Vec<u32> = Vec::with_capacity(total as usize * n);
+    let mut idx = vec![0; n];
+    for pair in lists.chunks_exact(n) {
+        idx.fill(0);
+        'pair: loop {
+            facets.extend(pair.iter().zip(&idx).map(|(&(s, _), &i)| view_ids[s + i]));
+            for (i, &(_, len)) in idx.iter_mut().zip(pair) {
+                *i += 1;
+                if *i < len {
+                    continue 'pair;
+                }
+                *i = 0;
+            }
+            break;
+        }
     }
-    if rounds == 0 {
-        return Err(TopologyError::ZeroRounds);
-    }
-    let (input_table, input_facets) = intern_input(input);
-    ksa_obs::count(Counter::ViewsInterned, input_table.len() as u64);
-    let mut tables = Vec::with_capacity(rounds);
-    let mut complexes: Vec<Complex<u32>> = Vec::with_capacity(rounds);
-    for t in 0..rounds {
-        run.checkpoint()?;
-        let _span = ksa_obs::span("topology", || "round").arg("round", t as u64 + 1);
-        // Borrow the previous round's facets in place (the interned input
-        // for round 1) — no per-round re-materialization.
-        let (table, complex) = match complexes.last() {
-            Some(prev) => round_step(prev.facets(), gens, run.budget, use_parallel)?,
-            None => round_step(input_facets.iter(), gens, run.budget, use_parallel)?,
-        };
-        tables.push(table);
-        complexes.push(complex);
-    }
-    Ok(RoundsComplex {
-        input_table,
-        tables,
-        complexes,
-    })
+    drop(view_ids);
+    let id_bits = bits(table.len().saturating_sub(1) as u64);
+    let (rows, _) = number_chunks(facets, n, id_bits);
+    let facet = |row: &[u32]| {
+        let verts = row
+            .iter()
+            .enumerate()
+            .map(|(p, &view)| Vertex::new(p, view));
+        Simplex::new(verts.collect()).expect("process colors are distinct")
+    };
+    let complex = Complex::from_sorted_facets(rows.chunks_exact(n).map(facet));
+    Ok((table, rows, complex))
 }
 
 /// The `r`-round protocol complex of the closed-above model generated by
@@ -455,21 +417,17 @@ fn rounds_driver<V: View>(
 /// to exactly [`crate::interpretation::protocol_complex_one_round`] —
 /// the anchor the proptests pin.
 ///
-/// The per-round interpretation and materialization fan out on the `ksa-exec` pool; the result is
-/// bit-identical to [`protocol_complex_rounds_seq`] at any
-/// `KSA_THREADS` (DESIGN.md §4, §6).
-///
 /// `run` is a [`RunBudget`] (or a `u128`), optionally with a
 /// [`CancelToken`] polled once per round, before each round's
-/// interpretation fan-out. A token that never fires leaves the
-/// construction bit-identical to the token-free run.
+/// interpretation. A token that never fires leaves the construction
+/// bit-identical to the token-free run.
 ///
 /// # Errors
 ///
-/// [`TopologyError::Graph`] for an empty generator set;
-/// [`TopologyError::ZeroRounds`] for `rounds = 0`;
-/// [`TopologyError::Budget`] when a round's facet product exceeds the
-/// budget; [`TopologyError::Cancelled`] /
+/// [`TopologyError::Graph`] for an empty generator set or generators on
+/// different process counts; [`TopologyError::ZeroRounds`] for
+/// `rounds = 0`; [`TopologyError::Budget`] when a round's facet product
+/// exceeds the budget; [`TopologyError::Cancelled`] /
 /// [`TopologyError::DeadlineExceeded`] when the token fires.
 pub fn protocol_complex_rounds<'a, V: View>(
     gens: &[Digraph],
@@ -477,24 +435,44 @@ pub fn protocol_complex_rounds<'a, V: View>(
     rounds: usize,
     run: impl Into<Run<'a>>,
 ) -> Result<RoundsComplex<V>, TopologyError> {
-    rounds_driver(gens, input, rounds, run.into(), true)
-}
-
-/// The sequential reference implementation of
-/// [`protocol_complex_rounds`], kept public per the determinism contract
-/// (DESIGN.md §4): the parallel path must produce bit-identical
-/// [`RoundsComplex`] values.
-///
-/// # Errors
-///
-/// As for [`protocol_complex_rounds`].
-pub fn protocol_complex_rounds_seq<V: View>(
-    gens: &[Digraph],
-    input: &Complex<V>,
-    rounds: usize,
-    budget: impl Into<RunBudget>,
-) -> Result<RoundsComplex<V>, TopologyError> {
-    rounds_driver(gens, input, rounds, Run::from(budget.into()), false)
+    let run = run.into();
+    let n = gens.first().ok_or(GraphError::EmptyGraphSet)?.n();
+    if let Some(g) = gens.iter().find(|g| g.n() != n) {
+        return Err(GraphError::MismatchedSizes {
+            left: n,
+            right: g.n(),
+        }
+        .into());
+    }
+    if rounds == 0 {
+        return Err(TopologyError::ZeroRounds);
+    }
+    let (input_table, input_rows) = intern_input(input, n);
+    ksa_obs::count(Counter::ViewsInterned, input_table.len() as u64);
+    let mut tables: Vec<ViewTable<InternedView>> = Vec::with_capacity(rounds);
+    let mut rows: Vec<Vec<u32>> = Vec::with_capacity(rounds);
+    let mut complexes = Vec::with_capacity(rounds);
+    for t in 0..rounds {
+        // The per-round iteration is the pipeline's coarse poll point
+        // (finer polls, per rank reduction, live in the homology sweep).
+        run.checkpoint()?;
+        let _span = ksa_obs::span("topology", || "round").arg("round", t as u64 + 1);
+        let (prev, prev_views) = match (rows.last(), tables.last()) {
+            (Some(prev), Some(table)) => (prev, table.len()),
+            _ => (&input_rows, input_table.len()),
+        };
+        let (table, round, complex) = round_step(prev, prev_views, gens, n, run.budget)?;
+        tables.push(table);
+        rows.push(round);
+        complexes.push(complex);
+    }
+    Ok(RoundsComplex {
+        input_table,
+        tables,
+        rows,
+        complexes,
+        n,
+    })
 }
 
 #[cfg(test)]
@@ -504,6 +482,8 @@ mod tests {
     use crate::pseudosphere::Pseudosphere;
     use ksa_graphs::cancel::Deadline;
     use ksa_graphs::families;
+
+    const BUDGET: u128 = 10_000_000;
 
     fn binary_inputs(n: usize) -> Complex<u32> {
         Pseudosphere::new((0..n).map(|p| (p, vec![0u32, 1])).collect())
@@ -596,15 +576,79 @@ mod tests {
     }
 
     #[test]
-    fn sequential_reference_agrees() {
+    fn budget_error_names_the_first_running_total_past_the_limit() {
+        // Each round admits its pairs in (previous facet × generator)
+        // order, a pair's product being its interpreted pseudosphere's
+        // size (views deduplicated per process, which matters on the
+        // partial facet {0, 1}: a sender set with or without the missing
+        // process 2 induces one view); the error names the first running
+        // total past the limit.
+        use crate::interpretation::interpreted_pseudosphere;
         let gens = vec![
             families::cycle(3).unwrap(),
             families::broadcast_star(3, 1).unwrap(),
         ];
-        let input = binary_inputs(3);
-        let par = protocol_complex_rounds(&gens, &input, 2, 10_000_000u128).unwrap();
-        let seq = protocol_complex_rounds_seq(&gens, &input, 2, 10_000_000u128).unwrap();
-        assert_eq!(par, seq);
+        let partial = Simplex::new(vec![Vertex::new(0, 2u32), Vertex::new(1, 2)]).unwrap();
+        let input = Complex::from_facets(binary_inputs(3).facets().cloned().chain([partial]));
+        assert_eq!(input.facet_count(), 9);
+        let one = protocol_complex_rounds(&gens, &input, 1, BUDGET).unwrap();
+        // Round 2's limits stay at or above round 1's total, so round 1
+        // is admitted whole.
+        let mut floor = 0;
+        for (rounds, prev) in [(1, &input), (2, one.complex_at(1).unwrap())] {
+            let totals: Vec<u128> = prev
+                .facets()
+                .flat_map(|tau| gens.iter().map(move |g| interpreted_pseudosphere(g, tau)))
+                .scan(0, |total, ps| {
+                    *total += ps.facet_count();
+                    Some(*total)
+                })
+                .filter(|&t| t >= floor)
+                .collect();
+            let last = totals[totals.len() - 1];
+            for limit in [totals[0], totals[totals.len() / 2], last - 1] {
+                let estimated = *totals.iter().find(|&&t| t > limit).unwrap();
+                assert_eq!(
+                    protocol_complex_rounds(&gens, &input, rounds, limit).unwrap_err(),
+                    TopologyError::Budget(ksa_graphs::budget::BudgetExceeded {
+                        what: "multi-round protocol-complex facets",
+                        estimated,
+                        limit,
+                    }),
+                    "round {rounds}, limit {limit}"
+                );
+            }
+            assert!(protocol_complex_rounds(&gens, &input, rounds, last).is_ok());
+            floor = last;
+        }
+    }
+
+    #[test]
+    fn wide_view_codes_take_the_fallback_and_agree() {
+        // With 2^20 previous views, a view code needs bits(3 · 2^20) = 22
+        // bits and a stride-3 key 66, so the views are numbered by the
+        // index sort, not by packed keys. Spreading the ids of a narrow
+        // previous round order-preservingly must give the same round.
+        let gens = vec![
+            families::cycle(3).unwrap(),
+            families::broadcast_star(3, 0).unwrap(),
+        ];
+        let narrow: Vec<u32> = vec![0, 1, 2, 1, 0, 2, 2, 2, 0, 0, ABSENT, 1];
+        let spread = |id: u32| if id == ABSENT { id } else { id << 18 };
+        let wide: Vec<u32> = narrow.iter().map(|&id| spread(id)).collect();
+        let budget = RunBudget::new(BUDGET);
+        let (narrow_table, narrow_rows, narrow_complex) =
+            round_step(&narrow, 3, &gens, 3, budget).unwrap();
+        let (wide_table, wide_rows, wide_complex) =
+            round_step(&wide, 1 << 20, &gens, 3, budget).unwrap();
+        assert_eq!(wide_rows, narrow_rows);
+        assert_eq!(wide_complex, narrow_complex);
+        let respread: Vec<InternedView> = narrow_table
+            .entries()
+            .iter()
+            .map(|view| view.iter().map(|&(q, id)| (q, spread(id))).collect())
+            .collect();
+        assert_eq!(wide_table.entries(), &respread[..]);
     }
 
     #[test]
@@ -635,14 +679,15 @@ mod tests {
             families::broadcast_star(3, 0).unwrap(),
         ];
         let rc = protocol_complex_rounds(&gens, &binary_inputs(3), 2, 10_000_000u128).unwrap();
-        for (complex, table) in rc.complexes().iter().zip(&rc.tables) {
-            let (mut dense, mut sorted) = (Vec::new(), Vec::new());
-            let dense_count = dense_facet_ids(complex, table.len(), |ids| dense.push(ids.to_vec()));
+        for (t, complex) in rc.complexes().iter().enumerate() {
+            let (dense_count, dense) = rc.dense_facet_ids(t);
+            let mut sorted = Vec::new();
             let sorted_count =
-                crate::chain::intern_facets(complex, |ids| sorted.push(ids.to_vec()));
+                crate::chain::intern_facets(complex, |ids| sorted.extend_from_slice(ids));
             assert_eq!(dense_count, complex.vertices().len());
             assert_eq!(dense_count, sorted_count);
             assert_eq!(dense, sorted);
+            assert_eq!(rc.facet_count_at(t + 1), Some(complex.facet_count()));
         }
     }
 

@@ -25,9 +25,10 @@ use ksa_topology::chain::{reduced_betti_certified, ChainComplex};
 use ksa_topology::complex::Complex;
 use ksa_topology::connectivity::{connectivity, connectivity_seq};
 use ksa_topology::homology::{reduced_betti_numbers, reduced_betti_numbers_seq};
+use ksa_topology::interpretation::interpreted_pseudosphere;
 use ksa_topology::nerve::nerve_complex;
 use ksa_topology::pseudosphere::Pseudosphere;
-use ksa_topology::rounds::{protocol_complex_rounds, protocol_complex_rounds_seq};
+use ksa_topology::rounds::protocol_complex_rounds;
 use ksa_topology::simplex::{Simplex, Vertex};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
@@ -176,16 +177,34 @@ proptest! {
     }
 
     /// The multi-round pipeline (view interning, facet materialization,
-    /// budget admissions): parallel == sequential == every pool size.
+    /// budget admissions): every pool size counts what the calling
+    /// thread counts, and the view and facet counters are the table
+    /// sizes and the round products.
     #[test]
     fn rounds_counters_identical_across_pool_sizes(gens in random_generators()) {
         let _guard = counter_lock();
         let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
             .unwrap()
             .to_complex();
+        let mut rc = None;
         let reference = det_delta(|| {
-            protocol_complex_rounds_seq(&gens, &input, 2, BUDGET).unwrap();
+            rc = Some(protocol_complex_rounds(&gens, &input, 2, BUDGET).unwrap());
         });
+        let rc = rc.unwrap();
+        let counter = |name: &str| {
+            reference.iter().find(|(n, _)| *n == name).map_or(0, |&(_, v)| v)
+        };
+        prop_assert_eq!(counter("views_interned"), rc.interned_view_count() as u64);
+        // A round's product: its interpreted pseudospheres' sizes over
+        // (previous facet × generator).
+        let product = |prev: &Complex<u32>| -> u128 {
+            prev.facets()
+                .flat_map(|tau| gens.iter().map(move |g| interpreted_pseudosphere(g, tau)))
+                .map(|ps| ps.facet_count())
+                .sum()
+        };
+        let products = product(&input) + product(rc.complex_at(1).unwrap());
+        prop_assert_eq!(u128::from(counter("facets_enumerated")), products);
         for pool in pools() {
             let delta = det_delta(|| {
                 pool.install(|| {

@@ -1,57 +1,43 @@
-//! The round-1 anchor: `protocol_complex_rounds(…, 1)` must reproduce
-//! the seed's `protocol_complex_one_round` **bit for bit** on randomized
+//! The one-round anchors of the multi-round pipeline (DESIGN.md §6.3):
+//! `protocol_complex_rounds(…, 1)` must reproduce
+//! `protocol_complex_one_round` **bit for bit** on randomized
 //! closed-above models — facet sets (after expanding the interned views)
-//! and Betti numbers alike. This pins the new multi-round subsystem to
-//! the one-round semantics the paper's Thm 5.4 machinery was verified
-//! against (DESIGN.md §6).
-//!
-//! The anchor doubles as an end-to-end determinism check of the
-//! parallel pipeline against the seed implementation.
+//! and Betti numbers alike — and round 2, resolved through the view
+//! tables, must equal the one-round complex of the one-round complex.
+//! Inputs include facets that miss colors, whose senders leave partial
+//! and empty views. The one-round construction shares no interning,
+//! numbering or materialization code with the rounds pipeline, so it is
+//! the pipeline's independent reference.
 
-use ksa_graphs::Digraph;
+mod anchors;
+
+use anchors::{any_input, check_against_anchors, random_generators, resolve_round_two};
+use ksa_graphs::families;
 use ksa_topology::complex::Complex;
 use ksa_topology::homology::reduced_betti_numbers;
 use ksa_topology::interpretation::protocol_complex_one_round;
 use ksa_topology::pseudosphere::Pseudosphere;
-use ksa_topology::rounds::{protocol_complex_rounds, protocol_complex_rounds_seq};
+use ksa_topology::rounds::protocol_complex_rounds;
+use ksa_topology::simplex::{Simplex, Vertex};
 use proptest::prelude::*;
 
 const BUDGET: u128 = 10_000_000;
 
-/// Strategy: 1–3 random generator graphs on 3 processes (self-loops are
-/// implicit; Digraph adds them).
-fn random_generators() -> impl Strategy<Value = Vec<Digraph>> {
-    let graph = prop::collection::btree_set((0usize..3, 0usize..3), 0..7)
-        .prop_map(|edges| Digraph::from_edges(3, &edges.into_iter().collect::<Vec<_>>()).unwrap());
-    prop::collection::vec(graph, 1..=3)
-}
-
-/// Strategy: a chromatic input complex on 3 processes — a pseudosphere
-/// with 1–2 admissible values per process (the closed-above models'
-/// input shape; facets carry every color).
-fn random_input() -> impl Strategy<Value = Complex<u32>> {
-    prop::collection::vec(prop::collection::btree_set(0u32..3, 1..=2), 3..=3).prop_map(|views| {
-        Pseudosphere::new(
-            views
-                .into_iter()
-                .enumerate()
-                .map(|(p, vs)| (p, vs.into_iter().collect()))
-                .collect(),
-        )
-        .unwrap()
-        .to_complex()
-    })
-}
+/// Budget of the round-2 anchor cases: large enough for most random
+/// models to reach round 2, small enough that the nested one-round
+/// complex stays quick to materialize; cases past it check the budget
+/// rejection instead.
+const ROUND_TWO_BUDGET: u128 = 20_000;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The anchor itself: expanded round-1 facet sets are identical to
-    /// the one-round seed implementation.
+    /// the one-round seed implementation, on full and partial inputs.
     #[test]
     fn round_one_facets_match_the_seed(
-        gens in random_generators(),
-        input in random_input(),
+        gens in random_generators(3),
+        input in any_input(),
     ) {
         let rc = protocol_complex_rounds(&gens, &input, 1, BUDGET).unwrap();
         let direct = protocol_complex_one_round(&gens, &input, BUDGET).unwrap();
@@ -63,8 +49,8 @@ proptest! {
     /// the `Complex<u32>` equal those of the materialized complex.
     #[test]
     fn round_one_betti_match_the_seed(
-        gens in random_generators(),
-        input in random_input(),
+        gens in random_generators(3),
+        input in any_input(),
     ) {
         let rc = protocol_complex_rounds(&gens, &input, 1, BUDGET).unwrap();
         let direct = protocol_complex_one_round(&gens, &input, BUDGET).unwrap();
@@ -74,16 +60,44 @@ proptest! {
         );
     }
 
-    /// The sequential reference is pinned to the same anchor, which
-    /// keeps it honest independently of the parallel entry.
+    /// Round 2, resolved through `table_at(2)`, `table_at(1)` and the
+    /// input table, is the one-round complex of the one-round complex
+    /// (views nest as `FlatView<FlatView<_>>`); a round past the budget
+    /// fails with the running total the pseudosphere sizes predict.
     #[test]
-    fn sequential_reference_matches_the_seed(
-        gens in random_generators(),
-        input in random_input(),
+    fn round_two_matches_the_nested_one_round_complex(
+        gens in random_generators(3),
+        input in any_input(),
     ) {
-        let rc = protocol_complex_rounds_seq(&gens, &input, 1, BUDGET).unwrap();
-        let direct = protocol_complex_one_round(&gens, &input, BUDGET).unwrap();
-        prop_assert_eq!(rc.expand_round_one(), direct);
+        let result = protocol_complex_rounds(&gens, &input, 2, ROUND_TWO_BUDGET);
+        let verdict = check_against_anchors(&gens, &input, 2, ROUND_TWO_BUDGET, &result);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+}
+
+/// Two fixed round-2 anchors: ↑C3 over binary inputs, and a partial
+/// input whose facets {0,1}, {0,1,2} and {2} leave empty views.
+#[test]
+fn round_two_anchor_on_fixed_inputs() {
+    let binary = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
+        .unwrap()
+        .to_complex();
+    let simplex = |vs: &[(usize, u32)]| {
+        Simplex::new(vs.iter().map(|&(c, v)| Vertex::new(c, v)).collect()).unwrap()
+    };
+    let partial = Complex::from_facets(vec![
+        simplex(&[(0, 0), (1, 1)]),
+        simplex(&[(0, 1), (1, 0), (2, 1)]),
+        simplex(&[(2, 0)]),
+    ]);
+    let gens = vec![families::cycle(3).unwrap()];
+    for input in [binary, partial] {
+        let rc = protocol_complex_rounds(&gens, &input, 2, BUDGET).unwrap();
+        let one = protocol_complex_one_round(&gens, &input, BUDGET).unwrap();
+        let two = protocol_complex_one_round(&gens, &one, BUDGET).unwrap();
+        assert_eq!(rc.expand_round_one(), one);
+        assert_eq!(resolve_round_two(&rc), two);
+        assert_eq!(rc.complex_at(2).unwrap().facet_count(), two.facet_count());
     }
 }
 
@@ -93,7 +107,6 @@ proptest! {
 fn construction_honours_the_run_token() {
     use ksa_graphs::budget::{Run, RunBudget};
     use ksa_graphs::cancel::{CancelToken, Deadline};
-    use ksa_graphs::families;
     use ksa_topology::TopologyError;
 
     let gens = vec![
