@@ -2,7 +2,8 @@
 //! experiment run produces must parse as JSON (chrome://tracing rejects
 //! anything else silently) and carry the span structure the acceptance
 //! contract names — experiment, round (and its interpretation, interning
-//! and materialization steps) and rank-reduction spans.
+//! and materialization steps), rank-reduction and solvability-CSP
+//! (enumeration, symmetry detection and witness lifting) spans.
 //!
 //! The validator is a minimal recursive-descent JSON syntax checker
 //! (the build environment has no serde): it accepts exactly the JSON
@@ -158,17 +159,21 @@ fn assert_valid_json(s: &str) {
 fn trace_of_a_real_run_is_wellformed_trace_event_json() {
     let _guard = trace_lock();
     ksa_obs::trace_start();
-    let results = ksa_bench::run_experiments(&["rounds"]);
+    let results = ksa_bench::run_experiments(&["rounds", "hunt"]);
     let doc = ksa_obs::trace_stop();
-    assert!(results[0].0.as_ref().is_ok_and(|o| o.passed));
+    for (result, _) in &results {
+        assert!(result.as_ref().is_ok_and(|o| o.passed));
+    }
 
     assert_valid_json(&doc);
     assert!(doc.contains("\"traceEvents\""), "missing traceEvents array");
     if cfg!(feature = "obs") {
-        // The span layers the rounds experiment crosses: experiment,
-        // round construction (interpretation, interning, facet
-        // materialization), face closure, rank reduction, and
-        // certificate production, checking and serialization.
+        // The span layers the rounds and hunt experiments cross:
+        // experiment, round construction (interpretation, interning,
+        // facet materialization), face closure, rank reduction,
+        // certificate production, checking and serialization, and the
+        // solvability CSP's enumeration, symmetry detection and witness
+        // lifts.
         for needle in [
             "\"cat\": \"experiment\"",
             "\"name\": \"round\"",
@@ -180,6 +185,9 @@ fn trace_of_a_real_run_is_wellformed_trace_event_json() {
             "\"name\": \"produce\", \"cat\": \"cert\"",
             "\"name\": \"check\", \"cat\": \"cert\"",
             "\"name\": \"serialize\", \"cat\": \"cert\"",
+            "\"name\": \"csp_enumerate\", \"cat\": \"core\"",
+            "\"name\": \"csp_symmetry\", \"cat\": \"core\"",
+            "\"name\": \"csp_lift\", \"cat\": \"core\"",
         ] {
             assert!(doc.contains(needle), "trace lacks {needle}:\n{doc}");
         }

@@ -35,14 +35,23 @@
 //!   *instance* ("no solution extends this orbit"), so a lookup only
 //!   skips work whose outcome is already decided.
 //!
-//! One search runs, on the calling thread, in one fixed variable and
-//! value order, so verdicts, witness maps and search statistics are a
+//! The instance is enumerated by **packed view keys** (DESIGN.md
+//! §10.4): a view `(S, inputs restricted to S)` is one mixed-radix `u64`,
+//! numbered at its first occurrence in a single sequential pass, and
+//! only the distinct keys are decoded into flat views. Symmetry
+//! detection and the k-sweep's witness lift match views by key too, and
+//! a branch's orbit signature is computed only when something can read
+//! it.
+//!
+//! Enumeration and search run on the calling thread, in one fixed
+//! order, so verdicts, witness maps and search statistics are a
 //! function of the instance alone — bit-identical at any `KSA_THREADS`.
-//! [`decide_one_round_seq`] keeps the historical forward-checking search
-//! (no propagation, no orbits, no table) as the differential-test
-//! oracle.
+//! [`decide_one_round_seq`] is the one sequential oracle: the flat-view
+//! enumeration the keyed pass reproduces, then the historical
+//! forward-checking search (no propagation, no orbits, no table).
 //! The up-front [`RunBudget`] guard makes oversized instances fail fast
-//! instead of enumerating unbounded superset spaces.
+//! instead of enumerating unbounded superset spaces, and instances whose
+//! keys would not fit a `u64` are refused before enumerating.
 //!
 //! Across `k`, verdicts are **monotone**: a witness for `k` (values
 //! `{0..k}`) lifts to a witness for `k+1` (values `{0..k+1}`), and an
@@ -59,17 +68,13 @@
 use crate::budget::{CancelToken, Run, RunBudget};
 use crate::error::CoreError;
 use crate::task::Value;
-use ksa_exec::prelude::*;
-use ksa_graphs::Digraph;
+use ksa_graphs::perm::Permutation;
+use ksa_graphs::{Digraph, ProcSet};
 use ksa_models::ClosedAboveModel;
 use ksa_models::ObliviousModel;
 use ksa_topology::interpretation::FlatView;
+use ksa_topology::TopologyError;
 use std::collections::{HashMap, HashSet};
-
-/// How many input assignments each parallel batch spans. Batches are
-/// enumerated in odometer order and merged in order, so the view/exec
-/// numbering is identical to the sequential scan.
-const INPUT_BATCH: usize = 512;
 
 /// Iterator over all input assignments of `n` processes over
 /// `{0, …, values − 1}`, in odometer order (process 0 fastest). Shared
@@ -96,22 +101,31 @@ pub(crate) fn input_assignments(n: usize, values: Value) -> impl Iterator<Item =
     })
 }
 
-/// The views and executions reachable from one input assignment —
-/// views are locally numbered; [`EnumerationMerger`] renumbers them
-/// globally.
-struct LocalEnumeration {
+/// The views and executions of a solvability instance (or of one input
+/// assignment of it), both in first-occurrence order.
+struct Enumeration {
     views: Vec<FlatView<Value>>,
-    /// Executions as sorted, deduplicated local view-id sets.
+    /// Executions as sorted, deduplicated view-id sets.
     executions: Vec<Vec<u32>>,
 }
 
-/// Accumulates [`LocalEnumeration`]s (in input order) into the global
-/// view table and execution set, enforcing `exec_limit`.
+/// The error of an enumeration that found more than `limit` distinct
+/// executions (`found` of them so far).
+fn too_many_executions(found: usize, limit: usize) -> CoreError {
+    CoreError::Topology(TopologyError::TooLarge {
+        what: "solvability executions",
+        estimated: found as u128,
+        limit: limit as u128,
+    })
+}
+
+/// Accumulates per-input [`Enumeration`]s (in input order) into the
+/// global view table and execution set, enforcing `exec_limit`.
 struct EnumerationMerger {
     view_ids: HashMap<FlatView<Value>, u32>,
     views: Vec<FlatView<Value>>,
     executions: Vec<Vec<u32>>,
-    seen_exec: std::collections::HashSet<Vec<u32>>,
+    seen_exec: HashSet<Vec<u32>>,
     exec_limit: usize,
 }
 
@@ -121,12 +135,12 @@ impl EnumerationMerger {
             view_ids: HashMap::new(),
             views: Vec::new(),
             executions: Vec::new(),
-            seen_exec: std::collections::HashSet::new(),
+            seen_exec: HashSet::new(),
             exec_limit,
         }
     }
 
-    fn absorb(&mut self, local: LocalEnumeration) -> Result<(), CoreError> {
+    fn absorb(&mut self, local: Enumeration) -> Result<(), CoreError> {
         let remap: Vec<u32> = local
             .views
             .into_iter()
@@ -145,16 +159,200 @@ impl EnumerationMerger {
             if self.seen_exec.insert(mapped.clone()) {
                 self.executions.push(mapped);
                 if self.executions.len() > self.exec_limit {
-                    return Err(CoreError::Topology(ksa_topology::TopologyError::TooLarge {
-                        what: "solvability executions",
-                        estimated: self.executions.len() as u128,
-                        limit: self.exec_limit as u128,
-                    }));
+                    return Err(too_many_executions(self.executions.len(), self.exec_limit));
                 }
             }
         }
         Ok(())
     }
+}
+
+/// The packed key layout of one-round views (DESIGN.md §10.4). The view
+/// `(S, inputs restricted to S)` is the mixed-radix number whose digit
+/// `q` is 0 for `q ∉ S` and `input[q] + 1` otherwise, in radix
+/// `values + 1`; equal views have equal keys and vice versa.
+struct ViewKeys {
+    radix: u64,
+    /// `weights[q] = radix^q`.
+    weights: Vec<u64>,
+}
+
+impl ViewKeys {
+    /// The layout for `n` processes over `values` input values.
+    ///
+    /// # Errors
+    ///
+    /// [`TopologyError::TooLarge`] when the largest key,
+    /// `(values + 1)^n − 1`, does not fit a `u64` — an instance of at
+    /// least `2^40` input assignments.
+    fn new(n: usize, values: Value) -> Result<ViewKeys, CoreError> {
+        let radix = u64::from(values) + 1;
+        let span = u32::try_from(n)
+            .ok()
+            .and_then(|n| u128::from(radix).checked_pow(n))
+            .unwrap_or(u128::MAX);
+        if span > 1 << 64 {
+            return Err(CoreError::Topology(TopologyError::TooLarge {
+                what: "solvability view keys",
+                estimated: span,
+                limit: 1 << 64,
+            }));
+        }
+        let weights = std::iter::successors(Some(1u64), |w| w.checked_mul(radix))
+            .take(n)
+            .collect();
+        Ok(ViewKeys { radix, weights })
+    }
+
+    /// The key of a flat view.
+    fn key(&self, view: &[(usize, Value)]) -> u64 {
+        view.iter()
+            .map(|&(q, v)| (u64::from(v) + 1) * self.weights[q])
+            .sum()
+    }
+
+    /// The flat view of a key, senders ascending.
+    fn decode(&self, mut key: u64) -> FlatView<Value> {
+        let mut view = Vec::new();
+        let mut q = 0;
+        while key != 0 {
+            let digit = key % self.radix;
+            if digit != 0 {
+                view.push((q, (digit - 1) as Value));
+            }
+            key /= self.radix;
+            q += 1;
+        }
+        view
+    }
+}
+
+/// The one-round instance over `values` input values, enumerated by
+/// packed view keys in one sequential pass: input assignments in
+/// odometer order, then generators, superset choices and processes — the
+/// order in which [`merge_all_seq`] over [`one_round_enumerate_input`]
+/// meets them. Views and executions are numbered in first-occurrence
+/// order, so both come out identical to that oracle's, order included.
+/// Each candidate sender set is keyed once per input assignment, and
+/// only the distinct keys are decoded into flat views.
+///
+/// # Errors
+///
+/// [`TopologyError::TooLarge`] when the keys do not fit a `u64` (checked
+/// before enumerating) or when more than `exec_limit` distinct executions
+/// occur (the oracle's error, raised at the same execution).
+fn enumerate_keyed(
+    model: &ClosedAboveModel,
+    values: Value,
+    exec_limit: usize,
+) -> Result<Enumeration, CoreError> {
+    let n = model.n();
+    let layout = ViewKeys::new(n, values)?;
+    // Every (generator, process)'s candidate sender sets, in choice order
+    // (bit `i` of a choice adds the `i`-th unheard process), laid out
+    // flat; `groups[g][p]` is the `(first candidate, count)` of `(g, p)`.
+    let mut senders: Vec<ProcSet> = Vec::new();
+    let groups: Vec<Vec<(usize, u64)>> = model
+        .generators()
+        .iter()
+        .map(|g| {
+            (0..n)
+                .map(|p| {
+                    let base = g.in_set(p);
+                    let free: Vec<usize> = base.complement(n).iter().collect();
+                    let start = senders.len();
+                    senders.extend((0..1u64 << free.len()).map(|choice| {
+                        let mut set = base;
+                        for (bit, &q) in free.iter().enumerate() {
+                            if choice >> bit & 1 == 1 {
+                                set.insert(q);
+                            }
+                        }
+                        set
+                    }));
+                    (start, 1u64 << free.len())
+                })
+                .collect()
+        })
+        .collect();
+
+    let mut view_ids: HashMap<u64, u32> = HashMap::new();
+    let mut keys: Vec<u64> = Vec::new();
+    let mut exec_ids: HashMap<Vec<u32>, u32> = HashMap::new();
+    // Per input assignment: each sender's key digit in place, and each
+    // candidate's view id once it has occurred (`u32::MAX` before).
+    let mut weight = vec![0u64; n];
+    let mut candidate_id = vec![u32::MAX; senders.len()];
+    let mut choice = vec![0u64; n];
+    let mut exec: Vec<u32> = Vec::with_capacity(n);
+    for inputs in input_assignments(n, values) {
+        for ((w, &radix_q), &v) in weight.iter_mut().zip(&layout.weights).zip(&inputs) {
+            *w = (u64::from(v) + 1) * radix_q;
+        }
+        candidate_id.fill(u32::MAX);
+        for group in &groups {
+            choice.fill(0);
+            'choices: loop {
+                exec.clear();
+                for (&(start, _), &c) in group.iter().zip(&choice) {
+                    let slot = start + c as usize;
+                    if candidate_id[slot] == u32::MAX {
+                        let key: u64 = senders[slot].iter().map(|q| weight[q]).sum();
+                        let next_id = keys.len() as u32;
+                        candidate_id[slot] = *view_ids.entry(key).or_insert_with(|| {
+                            keys.push(key);
+                            next_id
+                        });
+                    }
+                    exec.push(candidate_id[slot]);
+                }
+                exec.sort_unstable();
+                exec.dedup();
+                if !exec_ids.contains_key(exec.as_slice()) {
+                    let next_id = exec_ids.len() as u32;
+                    exec_ids.insert(exec.clone(), next_id);
+                    if exec_ids.len() > exec_limit {
+                        return Err(too_many_executions(exec_ids.len(), exec_limit));
+                    }
+                }
+                // Advance the superset odometer, process 0 fastest.
+                for (c, &(_, count)) in choice.iter_mut().zip(group) {
+                    *c += 1;
+                    if *c < count {
+                        continue 'choices;
+                    }
+                    *c = 0;
+                }
+                break;
+            }
+        }
+    }
+    let mut executions: Vec<(u32, Vec<u32>)> =
+        exec_ids.into_iter().map(|(exec, id)| (id, exec)).collect();
+    executions.sort_unstable_by_key(|&(id, _)| id);
+    Ok(Enumeration {
+        views: keys.into_iter().map(|key| layout.decode(key)).collect(),
+        executions: executions.into_iter().map(|(_, exec)| exec).collect(),
+    })
+}
+
+/// The one-round enumeration of `model` over `values` input values twice
+/// over, as `(views, executions)`: by the keyed pass, then by the
+/// sequential oracle. Exposed for the differential tests of the keyed
+/// pass; not a supported entry point.
+#[doc(hidden)]
+#[allow(clippy::type_complexity)]
+pub fn one_round_enumerations(
+    model: &ClosedAboveModel,
+    values: Value,
+    exec_limit: usize,
+) -> [Result<(Vec<FlatView<Value>>, Vec<Vec<u32>>), CoreError>; 2] {
+    let n = model.n();
+    let oracle = merge_all_seq(n, values, exec_limit, |inputs: &[Value]| {
+        one_round_enumerate_input(model, n, inputs)
+    });
+    [enumerate_keyed(model, values, exec_limit), oracle]
+        .map(|result| result.map(|e| (e.views, e.executions)))
 }
 
 /// Verdict of the decision procedure.
@@ -227,21 +425,18 @@ impl crate::algorithms::ObliviousAlgorithm for DecisionMap {
 
 /// The views and executions reachable from one input assignment of the
 /// one-round decider: every generator, every per-process superset choice
-/// (the odometer over "free bits" — processes not already heard).
-fn one_round_enumerate_input(
-    model: &ClosedAboveModel,
-    n: usize,
-    inputs: &[Value],
-) -> LocalEnumeration {
+/// (the odometer over "free bits" — processes not already heard). The
+/// flat-view half of the sequential oracle [`merge_all_seq`].
+fn one_round_enumerate_input(model: &ClosedAboveModel, n: usize, inputs: &[Value]) -> Enumeration {
     let mut local_ids: HashMap<FlatView<Value>, u32> = HashMap::new();
-    let mut local_seen: std::collections::HashSet<Vec<u32>> = std::collections::HashSet::new();
-    let mut local = LocalEnumeration {
+    let mut local_seen: HashSet<Vec<u32>> = HashSet::new();
+    let mut local = Enumeration {
         views: Vec::new(),
         executions: Vec::new(),
     };
     for g in model.generators() {
         // Per-process free bits (processes not already heard).
-        let bases: Vec<ksa_graphs::ProcSet> = (0..n).map(|p| g.in_set(p)).collect();
+        let bases: Vec<ProcSet> = (0..n).map(|p| g.in_set(p)).collect();
         let frees: Vec<Vec<usize>> = bases
             .iter()
             .map(|b| b.complement(n).iter().collect())
@@ -292,50 +487,25 @@ fn one_round_enumerate_input(
 }
 
 /// Merges every input assignment's local enumeration sequentially, in
-/// odometer order.
+/// odometer order: the flat-view reference numbering that
+/// [`enumerate_keyed`] reproduces.
 fn merge_all_seq<F>(
     n: usize,
     values: Value,
     exec_limit: usize,
     enumerate: F,
-) -> Result<EnumerationMerger, CoreError>
+) -> Result<Enumeration, CoreError>
 where
-    F: Fn(&[Value]) -> LocalEnumeration,
+    F: Fn(&[Value]) -> Enumeration,
 {
     let mut merger = EnumerationMerger::new(exec_limit);
     for inputs in input_assignments(n, values) {
         merger.absorb(enumerate(&inputs))?;
     }
-    Ok(merger)
-}
-
-/// Merges every input assignment's local enumeration, fanning the
-/// assignments out on the work-stealing pool in bounded batches. Local
-/// enumerations merge in odometer order, so the view and execution
-/// numbering is identical to [`merge_all_seq`].
-fn merge_all<F>(
-    n: usize,
-    values: Value,
-    exec_limit: usize,
-    enumerate: F,
-) -> Result<EnumerationMerger, CoreError>
-where
-    F: Fn(&[Value]) -> LocalEnumeration + Sync,
-{
-    let mut merger = EnumerationMerger::new(exec_limit);
-    let mut assignments = input_assignments(n, values);
-    loop {
-        let batch: Vec<Vec<Value>> = assignments.by_ref().take(INPUT_BATCH).collect();
-        if batch.is_empty() {
-            break;
-        }
-        let locals: Vec<LocalEnumeration> =
-            batch.par_iter().map(|inputs| enumerate(inputs)).collect();
-        for local in locals {
-            merger.absorb(local)?;
-        }
-    }
-    Ok(merger)
+    Ok(Enumeration {
+        views: merger.views,
+        executions: merger.executions,
+    })
 }
 
 /// Upper bound on the raw superset-odometer space the one-round decider
@@ -373,15 +543,15 @@ fn validate_k(k: usize) -> Result<(), CoreError> {
 
 /// The enumeration prologue of [`decide_one_round`]: validates `k`,
 /// polls the token, admits the raw superset space against the budget,
-/// then enumerates every input assignment on the pool ([`merge_all`]
+/// then enumerates the instance by packed view keys ([`enumerate_keyed`]
 /// numbers views and executions exactly as [`merge_all_seq`] does) and
-/// polls again. Returns the value count and the merged instance.
+/// polls again. Returns the value count and the instance.
 fn enumerate_one_round(
     model: &ClosedAboveModel,
     k: usize,
     value_max: usize,
     run: Run<'_>,
-) -> Result<(Value, EnumerationMerger), CoreError> {
+) -> Result<(Value, Enumeration), CoreError> {
     validate_k(k)?;
     run.checkpoint()?;
     let n = model.n();
@@ -391,13 +561,12 @@ fn enumerate_one_round(
         one_round_raw_estimate(model, n, values),
     )?;
     let exec_limit = usize::try_from(run.budget.max_executions).unwrap_or(usize::MAX);
-    // The executions of one input assignment are independent of every
-    // other assignment's, so assignments are the parallel work unit.
-    let merger = merge_all(n, values, exec_limit, |inputs: &[Value]| {
-        one_round_enumerate_input(model, n, inputs)
-    })?;
+    let instance = {
+        let _span = ksa_obs::span("core", || "csp_enumerate").arg("k", k as u64);
+        enumerate_keyed(model, values, exec_limit)?
+    };
     run.checkpoint()?;
-    Ok((values, merger))
+    Ok((values, instance))
 }
 
 /// Decides one-round oblivious solvability of k-set agreement on `model`
@@ -453,12 +622,12 @@ pub fn decide_one_round<'a>(
     certify: Option<&str>,
 ) -> Result<(Solvability, SearchStats, Option<ksa_cert::SolvabilityCert>), CoreError> {
     let run = run.into();
-    let (values, merger) = enumerate_one_round(model, k, value_max, run)?;
+    let (values, instance) = enumerate_one_round(model, k, value_max, run)?;
     let (verdict, stats) = solve_csp(
         model.generators(),
         values,
-        merger.views,
-        merger.executions,
+        instance.views,
+        instance.executions,
         k,
         node_budget,
         run.cancel,
@@ -498,11 +667,11 @@ pub fn decide_one_round_seq(
         "solvability superset enumeration",
         one_round_raw_estimate(model, n, values),
     )?;
-    let merger = merge_all_seq(n, values, exec_limit, |inputs: &[Value]| {
+    let instance = merge_all_seq(n, values, exec_limit, |inputs: &[Value]| {
         one_round_enumerate_input(model, n, inputs)
     })?;
     solve_csp_seq(
-        CspInstance::new(merger.views, merger.executions, k),
+        CspInstance::new(instance.views, instance.executions, k),
         node_budget,
     )
 }
@@ -737,12 +906,11 @@ pub fn decide_rounds_explicit(
         }
     }
 
-    // Views and executions over the deduplicated products; input
-    // assignments are the parallel work unit, merged in odometer order
-    // (identical numbering to the sequential scan).
-    let enumerate_input = |inputs: &[Value]| -> LocalEnumeration {
+    // Views and executions over the deduplicated products, merged in
+    // odometer order.
+    let enumerate_input = |inputs: &[Value]| -> Enumeration {
         let mut local_ids: HashMap<FlatView<Value>, u32> = HashMap::new();
-        let mut local = LocalEnumeration {
+        let mut local = Enumeration {
             views: Vec::new(),
             executions: Vec::new(),
         };
@@ -766,16 +934,19 @@ pub fn decide_rounds_explicit(
 
     // The enumeration is within `exec_limit` (checked above), so the
     // merger's limit only needs to catch the distinct-execution
-    // overflow, like the sequential scan (which never errored here).
-    let merger = merge_all(n, values, exec_limit, enumerate_input)?;
+    // overflow.
+    let instance = {
+        let _span = ksa_obs::span("core", || "csp_enumerate").arg("k", k as u64);
+        merge_all_seq(n, values, exec_limit, enumerate_input)?
+    };
     // The instance's process symmetries are the permutations stabilizing
     // the (deduplicated) set of r-round products — executions are
     // per-product, so any such relabeling maps executions to executions.
     let (verdict, _) = solve_csp(
         &products,
         values,
-        merger.views,
-        merger.executions,
+        instance.views,
+        instance.executions,
         k,
         node_budget,
         None,
@@ -930,7 +1101,10 @@ fn solve_csp(
             SearchStats::default(),
         ));
     }
-    let sym = CspSymmetry::detect(sym_graphs, &instance.views, values);
+    let sym = {
+        let _span = ksa_obs::span("core", || "csp_symmetry").arg("k", k as u64);
+        CspSymmetry::detect(sym_graphs, &instance.views, values)
+    };
     let (outcome, stats) = solve_pruned(&instance, &sym, cancel, node_budget);
     Ok((finish_pruned(instance, outcome), stats))
 }
@@ -997,6 +1171,10 @@ fn solve_csp_seq(instance: CspInstance, node_budget: usize) -> Result<Solvabilit
 /// sequential forward-checking reference decides the instance.
 const MAX_MASK_VALUES: Value = 32;
 
+/// Most processes whose stabilizer [`CspSymmetry::detect`] filters out
+/// of all `n!` permutations; above it only the value factor is used.
+const STABILIZER_MAX_N: usize = 8;
+
 /// Largest symmetry-group order worth enumerating per canonical-key
 /// computation: past this, canonicalization costs more than the pruning
 /// it buys, so detection falls back to a subgroup (or the trivial group).
@@ -1035,24 +1213,26 @@ impl CspSymmetry {
         CspSymmetry { elems: Vec::new() }
     }
 
-    /// Detects the instance symmetries. `sym_graphs` generates the
-    /// process-permutation factor (its stabilizer in `S_n`); the value
-    /// factor is all of `S_values`. Conservative: any anomaly (a view
-    /// image outside the reachable set, an over-cap group) degrades to a
-    /// smaller subgroup rather than a non-group subset.
-    fn detect(sym_graphs: &[Digraph], views: &[FlatView<Value>], values: Value) -> CspSymmetry {
-        use ksa_graphs::perm::{all_permutations, stabilizing_permutations, Permutation};
-        let Some(first) = sym_graphs.first() else {
-            return CspSymmetry::trivial();
-        };
-        let n = first.n();
-        let Ok(proc_perms) = stabilizing_permutations(sym_graphs) else {
-            return CspSymmetry::trivial();
+    /// The group's two factors as chosen for the instance: the process
+    /// permutations and the value maps, either of which may be cut to
+    /// the identity alone. The direct product when it fits the order
+    /// cap, else the bigger factor that does, else nothing (`None`). Each
+    /// choice is a subgroup. Above [`STABILIZER_MAX_N`] processes the
+    /// `n!` stabilizer filter is not run, and the process factor is the
+    /// identity.
+    fn factors(
+        sym_graphs: &[Digraph],
+        values: Value,
+    ) -> Option<(Vec<Permutation>, Vec<Vec<Value>>)> {
+        use ksa_graphs::perm::{all_permutations, stabilizing_permutations};
+        let n = sym_graphs.first()?.n();
+        let proc_perms = if n <= STABILIZER_MAX_N {
+            stabilizing_permutations(sym_graphs).ok()?
+        } else {
+            vec![Permutation::identity(n)]
         };
         let value_count = values as usize;
         let vperm_order: usize = (1..=value_count).product();
-        // The direct product when it fits, else the bigger factor that
-        // does, else nothing. Each choice is a subgroup.
         let full = proc_perms.len().saturating_mul(vperm_order);
         let (use_procs, use_values) = if full <= SYM_ORDER_CAP {
             (true, true)
@@ -1063,7 +1243,7 @@ impl CspSymmetry {
         } else if proc_perms.len() <= SYM_ORDER_CAP {
             (true, false)
         } else {
-            return CspSymmetry::trivial();
+            return None;
         };
         let proc_perms = if use_procs {
             proc_perms
@@ -1077,6 +1257,80 @@ impl CspSymmetry {
         } else {
             vec![(0..values).collect()]
         };
+        Some((proc_perms, value_maps))
+    }
+
+    /// Detects the instance symmetries. `sym_graphs` generates the
+    /// process-permutation factor (its stabilizer in `S_n`); the value
+    /// factor is all of `S_values`. Conservative: any anomaly (a view
+    /// image outside the reachable set, an over-cap group) degrades to a
+    /// smaller subgroup rather than a non-group subset.
+    ///
+    /// Views are matched by packed key (DESIGN.md §10.4): an element
+    /// `(π, value map)` sends digit `d ≠ 0` of sender `q` to digit
+    /// `map(d − 1) + 1` of sender `π(q)`, and the image key is looked up
+    /// in the instance's key map.
+    fn detect(sym_graphs: &[Digraph], views: &[FlatView<Value>], values: Value) -> CspSymmetry {
+        let Some((proc_perms, value_maps)) = Self::factors(sym_graphs, values) else {
+            return CspSymmetry::trivial();
+        };
+        let n = proc_perms[0].n();
+        let Ok(layout) = ViewKeys::new(n, values) else {
+            return CspSymmetry::trivial();
+        };
+        let view_ids: HashMap<u64, u32> = views
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (layout.key(v), i as u32))
+            .collect();
+        let mut elems = Vec::new();
+        for pi in &proc_perms {
+            let weights: Vec<u64> = (0..n).map(|q| layout.weights[pi.apply(q)]).collect();
+            let pi_identity = *pi == Permutation::identity(n);
+            for vm in &value_maps {
+                if pi_identity && vm.iter().enumerate().all(|(i, &v)| v as usize == i) {
+                    continue;
+                }
+                let mut view_map = vec![0u32; views.len()];
+                for (image, view) in view_map.iter_mut().zip(views) {
+                    let key = view
+                        .iter()
+                        .map(|&(q, val)| (u64::from(vm[val as usize]) + 1) * weights[q])
+                        .sum();
+                    match view_ids.get(&key) {
+                        Some(&id) => *image = id,
+                        None => {
+                            // A genuine symmetry maps reachable views to
+                            // reachable views; an unmapped image means
+                            // `sym_graphs` over-approximates the instance.
+                            // Dropping single elements would break the
+                            // group property, so drop the whole group.
+                            debug_assert!(false, "stabilizer element is not an instance symmetry");
+                            return CspSymmetry::trivial();
+                        }
+                    }
+                }
+                elems.push(SymElem {
+                    view_map,
+                    value_map: vm.clone(),
+                });
+            }
+        }
+        CspSymmetry { elems }
+    }
+
+    /// [`detect`](Self::detect) by flat-view images: each view's image
+    /// is built, sorted and looked up as a [`FlatView`]. The reference
+    /// the keyed detection is tested against.
+    #[cfg(test)]
+    fn detect_by_images(
+        sym_graphs: &[Digraph],
+        views: &[FlatView<Value>],
+        values: Value,
+    ) -> CspSymmetry {
+        let Some((proc_perms, value_maps)) = Self::factors(sym_graphs, values) else {
+            return CspSymmetry::trivial();
+        };
         let view_ids: HashMap<&FlatView<Value>, u32> = views
             .iter()
             .enumerate()
@@ -1084,9 +1338,10 @@ impl CspSymmetry {
             .collect();
         let mut elems = Vec::new();
         for pi in &proc_perms {
-            let pi_identity = *pi == Permutation::identity(n);
             for vm in &value_maps {
-                if pi_identity && vm.iter().enumerate().all(|(i, &v)| v as usize == i) {
+                if *pi == Permutation::identity(pi.n())
+                    && vm.iter().enumerate().all(|(i, &v)| v as usize == i)
+                {
                     continue;
                 }
                 let mut view_map = vec![0u32; views.len()];
@@ -1098,15 +1353,7 @@ impl CspSymmetry {
                     image.sort_unstable();
                     match view_ids.get(&image) {
                         Some(&id) => view_map[i] = id,
-                        None => {
-                            // A genuine symmetry maps reachable views to
-                            // reachable views; an unmapped image means
-                            // `sym_graphs` over-approximates the instance.
-                            // Dropping single elements would break the
-                            // group property, so drop the whole group.
-                            debug_assert!(false, "stabilizer element is not an instance symmetry");
-                            return CspSymmetry::trivial();
-                        }
+                        None => return CspSymmetry::trivial(),
                     }
                 }
                 elems.push(SymElem {
@@ -1267,9 +1514,12 @@ impl PrunedSearch<'_> {
     /// propagated state reached by `decisions`; each candidate branch is
     /// keyed by the canonical signature of its extended decision set,
     /// probed against sibling orbits and the table, and — once *proved*
-    /// empty (propagation wipeout or exhausted recursion) — recorded.
-    /// Subtrees abandoned to the budget or a cancellation are never
-    /// recorded, so every entry is a fact about the instance.
+    /// empty (propagation wipeout or exhausted recursion) — recorded. The
+    /// signature is computed only when it is read: before the branch
+    /// when the table holds an entry to probe, otherwise once the branch
+    /// is dead (DESIGN.md §10.4). Subtrees abandoned to the budget or a
+    /// cancellation are never recorded, so every entry is a fact about
+    /// the instance.
     fn dfs(&mut self, doms: &[u32], decisions: &mut Vec<(u32, Value)>) -> PrunedOutcome {
         if self.cancel.is_some_and(CancelToken::is_cancelled) {
             return PrunedOutcome::Cancelled;
@@ -1288,27 +1538,39 @@ impl PrunedSearch<'_> {
         let mut dead_sigs: Vec<NoGoodKey> = Vec::new();
         for val in mask_values(doms[v]) {
             decisions.push((v as u32, val));
-            let sig = self.sym.canonical_signature(decisions);
-            decisions.pop();
-            if dead_sigs.contains(&sig) {
-                self.stats.orbit_prunes += 1;
-                continue;
-            }
-            if self.nogoods.contains(&sig) {
-                self.stats.nogood_hits += 1;
-                dead_sigs.push(sig);
-                continue;
-            }
+            // A signature is only read by a probe against a dead sibling
+            // or the table, or to record a dead branch. Every dead
+            // sibling's signature is in the table, so with an empty table
+            // nothing can hit, and the signature waits until the branch
+            // is proved dead.
+            let probed = if self.nogoods.is_empty() {
+                None
+            } else {
+                let sig = self.sym.canonical_signature(decisions);
+                if dead_sigs.contains(&sig) {
+                    decisions.pop();
+                    self.stats.orbit_prunes += 1;
+                    continue;
+                }
+                if self.nogoods.contains(&sig) {
+                    decisions.pop();
+                    self.stats.nogood_hits += 1;
+                    dead_sigs.push(sig);
+                    continue;
+                }
+                Some(sig)
+            };
             let mut child = doms.to_vec();
             child[v] = 1u32 << val;
             if propagate(self.csp, &mut child) {
-                decisions.push((v as u32, val));
                 let out = self.dfs(&child, decisions);
-                decisions.pop();
                 if !matches!(out, PrunedOutcome::Exhausted) {
+                    decisions.pop();
                     return out;
                 }
             }
+            let sig = probed.unwrap_or_else(|| self.sym.canonical_signature(decisions));
+            decisions.pop();
             if self.nogoods.insert(sig.clone()) {
                 self.stats.nogood_inserts += 1;
             }
@@ -1644,6 +1906,7 @@ fn lift_decision_map(
     map: &DecisionMap,
     exec_limit: usize,
 ) -> Result<DecisionMap, CoreError> {
+    let _span = ksa_obs::span("core", || "csp_lift").arg("k", k_from as u64 + 1);
     let n = model.n();
     let cap = k_from as Value;
     let values_to = cap + 2;
@@ -1651,14 +1914,22 @@ fn lift_decision_map(
         "solvability sweep lift enumeration",
         one_round_raw_estimate(model, n, values_to),
     )?;
-    let merger = merge_all_seq(n, values_to, exec_limit, |inputs: &[Value]| {
-        one_round_enumerate_input(model, n, inputs)
-    })?;
-    let mut entries: Vec<(FlatView<Value>, Value)> = Vec::with_capacity(merger.views.len());
-    for view in merger.views {
-        let capped: FlatView<Value> = view.iter().map(|&(p, v)| (p, v.min(cap))).collect();
-        let decided = map
-            .decide(&capped)
+    let instance = enumerate_keyed(model, values_to, exec_limit)?;
+    // The witness by packed key of the `k_from` instance, whose inputs
+    // range over `{0, …, cap}`.
+    let layout = ViewKeys::new(n, cap + 1)?;
+    let decisions: HashMap<u64, Value> = map
+        .entries()
+        .map(|(view, d)| (layout.key(view), *d))
+        .collect();
+    let mut entries: Vec<(FlatView<Value>, Value)> = Vec::with_capacity(instance.views.len());
+    for view in instance.views {
+        let capped: u64 = view
+            .iter()
+            .map(|&(q, v)| (u64::from(v.min(cap)) + 1) * layout.weights[q])
+            .sum();
+        let decided = *decisions
+            .get(&capped)
             .expect("capped view is reachable in the k_from instance");
         let lifted = if decided < cap {
             decided
@@ -1689,11 +1960,8 @@ mod pruned_tests {
         // set, × 3! value permutations at values = 3.
         let m = named::star_unions(3, 1).unwrap();
         let values: Value = 3;
-        let merger = merge_all_seq(3, values, EXECS, |inputs: &[Value]| {
-            one_round_enumerate_input(&m, 3, inputs)
-        })
-        .unwrap();
-        let sym = CspSymmetry::detect(m.generators(), &merger.views, values);
+        let instance = enumerate_keyed(&m, values, EXECS).unwrap();
+        let sym = CspSymmetry::detect(m.generators(), &instance.views, values);
         assert_eq!(sym.order(), 36);
     }
 
@@ -1701,11 +1969,8 @@ mod pruned_tests {
     fn canonical_signature_is_orbit_invariant_under_elements() {
         let m = named::star_unions(3, 1).unwrap();
         let values: Value = 3;
-        let merger = merge_all_seq(3, values, EXECS, |inputs: &[Value]| {
-            one_round_enumerate_input(&m, 3, inputs)
-        })
-        .unwrap();
-        let sym = CspSymmetry::detect(m.generators(), &merger.views, values);
+        let instance = enumerate_keyed(&m, values, EXECS).unwrap();
+        let sym = CspSymmetry::detect(m.generators(), &instance.views, values);
         // Mapping a decision set through any group element must not
         // change its canonical signature.
         let decisions = [(0u32, 0 as Value), (5u32, 2 as Value)];
@@ -1717,6 +1982,79 @@ mod pruned_tests {
                 .collect();
             assert_eq!(sym.canonical_signature(&mapped), base);
         }
+    }
+
+    fn resolve(name: &str) -> ClosedAboveModel {
+        ksa_models::registry::builtin()
+            .resolve_closed_above(name, RunBudget::DEFAULT)
+            .expect("registry spec resolves")
+    }
+
+    #[test]
+    fn search_stats_are_pinned() {
+        // `(nodes, nogood_hits, nogood_inserts, orbit_prunes,
+        // symmetry_order)`: signatures are computed lazily, so these
+        // counts are what shows a probe was skipped that could have hit.
+        for (name, k, pinned) in [
+            ("stars{n=3,s=1}", 2, (1, 0, 1, 1, 36)),
+            ("tournament{n=3}", 2, (121, 26, 216, 0, 36)),
+            ("kernel{n=3}", 3, (96, 0, 0, 0, 144)),
+        ] {
+            let (_, s, _) =
+                decide_one_round(&resolve(name), k, k, EXECS as u128, NODES, None).unwrap();
+            let stats = (
+                s.nodes,
+                s.nogood_hits,
+                s.nogood_inserts,
+                s.orbit_prunes,
+                s.symmetry_order,
+            );
+            assert_eq!(stats, pinned, "{name} k = {k}");
+        }
+    }
+
+    #[test]
+    fn keyed_symmetry_matches_flat_view_images() {
+        for name in [
+            "kernel{n=3}",
+            "path{n=3}",
+            "path{n=3,sym}",
+            "ring{n=3}",
+            "ring{n=3,sym}",
+            "stars{n=3,s=1}",
+            "stars{n=3,s=2}",
+            "tournament{n=3}",
+            "tree{n=3,sym}",
+            "random{n=3,p=0.5,seed=2,count=4}",
+        ] {
+            let m = resolve(name);
+            for values in 2..=4 {
+                let instance = enumerate_keyed(&m, values, EXECS).unwrap();
+                let keyed = CspSymmetry::detect(m.generators(), &instance.views, values);
+                let images = CspSymmetry::detect_by_images(m.generators(), &instance.views, values);
+                assert_eq!(keyed.order(), images.order(), "{name} values = {values}");
+                assert!(keyed.order() > 1, "{name} values = {values}");
+                for (a, b) in keyed.elems.iter().zip(&images.elems) {
+                    assert_eq!(a.view_map, b.view_map, "{name} values = {values}");
+                    assert_eq!(a.value_map, b.value_map, "{name} values = {values}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn symmetry_above_eight_processes_is_the_value_factor() {
+        // The complete graph on 12 processes is stabilized by all 12!
+        // permutations; filtering them all took minutes. Above eight
+        // processes only the value factor is used: order 2! at binary
+        // inputs, and the 4 096-view instance decides at once.
+        let m = ClosedAboveModel::new(vec![Digraph::complete(12).unwrap()]).unwrap();
+        let start = std::time::Instant::now();
+        let (verdict, stats, _) = decide_one_round(&m, 1, 1, EXECS as u128, 10_000, None).unwrap();
+        let elapsed = start.elapsed();
+        assert!(verdict.is_solvable());
+        assert_eq!(stats.symmetry_order, 2);
+        assert!(elapsed < std::time::Duration::from_secs(1), "{elapsed:?}");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! round-`t` view is a [`InternedView`]: a sorted list of `(sender, id)`
 //! pairs whose `u32` ids point into the previous round's [`ViewTable`]
 //! (see [`crate::intern`] and DESIGN.md §6). The round-`t` complex is a
-//! plain [`Complex<u32>`], which is what the homology pipeline consumes
-//! for the round-sweep connectivity experiments.
+//! plain [`Complex<u32>`], built from the round's sorted facet rows on
+//! first request; the sweeps and certificates read the rows directly.
 //!
 //! A round is built on flat `u32` rows and numbered by the chain
 //! engine's packed-key kernel (`chain::number_chunks`), in three steps:
@@ -58,6 +58,8 @@ use ksa_graphs::budget::{Run, RunBudget};
 use ksa_graphs::cancel::CancelToken;
 use ksa_graphs::{Digraph, GraphError};
 use ksa_obs::Counter;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// The view id of a color an input facet lacks, in the round-1 rows.
 const ABSENT: u32 = u32::MAX;
@@ -82,7 +84,16 @@ pub struct SweepStep {
 /// views are ids into `tables()[t]`, whose entries hold `(sender, id)`
 /// pairs pointing into `tables()[t−1]` (or [`RoundsComplex::input_table`]
 /// for `t = 0`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The value is its tables and facet rows. The [`Complex`] of every
+/// round is built from the rows on first request ([`complexes`],
+/// [`complex_at`], [`final_complex`], [`expand_round_one`]) and cached;
+/// equality, cloning and debug output ignore that cache.
+///
+/// [`complexes`]: RoundsComplex::complexes
+/// [`complex_at`]: RoundsComplex::complex_at
+/// [`final_complex`]: RoundsComplex::final_complex
+/// [`expand_round_one`]: RoundsComplex::expand_round_one
 pub struct RoundsComplex<V> {
     /// Distinct input views in canonical (sorted) order.
     input_table: ViewTable<V>,
@@ -92,26 +103,60 @@ pub struct RoundsComplex<V> {
     /// stride-`n` rows of view ids, in color order.
     rows: Vec<Vec<u32>>,
     /// `complexes[t]`: the round-`(t + 1)` protocol complex, built from
-    /// `rows[t]`.
-    complexes: Vec<Complex<u32>>,
+    /// `rows[t]` on first request.
+    complexes: OnceLock<Vec<Complex<u32>>>,
     /// The number of processes: every round facet's size.
     n: usize,
+}
+
+impl<V: PartialEq> PartialEq for RoundsComplex<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.input_table == other.input_table
+            && self.tables == other.tables
+            && self.rows == other.rows
+            && self.n == other.n
+    }
+}
+
+impl<V: Eq> Eq for RoundsComplex<V> {}
+
+impl<V: Clone> Clone for RoundsComplex<V> {
+    fn clone(&self) -> Self {
+        RoundsComplex {
+            input_table: self.input_table.clone(),
+            tables: self.tables.clone(),
+            rows: self.rows.clone(),
+            complexes: OnceLock::new(),
+            n: self.n,
+        }
+    }
+}
+
+impl<V: fmt::Debug> fmt::Debug for RoundsComplex<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RoundsComplex")
+            .field("input_table", &self.input_table)
+            .field("tables", &self.tables)
+            .field("rows", &self.rows)
+            .field("n", &self.n)
+            .finish()
+    }
 }
 
 impl<V: View> RoundsComplex<V> {
     /// Number of rounds materialized.
     pub fn rounds(&self) -> usize {
-        self.complexes.len()
+        self.rows.len()
     }
 
     /// The final round's protocol complex.
     pub fn final_complex(&self) -> &Complex<u32> {
-        self.complexes.last().expect("at least one round")
+        self.complexes().last().expect("at least one round")
     }
 
     /// The protocol complex after `round` rounds (1-based), if computed.
     pub fn complex_at(&self, round: usize) -> Option<&Complex<u32>> {
-        round.checked_sub(1).and_then(|t| self.complexes.get(t))
+        round.checked_sub(1).and_then(|t| self.complexes().get(t))
     }
 
     /// The number of facets after `round` rounds (1-based), if computed.
@@ -130,9 +175,21 @@ impl<V: View> RoundsComplex<V> {
         &self.input_table
     }
 
-    /// All per-round complexes, round 1 first.
+    /// All per-round complexes, round 1 first, built from the facet rows
+    /// on the first call.
     pub fn complexes(&self) -> &[Complex<u32>] {
-        &self.complexes
+        self.complexes.get_or_init(|| {
+            let facet = |row: &[u32]| {
+                let verts = row
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &view)| Vertex::new(p, view));
+                Simplex::new(verts.collect()).expect("process colors are distinct")
+            };
+            let complex =
+                |rows: &Vec<u32>| Complex::from_sorted_facets(rows.chunks_exact(self.n).map(facet));
+            self.rows.iter().map(complex).collect()
+        })
     }
 
     /// Total number of interned views across all rounds — the arena
@@ -253,7 +310,7 @@ impl<V: View> RoundsComplex<V> {
     /// that the anchor tests compare against bit for bit.
     pub fn expand_round_one(&self) -> Complex<FlatView<V>> {
         let table = &self.tables[0];
-        Complex::from_facets(self.complexes[0].facets().map(|f| {
+        Complex::from_facets(self.complexes()[0].facets().map(|f| {
             Simplex::new(
                 f.vertices()
                     .iter()
@@ -291,16 +348,15 @@ fn intern_input<V: View>(input: &Complex<V>, n: usize) -> (ViewTable<V>, Vec<u32
     (table, rows)
 }
 
-/// One built round: its view table, its sorted facet rows, and its
-/// complex.
-type Round = (ViewTable<InternedView>, Vec<u32>, Complex<u32>);
+/// One built round: its view table and its sorted facet rows.
+type Round = (ViewTable<InternedView>, Vec<u32>);
 
 /// One round of iterated interpretation over the previous round's facet
 /// rows `prev` (stride `n`, ids into a table of `prev_views` views):
 /// interpret every view occurrence as a row, intern the rows, admit the
 /// round's facet product against the budget, then materialize the facet
-/// rows, sorted and distinct. Returns the round's view table, its facet
-/// rows and its complex, built from those rows.
+/// rows, sorted and distinct. Returns the round's view table and its
+/// facet rows.
 fn round_step(
     prev: &[u32],
     prev_views: usize,
@@ -399,15 +455,7 @@ fn round_step(
     drop(view_ids);
     let id_bits = bits(table.len().saturating_sub(1) as u64);
     let (rows, _) = number_chunks(facets, n, id_bits);
-    let facet = |row: &[u32]| {
-        let verts = row
-            .iter()
-            .enumerate()
-            .map(|(p, &view)| Vertex::new(p, view));
-        Simplex::new(verts.collect()).expect("process colors are distinct")
-    };
-    let complex = Complex::from_sorted_facets(rows.chunks_exact(n).map(facet));
-    Ok((table, rows, complex))
+    Ok((table, rows))
 }
 
 /// The `r`-round protocol complex of the closed-above model generated by
@@ -451,7 +499,6 @@ pub fn protocol_complex_rounds<'a, V: View>(
     ksa_obs::count(Counter::ViewsInterned, input_table.len() as u64);
     let mut tables: Vec<ViewTable<InternedView>> = Vec::with_capacity(rounds);
     let mut rows: Vec<Vec<u32>> = Vec::with_capacity(rounds);
-    let mut complexes = Vec::with_capacity(rounds);
     for t in 0..rounds {
         // The per-round iteration is the pipeline's coarse poll point
         // (finer polls, per rank reduction, live in the homology sweep).
@@ -461,16 +508,15 @@ pub fn protocol_complex_rounds<'a, V: View>(
             (Some(prev), Some(table)) => (prev, table.len()),
             _ => (&input_rows, input_table.len()),
         };
-        let (table, round, complex) = round_step(prev, prev_views, gens, n, run.budget)?;
+        let (table, round) = round_step(prev, prev_views, gens, n, run.budget)?;
         tables.push(table);
         rows.push(round);
-        complexes.push(complex);
     }
     Ok(RoundsComplex {
         input_table,
         tables,
         rows,
-        complexes,
+        complexes: OnceLock::new(),
         n,
     })
 }
@@ -637,12 +683,9 @@ mod tests {
         let spread = |id: u32| if id == ABSENT { id } else { id << 18 };
         let wide: Vec<u32> = narrow.iter().map(|&id| spread(id)).collect();
         let budget = RunBudget::new(BUDGET);
-        let (narrow_table, narrow_rows, narrow_complex) =
-            round_step(&narrow, 3, &gens, 3, budget).unwrap();
-        let (wide_table, wide_rows, wide_complex) =
-            round_step(&wide, 1 << 20, &gens, 3, budget).unwrap();
+        let (narrow_table, narrow_rows) = round_step(&narrow, 3, &gens, 3, budget).unwrap();
+        let (wide_table, wide_rows) = round_step(&wide, 1 << 20, &gens, 3, budget).unwrap();
         assert_eq!(wide_rows, narrow_rows);
-        assert_eq!(wide_complex, narrow_complex);
         let respread: Vec<InternedView> = narrow_table
             .entries()
             .iter()
@@ -689,6 +732,28 @@ mod tests {
             assert_eq!(dense, sorted);
             assert_eq!(rc.facet_count_at(t + 1), Some(complex.facet_count()));
         }
+    }
+
+    #[test]
+    fn complexes_are_built_on_demand_and_ignored_by_equality() {
+        let gens = vec![families::cycle(3).unwrap()];
+        let input = binary_inputs(3);
+        let built = protocol_complex_rounds(&gens, &input, 2, 10_000_000u128).unwrap();
+        let unbuilt = protocol_complex_rounds(&gens, &input, 2, 10_000_000u128).unwrap();
+        let copy = built.clone();
+        assert!(built.complexes.get().is_none());
+        let counts: Vec<usize> = built.complexes().iter().map(Complex::facet_count).collect();
+        assert!(built.complexes.get().is_some());
+        assert_eq!(built, unbuilt);
+        assert_eq!(format!("{built:?}"), format!("{unbuilt:?}"));
+        assert_eq!(copy, built);
+        assert!(copy.complexes.get().is_none());
+        // The cached complexes are the rows, read as simplices.
+        assert_eq!(
+            counts,
+            [1, 2].map(|r| unbuilt.facet_count_at(r).unwrap()).to_vec()
+        );
+        assert_eq!(unbuilt.complex_at(2), Some(built.final_complex()));
     }
 
     #[test]
