@@ -35,6 +35,9 @@ pub enum Site {
     /// Inside a server worker, right before it runs a request: the
     /// injected fault is a deliberate panic the dispatcher must absorb.
     WorkerPanic,
+    /// On a server acceptor, after a cache hit and before its replay:
+    /// the injected fault is a deliberate panic the acceptor must absorb.
+    HitPanic,
     /// Reading a cache entry back from disk: the injected fault is a
     /// simulated I/O error ("injected fault: cache_read_io").
     CacheReadIo,
@@ -52,8 +55,9 @@ pub enum Site {
 }
 
 /// Every site, in declaration order.
-pub const ALL_SITES: [Site; 5] = [
+pub const ALL_SITES: [Site; 6] = [
     Site::WorkerPanic,
+    Site::HitPanic,
     Site::CacheReadIo,
     Site::CacheWriteIo,
     Site::CacheWriteStall,
@@ -66,6 +70,7 @@ impl Site {
     pub fn name(self) -> &'static str {
         match self {
             Site::WorkerPanic => "worker_panic",
+            Site::HitPanic => "hit_panic",
             Site::CacheReadIo => "cache_read_io",
             Site::CacheWriteIo => "cache_write_io",
             Site::CacheWriteStall => "cache_write_stall",
@@ -82,10 +87,11 @@ impl Site {
     fn index(self) -> usize {
         match self {
             Site::WorkerPanic => 0,
-            Site::CacheReadIo => 1,
-            Site::CacheWriteIo => 2,
-            Site::CacheWriteStall => 3,
-            Site::ComputeStall => 4,
+            Site::HitPanic => 1,
+            Site::CacheReadIo => 2,
+            Site::CacheWriteIo => 3,
+            Site::CacheWriteStall => 4,
+            Site::ComputeStall => 5,
         }
     }
 }
@@ -161,6 +167,7 @@ mod imp {
 
     static SCHEDULE: Mutex<Option<Vec<Entry>>> = Mutex::new(None);
     static ARRIVALS: [AtomicU64; ALL_SITES.len()] = [
+        AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),

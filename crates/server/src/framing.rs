@@ -18,7 +18,9 @@ use std::io::{self, Read, Write};
 /// round-sweep report) is a few kilobytes.
 pub const MAX_FRAME: u32 = 8 * 1024 * 1024;
 
-/// Write one frame: length prefix, payload, flush.
+/// Write one frame: length prefix and payload in one buffer and one
+/// `write_all`, then flush. On a socket that is one `write` call for
+/// any frame the peer's buffer holds.
 ///
 /// # Errors
 ///
@@ -34,8 +36,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
                 format!("frame payload of {} bytes exceeds MAX_FRAME", payload.len()),
             )
         })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -141,6 +145,33 @@ mod tests {
         let over = (MAX_FRAME + 1).to_be_bytes().to_vec();
         let err = read_frame(&mut Cursor::new(over)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn one_write_call_per_frame() {
+        /// Accepts every byte and counts the `write` calls.
+        #[derive(Default)]
+        struct CountingSink {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingSink {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for (i, payload) in [&b""[..], b"x", b"{\"query\":\"ping\"}"].iter().enumerate() {
+            let mut sink = CountingSink::default();
+            write_frame(&mut sink, payload).unwrap();
+            assert_eq!(sink.writes, 1, "payload #{i}");
+            assert_eq!(sink.bytes[..4], (payload.len() as u32).to_be_bytes());
+            assert_eq!(&sink.bytes[4..], *payload);
+        }
     }
 
     #[test]

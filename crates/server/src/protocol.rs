@@ -15,8 +15,8 @@ use crate::json::{obj, Value};
 /// Queries a client can send. One request per connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Liveness probe; answered from the worker pool, so it also probes
-    /// queue capacity.
+    /// Liveness probe. Unlike a cache hit it is queued and answered by
+    /// a worker, so it also probes queue capacity and worker liveness.
     Ping,
     /// Orderly shutdown of the server.
     Shutdown,

@@ -1,14 +1,23 @@
-//! The analysis server: accept loop, bounded queue, worker pool
+//! The analysis server: acceptor threads, bounded queue, worker pool
 //! (DESIGN.md §12.1).
 //!
-//! Life of a request: a connection handler thread reads the single
-//! request frame, parses it, and tries to enqueue it on the bounded job
-//! queue. A full queue sheds the request immediately with an
+//! Life of a request: one of [`FRONT_THREADS`] long-lived acceptor
+//! threads accepts the connection and reads the single request frame,
+//! which must arrive within [`REQUEST_READ_TIMEOUT`]. Bad frames and
+//! `shutdown` are answered right there. A cacheable `solv`/`rounds`
+//! request is looked up in the cache once, on the acceptor, and a hit
+//! is replayed from it without touching the queue. Misses, `no_cache`
+//! requests and `ping` go to the bounded job queue, and a miss carries
+//! the key it missed on, so the worker computes and publishes without
+//! a second lookup. A full queue sheds the request immediately with an
 //! `overloaded` frame (`requests_shed` perf counter) — the server
-//! prefers fast refusal over unbounded memory. Worker threads pop jobs
-//! and run them under `catch_unwind`: a panicking request produces a
-//! structured `error` frame (`kind: "panic"`, `requests_panicked` perf
-//! counter) and the worker keeps serving.
+//! prefers fast refusal over unbounded memory. The thread count is
+//! fixed: acceptors plus workers, however many connections are open.
+//!
+//! Acceptors handle each connection, and workers each job, under
+//! `catch_unwind`: a panic produces a structured `error` frame
+//! (`kind: "panic"`, `requests_panicked` perf counter) and the thread
+//! keeps serving.
 //!
 //! Deadlines become [`CancelToken`]s threaded through the whole compute
 //! pipeline; a failed progress write (the client hung up mid-stream)
@@ -16,12 +25,14 @@
 //! nobody.
 
 use std::collections::VecDeque;
+use std::io::{self, Read};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use ksa_core::budget::{CancelToken, Deadline, Run, RunBudget};
 use ksa_core::error::CoreError;
@@ -40,6 +51,14 @@ pub const EXEC_LIMIT: usize = 2_000_000;
 pub const NODE_BUDGET: usize = 50_000_000;
 /// `retry_after_ms` hint carried by `overloaded` frames.
 pub const RETRY_AFTER_MS: u64 = 50;
+/// Acceptor threads: each accepts connections, reads their request
+/// frame and answers cache hits itself.
+pub const FRONT_THREADS: usize = 4;
+/// How long an acceptor waits for a connection's whole request frame
+/// before it answers `bad_request` and drops the connection, so a
+/// silent or trickling client cannot hold an acceptor. It also bounds
+/// how long shutdown waits for a busy acceptor.
+pub const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -55,8 +74,13 @@ pub struct Config {
     pub workers: usize,
 }
 
+/// A request bound for the worker pool.
 struct Job {
     request: Request,
+    /// The cache key this request already missed on; the worker
+    /// publishes a successful result under it. `None` for `ping` and
+    /// `no_cache` requests.
+    key: Option<String>,
     stream: UnixStream,
 }
 
@@ -73,7 +97,7 @@ struct Shared {
 /// [`Handle::shutdown`] (or send a `shutdown` request).
 pub struct Handle {
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
+    acceptors: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -93,41 +117,43 @@ impl Handle {
         self.shared.queue.lock().unwrap().len()
     }
 
-    /// Stop the server and join all its threads. Idempotent.
-    pub fn shutdown(mut self) {
+    /// Stop the server and join all its threads.
+    pub fn shutdown(self) {
         request_stop(&self.shared);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        let _ = std::fs::remove_file(&self.shared.socket);
+        self.join();
     }
 
     /// Block until the server stops (via a `shutdown` request), then
     /// join all threads.
-    pub fn wait(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.shared.available.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+    pub fn wait(self) {
+        self.join();
+    }
+
+    fn join(self) {
+        for thread in self.acceptors.into_iter().chain(self.workers) {
+            let _ = thread.join();
         }
         let _ = std::fs::remove_file(&self.shared.socket);
     }
 }
 
 fn request_stop(shared: &Shared) {
-    shared.stop.store(true, Ordering::SeqCst);
-    shared.available.notify_all();
-    // The accept loop is blocked in `accept`; poke it with a throwaway
-    // connection so it observes the stop flag.
-    let _ = UnixStream::connect(&shared.socket);
+    {
+        // Under the queue lock, so no worker sits between its stop
+        // check and its wait while the notification goes out.
+        let _queue = shared.queue.lock().unwrap();
+        shared.stop.store(true, Ordering::SeqCst);
+        shared.available.notify_all();
+    }
+    // Acceptors block in `accept`; poke each with a throwaway
+    // connection so it observes the stop flag. One busy reading a
+    // request sees the flag once that read ends.
+    for _ in 0..FRONT_THREADS {
+        let _ = UnixStream::connect(&shared.socket);
+    }
 }
 
-/// Bind the socket and start the accept loop and worker pool.
+/// Bind the socket and start the acceptors and worker pool.
 ///
 /// # Errors
 ///
@@ -135,6 +161,10 @@ fn request_stop(shared: &Shared) {
 pub fn start(config: Config) -> std::io::Result<Handle> {
     let _ = std::fs::remove_file(&config.socket);
     let listener = UnixListener::bind(&config.socket)?;
+    let listeners = (0..FRONT_THREADS)
+        .map(|_| listener.try_clone())
+        .collect::<io::Result<Vec<_>>>()?;
+    drop(listener);
     let cache = Cache::open(&config.cache_dir)?;
     let shared = Arc::new(Shared {
         queue: Mutex::new(VecDeque::new()),
@@ -146,100 +176,143 @@ pub fn start(config: Config) -> std::io::Result<Handle> {
     });
 
     let workers = (0..config.workers)
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("ksa-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
-                .expect("spawn worker")
+        .map(|i| spawn_thread(format!("ksa-worker-{i}"), &shared, worker_loop))
+        .collect();
+    let acceptors = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| {
+            spawn_thread(format!("ksa-accept-{i}"), &shared, move |shared| {
+                acceptor_loop(&listener, shared);
+            })
         })
         .collect();
 
-    let accept = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("ksa-accept".to_string())
-            .spawn(move || accept_loop(&listener, &shared))
-            .expect("spawn accept loop")
-    };
-
     Ok(Handle {
         shared,
-        accept: Some(accept),
+        acceptors,
         workers,
     })
 }
 
-fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
+fn spawn_thread(
+    name: String,
+    shared: &Arc<Shared>,
+    body: impl FnOnce(&Shared) + Send + 'static,
+) -> JoinHandle<()> {
+    let shared = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || body(&shared))
+        .expect("spawn server thread")
+}
+
+fn acceptor_loop(listener: &UnixListener, shared: &Shared) {
+    while !shared.stop.load(Ordering::SeqCst) {
+        let Ok((mut stream, _)) = listener.accept() else {
             continue;
         };
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        let shared = Arc::clone(shared);
-        // One short-lived thread per connection: it only reads and
-        // routes the single request frame; the heavy work happens on
-        // the bounded worker pool.
-        let _ = std::thread::Builder::new()
-            .name("ksa-conn".to_string())
-            .spawn(move || handle_connection(stream, &shared));
+        let routed = isolated(&mut stream, |stream| route(stream, shared)).flatten();
+        if let Some((request, key)) = routed {
+            enqueue(
+                Job {
+                    request,
+                    key,
+                    stream,
+                },
+                shared,
+            );
+        }
+    }
+}
+
+/// Reads from a stream with every `read` timing out at one instant, so
+/// a whole frame, not each read, is bounded.
+struct ReadBy<'a> {
+    stream: &'a mut UnixStream,
+    by: Instant,
+}
+
+impl Read for ReadBy<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.by.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
     }
 }
 
 /// Read the one request frame, parse it, and route it. Every failure
-/// mode answers on this thread; only well-formed work reaches the
-/// queue.
-fn handle_connection(mut stream: UnixStream, shared: &Arc<Shared>) {
-    let frame = match read_frame(&mut stream) {
+/// mode, `shutdown` and every cache hit are answered here; the request
+/// and the key it missed on come back only when a worker must run it.
+fn route(stream: &mut UnixStream, shared: &Shared) -> Option<(Request, Option<String>)> {
+    let by = Instant::now() + REQUEST_READ_TIMEOUT;
+    let frame = match read_frame(&mut ReadBy { stream, by }) {
         Ok(Some(frame)) => frame,
-        Ok(None) => return, // connected and hung up; nothing to answer
+        Ok(None) => return None, // connected and hung up; nothing to answer
         Err(e) => {
-            let _ = send(
-                &mut stream,
-                &error_frame(ErrorKind::BadRequest, &e.to_string()),
-            );
-            return;
+            let message = if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) {
+                format!(
+                    "no request frame within {} ms",
+                    REQUEST_READ_TIMEOUT.as_millis()
+                )
+            } else {
+                e.to_string()
+            };
+            let _ = send(stream, &error_frame(ErrorKind::BadRequest, &message));
+            return None;
         }
     };
     let request = match parse(&frame).and_then(|v| Request::from_json(&v)) {
         Ok(request) => request,
         Err(message) => {
-            let _ = send(&mut stream, &error_frame(ErrorKind::BadRequest, &message));
-            return;
+            let _ = send(stream, &error_frame(ErrorKind::BadRequest, &message));
+            return None;
         }
     };
-    match request {
-        Request::Shutdown => {
-            let _ = send(
-                &mut stream,
-                &obj(vec![
-                    ("event", Value::Str("result".to_string())),
-                    ("query", Value::Str("shutdown".to_string())),
-                ]),
-            );
-            request_stop(shared);
-        }
-        request => {
-            let mut queue = shared.queue.lock().unwrap();
-            if queue.len() >= shared.queue_cap {
-                drop(queue);
-                obs::perf_count(obs::PerfCounter::RequestsShed, 1);
-                let _ = send(&mut stream, &overloaded_frame(RETRY_AFTER_MS));
-                return;
-            }
-            queue.push_back(Job { request, stream });
-            drop(queue);
-            shared.available.notify_one();
-        }
+    if request == Request::Shutdown {
+        let _ = send(
+            stream,
+            &obj(vec![
+                ("event", Value::Str("result".to_string())),
+                ("query", Value::Str("shutdown".to_string())),
+            ]),
+        );
+        request_stop(shared);
+        return None;
     }
+    // The request's only lookup: a miss travels with its key.
+    let key = cache_key(&request);
+    if let Some(payload) = key.as_deref().and_then(|key| shared.cache.get(key)) {
+        ksa_faults::maybe_panic(ksa_faults::Site::HitPanic);
+        let _ = write_frame(stream, payload.as_bytes());
+        return None;
+    }
+    Some((request, key))
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
+fn enqueue(mut job: Job, shared: &Shared) {
+    let mut queue = shared.queue.lock().unwrap();
+    if queue.len() >= shared.queue_cap {
+        drop(queue);
+        obs::perf_count(obs::PerfCounter::RequestsShed, 1);
+        let _ = send(&mut job.stream, &overloaded_frame(RETRY_AFTER_MS));
+        return;
+    }
+    queue.push_back(job);
+    drop(queue);
+    shared.available.notify_one();
+}
+
+fn worker_loop(shared: &Shared) {
     loop {
         let job = {
             let mut queue = shared.queue.lock().unwrap();
@@ -253,7 +326,15 @@ fn worker_loop(shared: &Arc<Shared>) {
                 queue = shared.available.wait(queue).unwrap();
             }
         };
-        run_job(job, shared);
+        let Job {
+            request,
+            key,
+            mut stream,
+        } = job;
+        isolated(&mut stream, |stream| {
+            ksa_faults::maybe_panic(ksa_faults::Site::WorkerPanic);
+            serve_job(&request, key.as_deref(), stream, shared);
+        });
         if shared.stop.load(Ordering::SeqCst) {
             // Drain nothing further; shutdown wins over queued work.
             return;
@@ -261,21 +342,17 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Run one job under panic isolation. The worker thread itself never
-/// dies: a panic inside the request becomes an `error` frame.
-fn run_job(job: Job, shared: &Shared) {
-    let Job { request, stream } = job;
-    let mut stream_for_panic = stream.try_clone().ok();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut stream = stream;
-        ksa_faults::maybe_panic(ksa_faults::Site::WorkerPanic);
-        serve_request(&request, &mut stream, shared);
-    }));
-    if let Err(payload) = outcome {
-        obs::perf_count(obs::PerfCounter::RequestsPanicked, 1);
-        let message = panic_message(payload.as_ref());
-        if let Some(stream) = stream_for_panic.as_mut() {
+/// Run `serve` on `stream` under panic isolation: a panic becomes an
+/// `error{kind:"panic"}` frame and a `requests_panicked` count, and the
+/// calling acceptor or worker lives on. `None` when it panicked.
+fn isolated<T>(stream: &mut UnixStream, serve: impl FnOnce(&mut UnixStream) -> T) -> Option<T> {
+    match catch_unwind(AssertUnwindSafe(|| serve(&mut *stream))) {
+        Ok(value) => Some(value),
+        Err(payload) => {
+            obs::perf_count(obs::PerfCounter::RequestsPanicked, 1);
+            let message = panic_message(payload.as_ref());
             let _ = send(stream, &error_frame(ErrorKind::Panic, &message));
+            None
         }
     }
 }
@@ -309,73 +386,63 @@ fn canonical_model(model: &str) -> String {
         .map_or_else(|_| model.to_string(), |spec| spec.name())
 }
 
-fn serve_request(request: &Request, stream: &mut UnixStream, shared: &Shared) {
+/// The cache key of a `solv`/`rounds` request: the query kind, the
+/// canonical model and the server's fixed budgets. `None` for `ping`,
+/// `shutdown` and `no_cache` requests, which never touch the cache.
+fn cache_key(request: &Request) -> Option<String> {
     match request {
-        Request::Ping => {
-            let _ = send(
-                stream,
-                &obj(vec![
-                    ("event", Value::Str("result".to_string())),
-                    ("query", Value::Str("ping".to_string())),
-                ]),
-            );
-        }
-        Request::Shutdown => unreachable!("shutdown handled on the connection thread"),
+        Request::Solv {
+            model,
+            k_max,
+            no_cache: false,
+            ..
+        } => Some(format!(
+            "solv|{}|k_max={k_max}|exec={EXEC_LIMIT}|node={NODE_BUDGET}",
+            canonical_model(model)
+        )),
+        Request::Rounds {
+            model,
+            value_max,
+            rounds,
+            no_cache: false,
+            ..
+        } => Some(format!(
+            "rounds|{}|value_max={value_max}|rounds={rounds}|exec={EXEC_LIMIT}",
+            canonical_model(model)
+        )),
+        _ => None,
+    }
+}
+
+/// Compute a queued request and send its response. A successful result
+/// is published under `key` first (a failed write degrades to
+/// "computed but not cached"); error frames are never cached — a
+/// deadline trip must not poison the key.
+fn serve_job(request: &Request, key: Option<&str>, stream: &mut UnixStream, shared: &Shared) {
+    let outcome = match request {
+        Request::Ping => Ok(obj(vec![
+            ("event", Value::Str("result".to_string())),
+            ("query", Value::Str("ping".to_string())),
+        ])),
+        Request::Shutdown => unreachable!("shutdown is answered on the acceptor"),
         Request::Solv {
             model,
             k_max,
             deadline_ms,
-            no_cache,
-        } => {
-            let key = format!(
-                "solv|{}|k_max={k_max}|exec={EXEC_LIMIT}|node={NODE_BUDGET}",
-                canonical_model(model)
-            );
-            let progress_stream = stream.try_clone().ok();
-            serve_cached(stream, shared, &key, *no_cache, move || {
-                compute_solv(model, *k_max, *deadline_ms, progress_stream)
-            });
-        }
+            ..
+        } => compute_solv(model, *k_max, *deadline_ms, stream.try_clone().ok()),
         Request::Rounds {
             model,
             value_max,
             rounds,
             deadline_ms,
-            no_cache,
-        } => {
-            let key = format!(
-                "rounds|{}|value_max={value_max}|rounds={rounds}|exec={EXEC_LIMIT}",
-                canonical_model(model)
-            );
-            serve_cached(stream, shared, &key, *no_cache, || {
-                compute_rounds(model, *value_max, *rounds, *deadline_ms)
-            });
-        }
-    }
-}
-
-/// Cache-through wrapper: replay a verified entry byte-for-byte, or
-/// compute, publish (only successful results), and send. Error frames
-/// are never cached — a deadline trip must not poison the key.
-fn serve_cached(
-    stream: &mut UnixStream,
-    shared: &Shared,
-    key: &str,
-    no_cache: bool,
-    compute: impl FnOnce() -> Result<Value, Value>,
-) {
-    if !no_cache {
-        if let Some(payload) = shared.cache.get(key) {
-            let _ = write_frame(stream, payload.as_bytes());
-            return;
-        }
-    }
-    match compute() {
+            ..
+        } => compute_rounds(model, *value_max, *rounds, *deadline_ms),
+    };
+    match outcome {
         Ok(result) => {
             let payload = result.to_json();
-            if !no_cache {
-                // A failed write degrades to "computed but not cached";
-                // the response is unaffected.
+            if let Some(key) = key {
                 let _ = shared.cache.put(key, &payload);
             }
             let _ = write_frame(stream, payload.as_bytes());

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 
 use ksa_server::client;
 use ksa_server::json::{parse, Value};
-use ksa_server::server::{start, Config, Handle};
+use ksa_server::server::{start, Config, Handle, FRONT_THREADS};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -90,6 +90,31 @@ fn worker_panic_is_absorbed_and_server_keeps_serving() {
     // The worker survived; the very next request computes normally.
     let (event, _) = rig.terminal_event_kind(SOLV);
     assert_eq!(event, "result");
+}
+
+#[test]
+fn hit_panic_is_absorbed_on_the_acceptor() {
+    let _guard = SERIAL.lock().unwrap();
+    let rig = Rig::new("hit-panic");
+    let cold = rig.request(SOLV);
+    let panicked_before = perf_value("requests_panicked");
+    // One more panic than there are acceptors: had a panic killed its
+    // acceptor, the last request would find none left.
+    let spec: Vec<String> = (1..=FRONT_THREADS + 1)
+        .map(|i| format!("hit_panic@{i}"))
+        .collect();
+    ksa_faults::arm(&spec.join(",")).unwrap();
+    for _ in 0..=FRONT_THREADS {
+        let (event, kind) = rig.terminal_event_kind(SOLV);
+        assert_eq!(event, "error");
+        assert_eq!(kind.as_deref(), Some("panic"));
+    }
+    assert_eq!(
+        perf_value("requests_panicked"),
+        panicked_before + FRONT_THREADS as u64 + 1
+    );
+    let hit = rig.request(SOLV);
+    assert_eq!(hit, vec![cold.last().unwrap().clone()]);
 }
 
 #[test]

@@ -1,15 +1,17 @@
 //! End-to-end tests against an in-process server: the happy paths, the
-//! cache byte-identity guarantee, deadlines, overload shedding, and
-//! mid-stream disconnects.
+//! cache byte-identity guarantee, deadlines, overload shedding,
+//! mid-stream disconnects, and the acceptors' contract (hits answered
+//! without the queue, silent clients timed out).
 
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use ksa_server::client;
-use ksa_server::framing::write_frame;
+use ksa_server::framing::{read_frame, write_frame};
 use ksa_server::json::{parse, Value};
-use ksa_server::server::{start, Config, Handle};
+use ksa_server::server::{start, Config, Handle, FRONT_THREADS, REQUEST_READ_TIMEOUT};
 
 /// Servers in this binary share the process-global obs counters and, in
 /// the faults configuration, the fault schedule — serialize them.
@@ -242,7 +244,7 @@ fn full_queue_sheds_with_overloaded() {
         let mut stream = UnixStream::connect(handle.socket()).unwrap();
         write_frame(&mut stream, br#"{"query":"ping"}"#).unwrap();
         parked.push(stream);
-        // Wait until the connection thread has actually enqueued it.
+        // Wait until an acceptor has actually enqueued it.
         while handle.queue_len() < i + 1 {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
@@ -290,7 +292,155 @@ fn shutdown_request_stops_the_server() {
     let frames = client::request(handle.socket(), br#"{"query":"shutdown"}"#).unwrap();
     let v = parse(terminal(&frames)).unwrap();
     assert_eq!(v.get("event").and_then(Value::as_str), Some("result"));
-    // wait() returns because the accept loop observed the stop flag.
+    // wait() returns because every acceptor observed the stop flag.
     handle.wait();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn cached_key_is_answered_while_the_queue_is_full() {
+    let _guard = SERIAL.lock().unwrap();
+    let dir = scratch("hit-under-load");
+    let config = |workers| Config {
+        socket: dir.join("sock"),
+        cache_dir: dir.join("cache"),
+        queue_cap: 1,
+        workers,
+    };
+    let req = br#"{"query":"solv","model":"ring{n=3}","k_max":2}"#;
+    let filler = start(config(1)).unwrap();
+    let cold = client::request(filler.socket(), req).unwrap();
+    filler.shutdown();
+
+    // No workers and one parked ping: the queue is full from here on.
+    let handle = start(config(0)).unwrap();
+    let mut parked = UnixStream::connect(handle.socket()).unwrap();
+    write_frame(&mut parked, br#"{"query":"ping"}"#).unwrap();
+    while handle.queue_len() < 1 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let cached = client::request(handle.socket(), req).unwrap();
+    assert_eq!(
+        cached,
+        vec![terminal(&cold).to_vec()],
+        "a hit is replayed by the acceptor, never shed"
+    );
+    // A miss still needs the queue, and is shed.
+    let missed = client::request(
+        handle.socket(),
+        br#"{"query":"solv","model":"ring{n=3}","k_max":3}"#,
+    )
+    .unwrap();
+    assert_eq!(event_of(terminal(&missed)), "overloaded");
+    drop(parked);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn silent_connections_below_the_acceptor_count_do_not_delay_a_hit() {
+    let _guard = SERIAL.lock().unwrap();
+    let (handle, dir) = spawn("silent-few", 8, 1);
+    let req = br#"{"query":"solv","model":"ring{n=3}","k_max":2}"#;
+    let cold = client::request(handle.socket(), req).unwrap();
+    let silent: Vec<UnixStream> = (0..FRONT_THREADS - 1)
+        .map(|_| UnixStream::connect(handle.socket()).unwrap())
+        .collect();
+    let started = Instant::now();
+    let cached = client::request(handle.socket(), req).unwrap();
+    let waited = started.elapsed();
+    assert_eq!(cached, vec![terminal(&cold).to_vec()]);
+    assert!(
+        waited < REQUEST_READ_TIMEOUT / 2,
+        "a free acceptor answers at once, not after the silent ones: {waited:?}"
+    );
+    drop(silent);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn silent_connections_are_dropped_after_the_read_timeout() {
+    let _guard = SERIAL.lock().unwrap();
+    let (handle, dir) = spawn("silent-all", 8, 1);
+    // One silent client per acceptor, queued ahead of the ping.
+    let mut silent: Vec<UnixStream> = (0..FRONT_THREADS)
+        .map(|_| UnixStream::connect(handle.socket()).unwrap())
+        .collect();
+    let started = Instant::now();
+    let frames = client::request(handle.socket(), br#"{"query":"ping"}"#).unwrap();
+    let waited = started.elapsed();
+    assert_eq!(event_of(terminal(&frames)), "result");
+    assert!(
+        waited >= REQUEST_READ_TIMEOUT / 2,
+        "every acceptor was held until its read timed out: {waited:?}"
+    );
+    for stream in &mut silent {
+        stream
+            .set_read_timeout(Some(REQUEST_READ_TIMEOUT * 4))
+            .unwrap();
+        let frame = read_frame(stream).unwrap().expect("a bad_request frame");
+        let v = parse(&frame).unwrap();
+        assert_eq!(v.get("kind").and_then(Value::as_str), Some("bad_request"));
+        assert!(read_frame(stream).unwrap().is_none(), "then the close");
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_trickled_request_is_cut_off_at_the_read_timeout() {
+    let _guard = SERIAL.lock().unwrap();
+    let (handle, dir) = spawn("trickle", 8, 1);
+    let payload = br#"{"query":"ping"}"#;
+    let mut stream = UnixStream::connect(handle.socket()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    // Each byte arrives well inside the timeout, the whole frame well
+    // after it: the timeout bounds the frame, not each read.
+    let step = REQUEST_READ_TIMEOUT / 8;
+    let trickle = std::thread::spawn(move || {
+        use std::io::Write;
+        let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(payload);
+        for byte in frame {
+            if writer.write_all(&[byte]).is_err() {
+                return; // the server hung up
+            }
+            std::thread::sleep(step);
+        }
+    });
+    stream
+        .set_read_timeout(Some(REQUEST_READ_TIMEOUT * 4))
+        .unwrap();
+    let frame = read_frame(&mut stream).unwrap().expect("a terminal frame");
+    let v = parse(&frame).unwrap();
+    assert_eq!(v.get("kind").and_then(Value::as_str), Some("bad_request"));
+    trickle.join().unwrap();
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[cfg(feature = "obs")]
+#[test]
+fn one_miss_then_hits_look_the_cache_up_once_each() {
+    use ksa_obs::Counter;
+    let _guard = SERIAL.lock().unwrap();
+    let (handle, dir) = spawn("lookups", 8, 1);
+    let req = br#"{"query":"rounds","model":"ring{n=3}","value_max":1,"rounds":1}"#;
+    let before = ksa_obs::snapshot();
+    let cold = client::request(handle.socket(), req).unwrap();
+    const HITS: u64 = 5;
+    for _ in 0..HITS {
+        assert_eq!(
+            client::request(handle.socket(), req).unwrap(),
+            vec![terminal(&cold).to_vec()]
+        );
+    }
+    let after = ksa_obs::snapshot();
+    let moved = |c| after.det_value(c) - before.det_value(c);
+    assert_eq!(moved(Counter::CacheMisses), 1);
+    assert_eq!(moved(Counter::CacheHits), HITS);
+    assert_eq!(moved(Counter::CacheWrites), 1);
+    handle.shutdown();
     let _ = std::fs::remove_dir_all(dir);
 }

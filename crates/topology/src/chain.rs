@@ -95,13 +95,50 @@ fn pack_keys(data: &[u32], stride: usize, id_bits: u32) -> Option<Vec<u64>> {
     if stride as u64 * u64::from(id_bits) + u64::from(idx_bits) > 64 {
         return None;
     }
-    debug_assert!(data.iter().all(|&v| u64::from(v) >> id_bits == 0));
-    let pack = |row: &[u32]| {
-        row.iter()
-            .fold(0, |acc, &v| (acc << id_bits) | u64::from(v))
-    };
     let keys = data.chunks_exact(stride).zip(0u64..);
-    Some(keys.map(|(row, i)| (pack(row) << idx_bits) | i).collect())
+    Some(
+        keys.map(|(row, i)| (pack_row(row, id_bits) << idx_bits) | i)
+            .collect(),
+    )
+}
+
+/// A chunk's ids, most significant first and `id_bits` wide, in one
+/// `u64`; the caller checks that `row.len() · id_bits ≤ 64`.
+fn pack_row(row: &[u32], id_bits: u32) -> u64 {
+    debug_assert!(row.iter().all(|&v| u64::from(v) >> id_bits == 0));
+    row.iter()
+        .fold(0, |acc, &v| (acc << id_bits) | u64::from(v))
+}
+
+/// Appends the `stride` ids packed in each key ([`pack_row`]) to `out`.
+fn unpack_rows(keys: &[u64], stride: usize, id_bits: u32, out: &mut Vec<u32>) {
+    let id_mask = (1 << id_bits) - 1;
+    for &ids in keys {
+        let id = |j: usize| ((ids >> (j as u32 * id_bits)) & id_mask) as u32;
+        out.extend((0..stride).rev().map(id));
+    }
+}
+
+/// The sorted distinct `stride`-chunks of `data`, exactly
+/// `number_chunks(data, stride, id_bits).0`, for callers that only
+/// deduplicate: no input chunk is numbered, so the keys carry no index
+/// bits and no `id_of` vector is built. Packs while
+/// `stride · id_bits ≤ 64`, and falls back to [`sort_dedup_chunks`]
+/// past that.
+pub(crate) fn dedup_chunks(data: Vec<u32>, stride: usize, id_bits: u32) -> Vec<u32> {
+    if stride as u64 * u64::from(id_bits) > 64 {
+        return sort_dedup_chunks(&data, stride).0;
+    }
+    let mut keys: Vec<u64> = data
+        .chunks_exact(stride)
+        .map(|row| pack_row(row, id_bits))
+        .collect();
+    drop(data);
+    keys.sort_unstable();
+    keys.dedup();
+    let mut sorted = Vec::with_capacity(keys.len() * stride);
+    unpack_rows(&keys, stride, id_bits, &mut sorted);
+    sorted
 }
 
 /// Numbers the chunks behind [`pack_keys`]' output like
@@ -111,7 +148,7 @@ fn pack_keys(data: &[u32], stride: usize, id_bits: u32) -> Option<Vec<u64>> {
 /// decoded from there, so the chunks themselves are never read back.
 fn number_keys(mut keys: Vec<u64>, stride: usize, id_bits: u32) -> (Vec<u32>, Vec<u32>) {
     let idx_bits = bits(keys.len().saturating_sub(1) as u64);
-    let (idx_mask, id_mask) = ((1 << idx_bits) - 1, (1 << id_bits) - 1);
+    let idx_mask = (1 << idx_bits) - 1;
     keys.sort_unstable();
     let mut id_of = vec![0u32; keys.len()];
     let mut distinct = 0;
@@ -125,10 +162,7 @@ fn number_keys(mut keys: Vec<u64>, stride: usize, id_bits: u32) -> (Vec<u32>, Ve
         id_of[idx as usize] = (distinct - 1) as u32;
     }
     let mut sorted: Vec<u32> = Vec::with_capacity(distinct * stride);
-    for &ids in &keys[..distinct] {
-        let id = |j: usize| ((ids >> (j as u32 * id_bits)) & id_mask) as u32;
-        sorted.extend((0..stride).rev().map(id));
-    }
+    unpack_rows(&keys[..distinct], stride, id_bits, &mut sorted);
     (sorted, id_of)
 }
 
@@ -373,7 +407,7 @@ impl ChainComplex {
         counts[0] = vertex_count;
         let mut rows = vec![Vec::new(); dim + 1];
         // `upper`: the sorted, distinct k-simplexes, top dimension first.
-        let (mut upper, _) = number_chunks(std::mem::take(&mut facets[dim]), dim + 1, id_bits);
+        let mut upper = dedup_chunks(std::mem::take(&mut facets[dim]), dim + 1, id_bits);
         for k in (1..=dim).rev() {
             counts[k] = upper.len() / (k + 1);
             if k == 1 {
@@ -781,6 +815,25 @@ mod tests {
             let oracle = sort_dedup_chunks(&data, stride);
             proptest::prop_assert_eq!(number_chunks(data, stride, id_bits), oracle);
         }
+
+        #[test]
+        fn dedup_is_the_numbering_without_ids(
+            stride in 1usize..=4,
+            id_bits in 0u32..=32,
+            pool in proptest::collection::vec(proptest::prelude::any::<u32>(), 32),
+            pool_size in 1usize..=8,
+            picks in proptest::collection::vec(0usize..8, 1..=64),
+        ) {
+            // As above: `stride · id_bits` lands on both sides of 64,
+            // with and without the numbering's index bits.
+            let id = |v: u32| v.checked_shr(32 - id_bits).unwrap_or(0);
+            let data: Vec<u32> = picks
+                .iter()
+                .flat_map(|&p| pool[(p % pool_size) * 4..][..stride].iter().map(|&v| id(v)))
+                .collect();
+            let (numbered, _) = number_chunks(data.clone(), stride, id_bits);
+            proptest::prop_assert_eq!(dedup_chunks(data, stride, id_bits), numbered);
+        }
     }
 
     #[test]
@@ -796,9 +849,13 @@ mod tests {
         let three = vec![top, top - 1, top - 2, 0, 1, top, top, top - 1, top - 2];
         assert!(pack_keys(&three, 3, 21).is_none());
         assert_eq!(
-            number_chunks(three, 3, 21),
+            number_chunks(three.clone(), 3, 21),
             (vec![0, 1, top, top, top - 1, top - 2], vec![1, 0, 1])
         );
+        // Without index bits the same rows still pack; 22-bit ids
+        // (66 bits) take the index sort.
+        assert_eq!(dedup_chunks(three, 3, 21), numbered.0);
+        assert_eq!(dedup_chunks(vec![0, 1, 2, 0, 1, 2], 3, 22), vec![0, 1, 2]);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! first request; the sweeps and certificates read the rows directly.
 //!
 //! A round is built on flat `u32` rows and numbered by the chain
-//! engine's packed-key kernel (`chain::number_chunks`), in three steps:
+//! engine's packed-key kernels (`chain::number_chunks`, and
+//! `chain::dedup_chunks` where rows are only deduplicated), in three
+//! steps:
 //!
 //! * **interpret** — every view occurrence `(τ, g, p, S)` (a previous
 //!   facet, a generator, a process and one of its admissible sender sets)
@@ -28,8 +30,8 @@
 //!   occurrence, with no lookups.
 //! * **materialize** — each pair's facet product is admitted against the
 //!   budget, then an odometer writes its facets as stride-`n` rows of
-//!   view ids in color order, and numbering those rows sorts and dedups
-//!   them. Every round facet carries all `n` colors, so row order is
+//!   view ids in color order, and `dedup_chunks` sorts and dedups them
+//!   without numbering them. Every round facet carries all `n` colors, so row order is
 //!   [`Simplex`] order: the sorted rows feed the next round, the homology
 //!   and the public complex alike.
 //!
@@ -47,7 +49,7 @@
 //! resolves to the one-round complex of the one-round complex
 //! (proptest-pinned in `tests/rounds.rs`).
 
-use crate::chain::{bits, certified_from_facet_ids, number_chunks, ChainComplex};
+use crate::chain::{bits, certified_from_facet_ids, dedup_chunks, number_chunks, ChainComplex};
 use crate::complex::Complex;
 use crate::connectivity::Connectivity;
 use crate::error::TopologyError;
@@ -454,7 +456,7 @@ fn round_step(
     }
     drop(view_ids);
     let id_bits = bits(table.len().saturating_sub(1) as u64);
-    let (rows, _) = number_chunks(facets, n, id_bits);
+    let rows = dedup_chunks(facets, n, id_bits);
     Ok((table, rows))
 }
 
