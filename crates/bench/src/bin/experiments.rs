@@ -5,7 +5,6 @@
 //!
 //! ```text
 //! experiments all            # run everything
-//! experiments --smoke        # run the fast subset (CI smoke job)
 //! experiments fig1 stars …   # run selected experiments
 //! experiments --list         # list experiment ids
 //! experiments --list-models  # list the builtin model registry
@@ -15,7 +14,7 @@
 //!                            # hunt over a registry selection
 //! experiments all --json BENCH_results.json
 //!                            # also write machine-readable results
-//! experiments --smoke --certs certs/
+//! experiments all --certs certs/
 //!                            # export every emitted certificate for an
 //!                            # out-of-process `cert-check` pass
 //! ```
@@ -25,10 +24,10 @@
 //! instrumentation counters (`metrics`, see DESIGN.md §9) as JSON, so
 //! the perf trajectory is tracked across PRs (`BENCH_results.json` at
 //! the repo root is the committed baseline) and CI can diff the
-//! deterministic payload across thread counts. Of the three per-
-//! experiment times, `wall_ms` (on-task elapsed) is the one the
-//! committed baseline tracks; `queued_ms` and `exclusive_ms` qualify it
-//! (see `ksa_bench::ExperimentTiming`).
+//! deterministic payload across thread counts. Of the two per-experiment
+//! times, `wall_ms` (on-task elapsed) is the one the committed baseline
+//! tracks; `queued_ms` adds the wait for a worker (see
+//! `ksa_bench::ExperimentTiming`).
 //!
 //! `--trace <path>` records a chrome://tracing-compatible trace of the
 //! run (experiment, round, rank-reduction, CSP spans): open the file via
@@ -50,7 +49,6 @@
 
 use ksa_bench::{
     run_experiments_with_models, ExperimentOutcome, ExperimentTiming, ALL_EXPERIMENTS,
-    SMOKE_EXPERIMENTS,
 };
 use std::process::ExitCode;
 
@@ -86,7 +84,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Renders the run as the `BENCH_results.json` document (schema 2:
-/// three timing fields per experiment, the folded `counts` summary and
+/// two timing fields per experiment, the folded `counts` summary and
 /// the `metrics` section — the old side file is gone). Hand-rolled: the
 /// build environment has no serde; the shape is flat enough that string
 /// assembly is clearer than a vendored serializer.
@@ -112,14 +110,10 @@ fn render_json(results: &[(ExperimentOutcome, ExperimentTiming)]) -> String {
                 None => "null".to_string(),
             }
         ));
-        // `wall_ms` (on-task elapsed) is the tracked series; the other
-        // two qualify it (see ksa_bench::ExperimentTiming).
+        // `wall_ms` (on-task elapsed) is the tracked series; `queued_ms`
+        // adds the wait for a worker (see ksa_bench::ExperimentTiming).
         out.push_str(&format!("      \"wall_ms\": {:.1},\n", timing.wall_ms));
         out.push_str(&format!("      \"queued_ms\": {:.1},\n", timing.queued_ms));
-        out.push_str(&format!(
-            "      \"exclusive_ms\": {:.1},\n",
-            timing.exclusive_ms
-        ));
         out.push_str(&format!(
             "      \"checks_passed\": {},\n",
             outcome.checks.len() - checks_failed
@@ -189,22 +183,7 @@ fn render_json(results: &[(ExperimentOutcome, ExperimentTiming)]) -> String {
             if i + 1 < metrics.perf.len() { "," } else { "" }
         ));
     }
-    out.push_str("      },\n      \"workers\": [\n");
-    for (i, w) in metrics.workers.iter().enumerate() {
-        out.push_str(&format!(
-            "        {{\"label\": \"{}\", \"steals\": {}, \"parks\": {}, \"spawns\": {}}}{}\n",
-            json_escape(&w.label),
-            w.steals,
-            w.parks,
-            w.spawns,
-            if i + 1 < metrics.workers.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("      ]\n    }\n  }\n}\n");
+    out.push_str("      }\n    }\n  }\n}\n");
     out
 }
 
@@ -284,9 +263,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let ids: Vec<&str> = if selected.iter().any(|a| a == "--smoke") {
-        SMOKE_EXPERIMENTS.to_vec()
-    } else if selected.is_empty() || selected.iter().any(|a| a == "all") {
+    let ids: Vec<&str> = if selected.is_empty() || selected.iter().any(|a| a == "all") {
         ALL_EXPERIMENTS.to_vec()
     } else {
         selected.iter().map(|s| s.as_str()).collect()
@@ -296,9 +273,9 @@ fn main() -> ExitCode {
         ksa_obs::trace_start();
     }
 
-    // Whole experiments fan out as `ksa-exec` tasks; results come back
-    // in input order, so the printed reports and the JSON payload are
-    // independent of the thread count.
+    // Whole experiments fan out over `KSA_THREADS` workers; results come
+    // back in input order, so the printed reports and the JSON payload
+    // are independent of the thread count.
     let mut all_ok = true;
     let mut results: Vec<(ExperimentOutcome, ExperimentTiming)> = Vec::new();
     for (id, (result, timing)) in ids
@@ -309,8 +286,8 @@ fn main() -> ExitCode {
             Ok(outcome) => {
                 println!("================================================================");
                 println!(
-                    "experiment: {} ({:.0} ms on-task, {:.0} ms exclusive)",
-                    outcome.id, timing.wall_ms, timing.exclusive_ms
+                    "experiment: {} ({:.0} ms on-task)",
+                    outcome.id, timing.wall_ms
                 );
                 println!("================================================================");
                 println!("{}", outcome.report);

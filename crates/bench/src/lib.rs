@@ -7,8 +7,6 @@
 
 pub mod experiments;
 
-use ksa_exec::prelude::*;
-
 /// Outcome of one experiment.
 #[derive(Debug, Clone)]
 pub struct ExperimentOutcome {
@@ -36,11 +34,8 @@ pub struct ExperimentOutcome {
     pub certified: Option<bool>,
     /// The emitted certificates as `(label, textual form)` pairs, in
     /// emission order — `experiments --certs <dir>` writes each to a
-    /// `.cert` file for the out-of-process `cert-check` pass. The
-    /// *texts* may vary across schedules (a shelling certificate
-    /// carries whichever valid order won the race); everything the
-    /// determinism diff sees — labels, verdicts, check lines — is
-    /// schedule-invariant.
+    /// `.cert` file for the out-of-process `cert-check` pass. Like every
+    /// other field, the texts are identical at any `KSA_THREADS`.
     pub certs: Vec<(String, String)>,
 }
 
@@ -117,33 +112,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "hunt",
 ];
 
-/// The fast subset run by `experiments --smoke` (the CI bench-smoke
-/// job). Historically this excluded `solv`, whose exhaustive decision
-/// procedure dominated the runtime of `all`; the pruned search
-/// (DESIGN.md §10) collapsed it to milliseconds, so the smoke set is
-/// currently every experiment.
-pub const SMOKE_EXPERIMENTS: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "lemma46",
-    "thm412",
-    "thm54",
-    "sec61",
-    "stars",
-    "seqs",
-    "multiround",
-    "rounds",
-    "sim",
-    "def52",
-    "cor55",
-    "extuniv",
-    "solv",
-    "approx",
-    "hunt",
-];
-
 /// Runs one experiment by id.
 ///
 /// # Errors
@@ -192,39 +160,31 @@ pub fn run_experiment_with_models(
 }
 
 /// Wall-clock measurements of one experiment inside the fan-out (see
-/// DESIGN.md §9.4). All three are perf-tier values: nondeterministic,
+/// DESIGN.md §9.4). Both are perf-tier values: nondeterministic,
 /// stripped before any cross-thread determinism diff.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentTiming {
     /// Queued-to-complete: from the batch being dispatched to this
-    /// experiment finishing. Includes time spent waiting for a worker,
-    /// so it is the latency a caller of the batch observes.
+    /// experiment finishing, so it includes the time the experiment
+    /// waited for a free worker. It is the latency a caller of the batch
+    /// observes.
     pub queued_ms: f64,
-    /// On-task elapsed: from the experiment starting on a worker to its
-    /// completion. This is the historical `wall_ms` that
-    /// `BENCH_results.json` tracks across PRs — an *upper bound* on the
-    /// experiment's own cost, because a worker blocked on this
-    /// experiment's inner joins may steal and run sibling experiments'
-    /// subtasks in the meantime.
+    /// On-task elapsed: from the experiment starting on its worker to its
+    /// completion. The experiment's kernels run on that worker and
+    /// nothing else does meanwhile, so this is the experiment's own cost.
+    /// `BENCH_results.json` tracks it across PRs.
     pub wall_ms: f64,
-    /// Exclusive on-task time: [`wall_ms`](Self::wall_ms) minus the time
-    /// this worker spent executing *stolen* (foreign) work while inside
-    /// the experiment, via [`ksa_exec::helped_nanos`]. The closest
-    /// available answer to "what did this experiment itself cost".
-    pub exclusive_ms: f64,
 }
 
 /// Runs the given experiments and returns `(outcome-or-error, timing)`
 /// per id, **in input order**.
 ///
-/// Each experiment is a `ksa-exec` task —
-/// whole experiments race on the work-stealing pool while their inner hot
-/// loops (homology, checker, solvability) fan out further on the same
-/// engine. Results merge in input order and every experiment is
-/// deterministic given its id, so reports, exit codes and `--json`
-/// payloads are identical at any `KSA_THREADS`; only the wall times move.
-/// See [`ExperimentTiming`] for what each of the three reported times
-/// means inside the fan-out.
+/// Whole experiments are the one unit of parallelism
+/// ([`ksa_exec::map_in_order`], `KSA_THREADS` workers); each runs its
+/// kernels on its own worker. Results come back in input order and every
+/// experiment is deterministic given its id, so reports, exit codes and
+/// `--json` payloads are identical at any `KSA_THREADS`; only the
+/// timings move.
 ///
 /// # Examples
 ///
@@ -244,22 +204,24 @@ pub fn run_experiments_with_models(
     ids: &[&str],
     models: Option<&str>,
 ) -> Vec<(Result<ExperimentOutcome, String>, ExperimentTiming)> {
+    // Dispatch back to front: the heavy extension sweeps (`rounds`,
+    // `sim`, `solv`, `hunt`) sit late in the presentation order, and
+    // starting them first leaves the quick figure checks to fill the
+    // tail of a multi-worker run.
+    let backwards: Vec<&str> = ids.iter().rev().copied().collect();
     let dispatched = std::time::Instant::now();
-    let timed = |id: &&str| {
+    let mut results = ksa_exec::map_in_order(&backwards, |id| {
         let _span = ksa_obs::span("experiment", || (*id).to_string());
         let start = std::time::Instant::now();
-        let helped_before = ksa_exec::helped_nanos();
         let result = run_experiment_with_models(id, models);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let helped_ms = (ksa_exec::helped_nanos() - helped_before) as f64 / 1e6;
         let timing = ExperimentTiming {
             queued_ms: dispatched.elapsed().as_secs_f64() * 1e3,
-            wall_ms,
-            exclusive_ms: (wall_ms - helped_ms).max(0.0),
+            wall_ms: start.elapsed().as_secs_f64() * 1e3,
         };
         (result, timing)
-    };
-    ids.par_iter().map(timed).collect()
+    });
+    results.reverse();
+    results
 }
 
 #[cfg(test)]
@@ -302,21 +264,5 @@ mod tests {
         // Non-registry experiments ignore the override.
         let fig2 = run_experiment_with_models("fig2", Some("nomatch*")).unwrap();
         assert!(fig2.passed);
-    }
-
-    #[test]
-    fn smoke_set_is_all_minus_exclusions() {
-        // The smoke list must track ALL_EXPERIMENTS: only the named
-        // slow exclusions may be missing, so new experiments cannot
-        // silently drop out of the CI smoke job.
-        // `solv` left this list when the pruned search (DESIGN.md §10)
-        // took its full sweep from ~12 s to milliseconds.
-        const SLOW_EXCLUSIONS: &[&str] = &[];
-        let expected: Vec<&str> = ALL_EXPERIMENTS
-            .iter()
-            .copied()
-            .filter(|id| !SLOW_EXCLUSIONS.contains(id))
-            .collect();
-        assert_eq!(SMOKE_EXPERIMENTS, expected.as_slice());
     }
 }

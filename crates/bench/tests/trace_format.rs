@@ -194,6 +194,44 @@ fn trace_of_a_real_run_is_wellformed_trace_event_json() {
     }
 }
 
+/// The `tid` of every complete (`"ph": "X"`) span event in `doc`.
+fn span_tids(doc: &str) -> Vec<u32> {
+    const KEY: &str = "\"ph\": \"X\", \"pid\": 1, \"tid\": ";
+    doc.match_indices(KEY)
+        .map(|(at, _)| {
+            let digits: String = doc[at + KEY.len()..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse().expect("a numeric tid")
+        })
+        .collect()
+}
+
+#[test]
+fn single_experiment_spans_stay_on_one_thread() {
+    // At width 1 every kernel runs on the thread that started the
+    // experiment, so the experiment span and every span inside it (all
+    // of hunt's rank reductions included) carry one tid.
+    let _guard = trace_lock();
+    ksa_obs::trace_start();
+    let results = ksa_exec::ThreadPool::new(1).install(|| ksa_bench::run_experiments(&["hunt"]));
+    let doc = ksa_obs::trace_stop();
+    assert!(results[0].0.as_ref().is_ok_and(|o| o.passed));
+    if cfg!(feature = "obs") {
+        let tids = span_tids(&doc);
+        assert!(
+            doc.contains("\"name\": \"rank_reduce\""),
+            "hunt reduces ranks"
+        );
+        assert!(tids.len() > 1, "hunt records spans: {doc}");
+        assert!(
+            tids.iter().all(|&t| t == tids[0]),
+            "spans on several threads: {tids:?}"
+        );
+    }
+}
+
 #[test]
 fn empty_trace_is_wellformed_too() {
     // Without trace_start (or with obs compiled out) the export is still

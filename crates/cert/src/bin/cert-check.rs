@@ -4,7 +4,7 @@
 //! sorted by name), parses and re-verifies each certificate with the
 //! `ksa-cert` checkers, and exits nonzero if any certificate fails to
 //! parse or is rejected. CI runs this over the files emitted by
-//! `experiments --smoke --certs <dir>` (DESIGN.md §11).
+//! `experiments all --certs <dir>` (DESIGN.md §11).
 
 use ksa_cert::Cert;
 use std::path::{Path, PathBuf};

@@ -1,14 +1,14 @@
 //! Property tests cross-checking the pruned solvability search against
 //! the sequential reference on **randomized** small models — the
 //! determinism contract (DESIGN.md §4): same verdict as the reference,
-//! and the same verdict, witness included, at any thread count.
+//! and the same verdict, witness included, run after run and run beside
+//! run.
 
 use ksa_core::solvability::{decide_one_round, decide_one_round_seq, Solvability};
-use ksa_exec::ThreadPool;
+use ksa_exec::{map_in_order, ThreadPool};
 use ksa_graphs::Digraph;
 use ksa_models::ClosedAboveModel;
 use proptest::prelude::*;
-use std::sync::OnceLock;
 
 const EXECS: usize = 1 << 21;
 // Large enough that almost every sampled instance is decided outright,
@@ -40,13 +40,6 @@ fn digraph3() -> impl Strategy<Value = Digraph> {
 fn model3() -> impl Strategy<Value = ClosedAboveModel> {
     prop::collection::vec(digraph3(), 1..=2)
         .prop_map(|gens| ClosedAboveModel::new(gens).expect("non-empty generators"))
-}
-
-/// The shared pools (1/2/8 workers), started once for the whole test
-/// binary so proptest cases don't churn threads.
-fn pools() -> &'static [ThreadPool] {
-    static POOLS: OnceLock<Vec<ThreadPool>> = OnceLock::new();
-    POOLS.get_or_init(|| [1, 2, 8].into_iter().map(ThreadPool::new).collect())
 }
 
 fn decide(model: &ClosedAboveModel, k: usize) -> Solvability {
@@ -94,14 +87,13 @@ proptest! {
 
     #[test]
     fn repeated_parallel_runs_agree(model in model3(), k in 1usize..=2) {
-        // Scheduling must never change a verdict or a witness, run over
-        // run and pool size over pool size.
+        // A verdict and its witness are functions of the instance, also
+        // when several decisions run side by side on scoped workers.
         let first = decide(&model, k);
-        for pool in pools() {
-            for _ in 0..2 {
-                let again = pool.install(|| decide(&model, k));
-                prop_assert_eq!(&again, &first, "pool {}", pool.num_threads());
-            }
+        let runs: Vec<usize> = (0..4).collect();
+        let again = ThreadPool::new(4).install(|| map_in_order(&runs, |_| decide(&model, k)));
+        for verdict in &again {
+            prop_assert_eq!(verdict, &first);
         }
     }
 }

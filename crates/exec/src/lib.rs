@@ -1,87 +1,39 @@
 //! # ksa-exec
 //!
-//! A from-scratch **work-stealing execution engine** for the k-set
-//! agreement reproduction: the scheduling substrate under every
-//! fan-out hot path (the exhaustive checker, the solvability
-//! enumeration, the combinatorial-number searches, the homology
-//! pipeline). A pool of one worker is the sequential configuration.
+//! The one place the k-set agreement reproduction crosses threads: a
+//! fan-out of whole, independent jobs (experiments) over scoped worker
+//! threads. Every inner kernel (homology, checker, solvability,
+//! domination searches) runs on the thread that calls it; only
+//! [`map_in_order`] starts threads, and its results come back in input
+//! order, so output never depends on the width (DESIGN.md §4).
 //!
-//! Why work stealing rather than static chunking? The workspace's
-//! search trees are *irregular*: one branch-and-bound subtree dies at
-//! depth 2 while its sibling explodes. Static chunking serializes
-//! behind the unluckiest chunk; work-stealing rebalances continuously.
-//!
-//! ## Architecture
-//!
-//! * [`ThreadPool`] — a registry of workers, each with a mutex-guarded
-//!   deque: the owner pushes/pops LIFO (depth-first through its own
-//!   splits, cache-hot), thieves steal FIFO (the oldest, biggest
-//!   subtree). A shared injector takes external submissions and is
-//!   drained before any sibling deque; idle workers park on a condvar.
-//!   The process-global pool starts lazily, sized by **`KSA_THREADS`**
-//!   (else the number of available cores).
-//! * [`join`] — the fork-join primitive: `b` is published for stealing,
-//!   the caller runs `a`, then pops `b` back (the common allocation-free
-//!   path) or helps the pool while a thief finishes `b`.
-//! * [`iter`] — rayon-style parallel iterators with **adaptive
-//!   splitting** (halve by `join` down to a pool-sized grain, finer while
-//!   workers are idle) and **ordered reduction**: every merge is in input
-//!   order, so parallel and sequential results are byte-identical for
-//!   the associative operators the workspace uses, at any thread count.
-//!
-//! The iterator surface follows crates.io rayon's trait shape, so call
-//! sites read as they would against rayon.
+//! The width is [`configured_threads`] (`KSA_THREADS`), or the width of
+//! an enclosing [`ThreadPool::install`].
 //!
 //! ## Example
 //!
 //! ```
-//! use ksa_exec::prelude::*;
-//!
-//! // Fork-join over an irregular recursion:
-//! fn fib(n: u64) -> u64 {
-//!     if n < 2 {
-//!         return n;
-//!     }
-//!     let (a, b) = ksa_exec::join(|| fib(n - 1), || fib(n - 2));
-//!     a + b
-//! }
-//! assert_eq!(fib(16), 987);
-//!
-//! // Deterministic data parallelism:
-//! let squares: Vec<u64> = (0..1000usize).into_par_iter().map(|i| (i * i) as u64).collect();
-//! assert_eq!(squares[999], 998_001);
+//! let squares = ksa_exec::ThreadPool::new(2)
+//!     .install(|| ksa_exec::map_in_order(&[1u64, 2, 3], |&x| x * x));
+//! assert_eq!(squares, vec![1, 4, 9]);
 //! ```
 
 #![deny(missing_docs)]
 
-pub mod iter;
-mod job;
-mod pool;
+use ksa_obs::PerfCounter;
+use std::any::Any;
+use std::cell::Cell;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-pub use pool::{helped_nanos, ThreadPool};
-
-/// The rayon-compatible imports: `par_iter`, `into_par_iter`, and the
-/// [`iter::ParallelIterator`] combinators.
-pub mod prelude {
-    pub use crate::iter::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
+thread_local! {
+    /// The width installed on this thread, if any.
+    static WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-use std::sync::OnceLock;
-
-static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-
-/// The process-global pool, started on first use with
-/// [`configured_threads`] workers. It lives for the rest of the process.
-pub fn global() -> &'static ThreadPool {
-    GLOBAL.get_or_init(ThreadPool::from_env)
-}
-
-/// The worker count the global pool is (or would be) started with: the
-/// `KSA_THREADS` environment variable when set to a positive integer,
-/// otherwise [`std::thread::available_parallelism`].
-///
-/// Read once per pool construction — changing the variable after the
-/// global pool has started has no effect.
+/// The default fan-out width: the `KSA_THREADS` environment variable when
+/// set to a positive integer, otherwise
+/// [`std::thread::available_parallelism`].
 pub fn configured_threads() -> usize {
     match std::env::var("KSA_THREADS") {
         Ok(raw) => match raw.trim().parse::<usize>() {
@@ -98,92 +50,154 @@ fn available_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// Number of workers serving the calling context: the enclosing pool's
-/// size when called from a worker thread, the global pool's size
-/// otherwise.
-pub fn current_num_threads() -> usize {
-    match pool::current_registry() {
-        Some((_, registry)) => registry.num_threads(),
-        None => global().num_threads(),
+/// The width a fan-out started on this thread uses.
+fn current_width() -> usize {
+    WIDTH.with(Cell::get).unwrap_or_else(configured_threads)
+}
+
+/// Runs `f` with `width` installed on this thread, restoring the previous
+/// width afterwards (also when `f` panics).
+fn with_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            WIDTH.with(|w| w.set(self.0));
+        }
+    }
+    let _restore = Restore(WIDTH.with(|w| w.replace(Some(width))));
+    f()
+}
+
+/// A fan-out width. It owns no threads: [`map_in_order`] starts scoped
+/// workers per call and joins them before returning.
+#[derive(Debug)]
+pub struct ThreadPool {
+    threads: usize,
+}
+
+impl ThreadPool {
+    /// A width of `threads` (clamped to at least 1).
+    pub fn new(threads: usize) -> Self {
+        ThreadPool {
+            threads: threads.max(1),
+        }
+    }
+
+    /// The width.
+    pub fn num_threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Runs `f` on the calling thread with this width in effect for any
+    /// [`map_in_order`] started inside `f`.
+    pub fn install<F, R>(&self, f: F) -> R
+    where
+        F: FnOnce() -> R,
+    {
+        with_width(self.threads, f)
     }
 }
 
-/// Potentially-parallel fork-join: runs `a` and `b`, possibly on
-/// different workers, and returns both results.
+/// Maps `f` over `items` and returns the results in input order.
 ///
-/// On a worker thread (of whichever pool the caller is executing in),
-/// this is the allocation-free fast path; from outside a pool the pair
-/// is installed onto the global pool first. If either closure
-/// panics, the panic is re-thrown here — after both closures have
-/// stopped running (`a`'s payload wins when both panic).
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+/// At width 1, or with at most one item, everything runs on the calling
+/// thread. Otherwise the caller and `width - 1` scoped workers pull item
+/// indices from a shared counter; each runs its items with width 1, so a
+/// nested fan-out stays on its thread. If `f` panics, no further items
+/// are handed out, and the first payload is re-raised once every worker
+/// has stopped.
+pub fn map_in_order<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
 {
-    match pool::current_registry() {
-        Some((index, registry)) => pool::join_in_worker(registry, index, a, b),
-        None => global().join(a, b),
+    let width = current_width().min(items.len());
+    if width <= 1 {
+        return items.iter().map(f).collect();
     }
+    // Both atomics publish no other data (items are shared read-only and
+    // results travel back through `join`), so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let work = || -> Result<Vec<(usize, R)>, Box<dyn Any + Send>> {
+        with_width(1, || {
+            let mut done = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                match panic::catch_unwind(AssertUnwindSafe(|| f(item))) {
+                    Ok(r) => done.push((i, r)),
+                    Err(payload) => {
+                        stop.store(true, Ordering::Relaxed);
+                        return Err(payload);
+                    }
+                }
+            }
+            Ok(done)
+        })
+    };
+    let parts: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..width)
+            .map(|w| {
+                std::thread::Builder::new()
+                    .name(format!("ksa-exec-{w}"))
+                    // Deep enough for the backtracking searches an
+                    // experiment runs (the CSP recurses once per view).
+                    .stack_size(8 << 20)
+                    .spawn_scoped(s, work)
+                    .expect("failed to spawn a worker thread")
+            })
+            .collect();
+        ksa_obs::perf_count(PerfCounter::ExecSpawns, handles.len() as u64);
+        let mine = work();
+        std::iter::once(mine)
+            .chain(handles.into_iter().map(|h| h.join().unwrap_or_else(Err)))
+            .collect()
+    });
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    for part in parts {
+        match part {
+            Ok(done) => done.into_iter().for_each(|(i, r)| slots[i] = Some(r)),
+            Err(payload) => panic::resume_unwind(payload),
+        }
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item was mapped"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
+    use super::*;
 
     #[test]
-    fn join_basic() {
-        let (a, b) = super::join(|| 1 + 1, || 2 + 2);
-        assert_eq!((a, b), (2, 4));
+    fn install_sets_and_restores_the_width() {
+        let outer = current_width();
+        let inner = ThreadPool::new(3).install(|| {
+            let nested = ThreadPool::new(1).install(current_width);
+            (current_width(), nested)
+        });
+        assert_eq!(inner, (3, 1));
+        assert_eq!(current_width(), outer);
     }
 
     #[test]
-    fn map_preserves_order() {
-        let v: Vec<usize> = (0..10_000).collect();
-        let doubled: Vec<usize> = v.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(doubled, (0..10_000).map(|x| x * 2).collect::<Vec<_>>());
+    fn zero_width_clamps_to_one() {
+        assert_eq!(ThreadPool::new(0).num_threads(), 1);
     }
 
     #[test]
     fn empty_inputs() {
-        let v: Vec<usize> = Vec::new();
-        assert_eq!(
-            v.par_iter().map(|&x| x).collect::<Vec<_>>(),
-            Vec::<usize>::new()
-        );
-        assert_eq!(v.into_par_iter().min(), None);
+        let out: Vec<u8> = ThreadPool::new(4).install(|| map_in_order(&[] as &[u8], |&x| x));
+        assert!(out.is_empty());
     }
 
     #[test]
-    fn reductions() {
-        let v: Vec<u64> = (1..=1000).collect();
-        assert_eq!(v.par_iter().map(|&x| x).sum::<u64>(), 500_500);
-        assert_eq!(v.par_iter().map(|&x| x).min(), Some(1));
-        assert_eq!(v.par_iter().map(|&x| x).max(), Some(1000));
-        assert_eq!(v.par_iter().map(|&x| x).count(), 1000);
-        assert_eq!(
-            (0..100usize).into_par_iter().reduce(|| 0, |a, b| a + b),
-            4950
-        );
-    }
-
-    #[test]
-    fn searches() {
-        let v: Vec<usize> = (0..10_000).collect();
-        assert!(v.par_iter().any(|&x| x == 9_999));
-        assert!(!v.par_iter().any(|&x| x == 10_000));
-        assert!(v.par_iter().all(|&x| *x < 10_000));
-        assert_eq!(
-            v.par_iter().find_any(|&&x| x % 7_777 == 7_776),
-            Some(&7_776)
-        );
-    }
-
-    #[test]
-    fn min_by_key_breaks_ties_deterministically() {
-        let v = vec![(3, 'a'), (1, 'b'), (1, 'c'), (2, 'd')];
-        assert_eq!(v.into_par_iter().min_by_key(|p| p.0), Some((1, 'b')));
+    fn map_preserves_order() {
+        let items: Vec<usize> = (0..1000).collect();
+        let doubled = ThreadPool::new(4).install(|| map_in_order(&items, |&x| x * 2));
+        assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
     }
 }

@@ -1,77 +1,34 @@
-//! Property tests pinning the engine's determinism contract: every
-//! order-preserving combinator must return results identical to the
-//! sequential `std` iterator pipeline, on randomized inputs, regardless
-//! of how the adaptive splitter carved the workload.
+//! `map_in_order` returns exactly the sequential `map`, in input order,
+//! at any width — also when workers finish out of order.
 
-use ksa_exec::prelude::*;
+use ksa_exec::{map_in_order, ThreadPool};
 use proptest::prelude::*;
+use std::thread;
+use std::time::Duration;
+
+#[test]
+fn results_come_back_in_input_order() {
+    let items: Vec<u64> = (0..40).collect();
+    for width in [2, 3, 8] {
+        // Early items take longest, so workers finish out of order.
+        let out = ThreadPool::new(width).install(|| {
+            map_in_order(&items, |&x| {
+                thread::sleep(Duration::from_micros(40 * (40 - x)));
+                x * x + 1
+            })
+        });
+        let expected: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
+        assert_eq!(out, expected, "width {width}");
+    }
+}
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn map_matches_sequential(v in prop::collection::vec(any::<u32>(), 0..2000)) {
-        let par: Vec<u64> = v.par_iter().map(|&x| u64::from(x) * 3 + 1).collect();
+    fn map_matches_sequential(v in prop::collection::vec(any::<u32>(), 0..200), width in 1usize..=6) {
+        let out = ThreadPool::new(width).install(|| map_in_order(&v, |&x| u64::from(x) * 3 + 1));
         let seq: Vec<u64> = v.iter().map(|&x| u64::from(x) * 3 + 1).collect();
-        prop_assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn filter_map_keeps_order(v in prop::collection::vec(any::<u32>(), 0..2000)) {
-        let par: Vec<u32> = v
-            .par_iter()
-            .filter_map(|&x| (x % 3 == 0).then_some(x / 3))
-            .collect();
-        let seq: Vec<u32> = v
-            .iter()
-            .filter_map(|&x| (x % 3 == 0).then_some(x / 3))
-            .collect();
-        prop_assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn reductions_match_sequential(v in prop::collection::vec(any::<u32>(), 0..2000)) {
-        let wide: Vec<u64> = v.iter().map(|&x| u64::from(x)).collect();
-        prop_assert_eq!(wide.par_iter().map(|&x| x).sum::<u64>(), wide.iter().sum::<u64>());
-        prop_assert_eq!(wide.par_iter().map(|&x| x).min(), wide.iter().copied().min());
-        prop_assert_eq!(wide.par_iter().map(|&x| x).max(), wide.iter().copied().max());
-        prop_assert_eq!(wide.par_iter().map(|&x| x).count(), wide.len());
-        // Ordered reduce on a non-commutative (but associative) operator:
-        // string-ish concatenation modeled as digit folding.
-        let digits: Vec<u64> = v.iter().map(|&x| u64::from(x % 10)).collect();
-        let par = digits
-            .par_iter()
-            .map(|&d| (d, 10u64))
-            .reduce(
-                || (0, 1),
-                |(a, pa), (b, pb)| (a.wrapping_mul(pb).wrapping_add(b), pa.wrapping_mul(pb)),
-            );
-        let seq = digits
-            .iter()
-            .map(|&d| (d, 10u64))
-            .fold((0u64, 1u64), |(a, pa), (b, pb)| {
-                (a.wrapping_mul(pb).wrapping_add(b), pa.wrapping_mul(pb))
-            });
-        prop_assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn searches_match_sequential(v in prop::collection::vec(0u32..100, 0..2000), needle in 0u32..100) {
-        prop_assert_eq!(v.par_iter().any(|&x| x == needle), v.contains(&needle));
-        prop_assert_eq!(
-            v.par_iter().all(|&x| *x != needle),
-            v.iter().all(|&x| x != needle)
-        );
-    }
-
-    #[test]
-    fn min_by_key_tiebreak_is_first(v in prop::collection::vec((0u32..8, any::<u32>()), 1..500)) {
-        // Earliest-wins on equal keys, exactly like the sequential scan.
-        let par = v.par_iter().map(|p| *p).min_by_key(|p| p.0);
-        let seq = v
-            .iter()
-            .copied()
-            .min_by(|a, b| a.0.cmp(&b.0));
-        prop_assert_eq!(par, seq);
+        prop_assert_eq!(out, seq);
     }
 }

@@ -52,16 +52,21 @@ pub enum Site {
     /// Inside the compute path of a request: the injected fault stalls
     /// for the scheduled number of milliseconds so a deadline can trip.
     ComputeStall,
+    /// On a server acceptor, right before it accepts a connection: the
+    /// injected fault is a simulated I/O error standing in for a failed
+    /// `accept` (say, `EMFILE`), which the acceptor must back off from.
+    AcceptIo,
 }
 
 /// Every site, in declaration order.
-pub const ALL_SITES: [Site; 6] = [
+pub const ALL_SITES: [Site; 7] = [
     Site::WorkerPanic,
     Site::HitPanic,
     Site::CacheReadIo,
     Site::CacheWriteIo,
     Site::CacheWriteStall,
     Site::ComputeStall,
+    Site::AcceptIo,
 ];
 
 impl Site {
@@ -75,6 +80,7 @@ impl Site {
             Site::CacheWriteIo => "cache_write_io",
             Site::CacheWriteStall => "cache_write_stall",
             Site::ComputeStall => "compute_stall",
+            Site::AcceptIo => "accept_io",
         }
     }
 
@@ -92,6 +98,7 @@ impl Site {
             Site::CacheWriteIo => 3,
             Site::CacheWriteStall => 4,
             Site::ComputeStall => 5,
+            Site::AcceptIo => 6,
         }
     }
 }
@@ -167,6 +174,7 @@ mod imp {
 
     static SCHEDULE: Mutex<Option<Vec<Entry>>> = Mutex::new(None);
     static ARRIVALS: [AtomicU64; ALL_SITES.len()] = [
+        AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),

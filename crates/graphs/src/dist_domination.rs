@@ -57,10 +57,7 @@ pub fn all_jointly_dominating(graphs: &[Digraph], i: usize) -> Result<bool, Grap
     let full = ProcSet::full(n);
     let silent_witness = |p: ProcSet| graphs.iter().any(|g| g.out_union(p) != full);
 
-    Ok(!crate::par_util::batched_any(
-        full.k_subsets(i),
-        silent_witness,
-    ))
+    Ok(!full.k_subsets(i).any(silent_witness))
 }
 
 /// The distributed domination number `γ_dist(S)` (Def 5.2, paper-faithful
@@ -121,9 +118,7 @@ pub fn distributed_domination_number_exact(graphs: &[Digraph]) -> Result<usize, 
             })
         };
 
-        let silent_exists = crate::par_util::batched_any(full.k_subsets(i), jointly_silent);
-
-        if !silent_exists {
+        if !full.k_subsets(i).any(jointly_silent) {
             return Ok(i);
         }
     }

@@ -16,11 +16,6 @@
 
 use crate::digraph::Digraph;
 use crate::proc_set::ProcSet;
-use ksa_exec::prelude::*;
-
-/// Depth to which the branch-and-bound tree is expanded into a frontier
-/// of independent subproblems for parallel search (≤ 2^DEPTH tasks).
-const PAR_SPLIT_DEPTH: usize = 4;
 
 /// A dominating set together with its size; produced by the exact solver so
 /// callers can reuse the witness (e.g. the Thm 3.2 algorithm hardcodes it).
@@ -63,10 +58,6 @@ pub fn minimum_dominating_set(g: &Digraph) -> DominatingSet {
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&u| std::cmp::Reverse(g.out_set(u).len()));
     let max_out = g.out_set(order[0]).len();
-
-    // The two branch guards, shared verbatim by the sequential
-    // recursion and the parallel frontier expansion — the paths only
-    // return identical witnesses if these never diverge.
 
     /// Taking `order[idx]` is useful iff it covers something new.
     fn can_take(g: &Digraph, u: usize, covered: ProcSet) -> bool {
@@ -143,57 +134,17 @@ pub fn minimum_dominating_set(g: &Digraph) -> DominatingSet {
         }
     }
 
-    // Expand the take/skip decision tree to a shallow
-    // frontier of independent subproblems (pre-order, so merging in
-    // frontier order reproduces the sequential first-found witness),
-    // then branch-and-bound each subtree on its own thread. Subtrees
-    // don't share an incumbent, so pruning is weaker than the
-    // sequential scan — the price of parallelism — but each starts
-    // from the greedy incumbent, which keeps the loss minor.
-    let mut frontier: Vec<(usize, ProcSet, ProcSet)> = Vec::new();
-    let mut stack = vec![(0usize, ProcSet::empty(), ProcSet::empty())];
-    while let Some((idx, chosen, covered)) = stack.pop() {
-        if covered == full || idx >= order.len() || idx >= PAR_SPLIT_DEPTH {
-            frontier.push((idx, chosen, covered));
-            continue;
-        }
-        let u = order[idx];
-        // Push skip below take: the LIFO pop explores take first,
-        // so frontier leaves are emitted in pre-order — merging in
-        // that order reproduces the sequential first-found witness.
-        if can_skip(g, &order, idx, covered, full) {
-            stack.push((idx + 1, chosen, covered));
-        }
-        if can_take(g, u, covered) {
-            stack.push((idx + 1, chosen.with(u), covered.union(g.out_set(u))));
-        }
-    }
-    let incumbent_size = best_size;
-    let results: Vec<(ProcSet, usize)> = frontier
-        .into_par_iter()
-        .map(|(idx, chosen, covered)| {
-            let mut sub_best = best;
-            let mut sub_size = incumbent_size;
-            rec(
-                g,
-                &order,
-                idx,
-                chosen,
-                covered,
-                full,
-                max_out,
-                &mut sub_best,
-                &mut sub_size,
-            );
-            (sub_best, sub_size)
-        })
-        .collect();
-    for (set, size) in results {
-        if size < best_size {
-            best = set;
-            best_size = size;
-        }
-    }
+    rec(
+        g,
+        &order,
+        0,
+        ProcSet::empty(),
+        ProcSet::empty(),
+        full,
+        max_out,
+        &mut best,
+        &mut best_size,
+    );
 
     debug_assert!(g.dominates(best));
     DominatingSet {

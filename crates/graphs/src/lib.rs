@@ -57,7 +57,6 @@ pub mod equal_domination;
 pub mod error;
 pub mod families;
 pub mod max_covering;
-pub(crate) mod par_util;
 pub mod perm;
 pub mod proc_set;
 pub mod product;

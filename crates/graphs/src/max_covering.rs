@@ -62,8 +62,7 @@ pub fn max_covering_number_with(
     let full = ProcSet::full(n);
     let m = i.min(graphs.len());
 
-    // The best non-dominating audience union for one choice of `P` —
-    // independent across `P`-subsets, which are the parallel work unit.
+    // The best non-dominating audience union for one choice of `P`.
     let best_for_subset = |p: ProcSet| -> Option<usize> {
         // Deduplicate the audiences Out_G(P): collections only see these.
         let mut audiences: Vec<ProcSet> = graphs.iter().map(|g| g.out_union(p)).collect();
@@ -89,13 +88,13 @@ pub fn max_covering_number_with(
         best
     };
 
-    let best: Option<usize> =
-        crate::par_util::batched_filter_map_max(full.k_subsets(i), best_for_subset);
-
-    best.ok_or(GraphError::IndexOutOfDomain {
-        index: i,
-        domain: "no non-dominating scenario exists (i ≥ γ_dist?)",
-    })
+    full.k_subsets(i)
+        .filter_map(best_for_subset)
+        .max()
+        .ok_or(GraphError::IndexOutOfDomain {
+            index: i,
+            domain: "no non-dominating scenario exists (i ≥ γ_dist?)",
+        })
 }
 
 /// Exact max-coverage: the largest union of at most `m` of the candidate

@@ -20,6 +20,95 @@ use ksa_graphs::product::{dissemination, power, product};
 use ksa_graphs::sequences::covering_sequence;
 use proptest::prelude::*;
 
+/// The branch-and-bound minimum dominating set as it was searched before
+/// the search ran on one thread: candidates by decreasing out-degree, the
+/// take/skip tree expanded to a frontier four levels deep (pre-order,
+/// take first), each frontier subtree searched from the greedy incumbent,
+/// and the first strictly better subtree result kept.
+fn frontier_split_dominating_set(g: &Digraph) -> ProcSet {
+    struct Search<'a> {
+        g: &'a Digraph,
+        order: Vec<usize>,
+        full: ProcSet,
+        max_out: usize,
+    }
+    impl Search<'_> {
+        fn can_take(&self, idx: usize, covered: ProcSet) -> bool {
+            !self
+                .g
+                .out_set(self.order[idx])
+                .difference(covered)
+                .is_empty()
+        }
+        fn can_skip(&self, idx: usize, covered: ProcSet) -> bool {
+            let rest = self.order[idx + 1..]
+                .iter()
+                .fold(covered, |acc, &v| acc.union(self.g.out_set(v)));
+            self.full.is_subset(rest)
+        }
+        fn take(&self, idx: usize, chosen: ProcSet, covered: ProcSet) -> (ProcSet, ProcSet) {
+            let u = self.order[idx];
+            (chosen.with(u), covered.union(self.g.out_set(u)))
+        }
+        fn rec(&self, idx: usize, chosen: ProcSet, covered: ProcSet, best: &mut (ProcSet, usize)) {
+            if covered == self.full {
+                if chosen.len() < best.1 {
+                    *best = (chosen, chosen.len());
+                }
+                return;
+            }
+            if idx >= self.order.len() {
+                return;
+            }
+            let uncovered = self.full.difference(covered).len();
+            if chosen.len() + uncovered.div_ceil(self.max_out) >= best.1 {
+                return;
+            }
+            if self.can_take(idx, covered) {
+                let (c, cov) = self.take(idx, chosen, covered);
+                self.rec(idx + 1, c, cov, best);
+            }
+            if self.can_skip(idx, covered) {
+                self.rec(idx + 1, chosen, covered, best);
+            }
+        }
+    }
+    let n = g.n();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&u| std::cmp::Reverse(g.out_set(u).len()));
+    let search = Search {
+        g,
+        max_out: g.out_set(order[0]).len(),
+        order,
+        full: ProcSet::full(n),
+    };
+    let greedy = greedy_dominating_set(g);
+    let mut frontier = Vec::new();
+    let mut stack = vec![(0usize, ProcSet::empty(), ProcSet::empty())];
+    while let Some((idx, chosen, covered)) = stack.pop() {
+        if covered == search.full || idx >= n || idx >= 4 {
+            frontier.push((idx, chosen, covered));
+            continue;
+        }
+        if search.can_skip(idx, covered) {
+            stack.push((idx + 1, chosen, covered));
+        }
+        if search.can_take(idx, covered) {
+            let (c, cov) = search.take(idx, chosen, covered);
+            stack.push((idx + 1, c, cov));
+        }
+    }
+    let mut best = (greedy.set, greedy.size);
+    for (idx, chosen, covered) in frontier {
+        let mut sub = (greedy.set, greedy.size);
+        search.rec(idx, chosen, covered, &mut sub);
+        if sub.1 < best.1 {
+            best = sub;
+        }
+    }
+    best.0
+}
+
 /// Strategy: a digraph on `n` processes with each proper edge present with
 /// the sampled density.
 fn digraph(n: usize) -> impl Strategy<Value = Digraph> {
@@ -29,6 +118,23 @@ fn digraph(n: usize) -> impl Strategy<Value = Digraph> {
         for u in 0..n {
             for v in 0..n {
                 if u != v && edges[u * n + v] {
+                    g.add_edge(u, v).expect("in range");
+                }
+            }
+        }
+        g
+    })
+}
+
+/// Strategy: a digraph on `n` processes with each proper edge present
+/// with probability 1/5, sparse enough that several processes are needed
+/// to dominate and the greedy set is often not minimum.
+fn sparse_digraph(n: usize) -> impl Strategy<Value = Digraph> {
+    prop::collection::vec(0u8..5, n * n).prop_map(move |draws| {
+        let mut g = Digraph::empty(n).expect("valid n");
+        for u in 0..n {
+            for v in 0..n {
+                if u != v && draws[u * n + v] == 0 {
                     g.add_edge(u, v).expect("in range");
                 }
             }
@@ -66,6 +172,17 @@ proptest! {
             equal_domination_number(&g),
             equal_domination_number_brute(&g)
         );
+    }
+
+    /// The exact search returns the same witness as the search it
+    /// replaced, which split the take/skip tree four levels deep into
+    /// subtrees searched from the greedy incumbent and kept the first
+    /// strictly better subtree result in pre-order.
+    #[test]
+    fn minimum_dominating_set_witness_matches_the_frontier_split_search(
+        g in (5usize..=9).prop_flat_map(sparse_digraph),
+    ) {
+        prop_assert_eq!(minimum_dominating_set(&g).set, frontier_split_dominating_set(&g));
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! admissions, registry materializations. Every counted site performs a
 //! thread-count-invariant amount of work (the determinism contract,
 //! DESIGN.md §4), so the totals are **bit-identical at any
-//! `KSA_THREADS`** — CI diffs them across pool sizes exactly like
+//! `KSA_THREADS`** — CI diffs them across thread counts exactly like
 //! experiment verdicts, which turns the profile into a correctness gate.
 //!
-//! **Perf stats** ([`PerfCounter`]) measure *how* the pool got it done:
-//! steals, parks, spawns, redundant racer builds, deadline trips. These
-//! depend on scheduling and live in a separate namespace that CI strips
-//! before diffing.
+//! **Perf stats** ([`PerfCounter`]) measure *how* the run got it done:
+//! worker spawns, redundant registry builds, cache quarantines, shed
+//! requests, failed accepts, deadline trips. These depend on scheduling and live in a
+//! separate namespace that CI strips before diffing.
 //!
 //! # Sharding and merging
 //!
@@ -24,11 +24,10 @@
 //! per thread, registered on first use) so the hot path is a single
 //! uncontended `fetch_add`. A [`snapshot`] merges shards in their
 //! registration order; since merging is integer addition, the totals are
-//! independent of both the merge order and how work was distributed —
-//! which is exactly why the deterministic tier survives work stealing.
-//! Reads use relaxed ordering: callers snapshot after joining the work
-//! they want counted, and the join's synchronization publishes the
-//! increments.
+//! independent of both the merge order and how experiments were spread
+//! over threads. Reads use relaxed ordering: callers snapshot after
+//! joining the work they want counted, and the join's synchronization
+//! publishes the increments.
 //!
 //! # Feature gating
 //!
@@ -193,11 +192,13 @@ impl Counter {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum PerfCounter {
-    /// Jobs acquired from another worker's deque or the injector.
+    /// Always 0: `ksa-exec` no longer steals work. Kept only so callers
+    /// built against the old work-stealing pool still compile.
     ExecSteals,
-    /// Times a worker parked waiting for work.
+    /// Always 0: `ksa-exec` workers no longer park. Kept only so callers
+    /// built against the old work-stealing pool still compile.
     ExecParks,
-    /// Jobs made stealable (deque pushes + injector submissions).
+    /// Scoped worker threads started by `ksa_exec::map_in_order`.
     ExecSpawns,
     /// Registry materializations discarded because a concurrent racer
     /// already populated the cache entry.
@@ -215,11 +216,14 @@ pub enum PerfCounter {
     /// Worker tasks that panicked and were isolated by `catch_unwind`
     /// into a structured error response.
     RequestsPanicked,
+    /// Failed `accept` calls on the server's listening socket (each one
+    /// followed by a fixed back-off before the acceptor retries).
+    AcceptFailures,
 }
 
 impl PerfCounter {
     /// All perf counters, in presentation order.
-    pub const ALL: [PerfCounter; 8] = [
+    pub const ALL: [PerfCounter; 9] = [
         PerfCounter::ExecSteals,
         PerfCounter::ExecParks,
         PerfCounter::ExecSpawns,
@@ -228,6 +232,7 @@ impl PerfCounter {
         PerfCounter::RequestsShed,
         PerfCounter::DeadlinesTripped,
         PerfCounter::RequestsPanicked,
+        PerfCounter::AcceptFailures,
     ];
 
     /// Stable snake_case name (JSON keys, report labels).
@@ -241,21 +246,9 @@ impl PerfCounter {
             PerfCounter::RequestsShed => "requests_shed",
             PerfCounter::DeadlinesTripped => "deadlines_tripped",
             PerfCounter::RequestsPanicked => "requests_panicked",
+            PerfCounter::AcceptFailures => "accept_failures",
         }
     }
-}
-
-/// Per-worker perf breakdown (shards whose thread was a pool worker).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPerf {
-    /// The worker thread's name (`ksa-exec-N`).
-    pub label: String,
-    /// Jobs it stole (sibling deques + injector).
-    pub steals: u64,
-    /// Times it parked.
-    pub parks: u64,
-    /// Jobs it made stealable.
-    pub spawns: u64,
 }
 
 /// A merged view of every shard at one instant.
@@ -265,8 +258,6 @@ pub struct MetricsSnapshot {
     pub det: Vec<(&'static str, u64)>,
     /// Perf tier, in [`PerfCounter::ALL`] order.
     pub perf: Vec<(&'static str, u64)>,
-    /// Per-worker perf rows, sorted by worker label.
-    pub workers: Vec<WorkerPerf>,
 }
 
 impl MetricsSnapshot {
@@ -300,7 +291,7 @@ impl MetricsSnapshot {
 
 #[cfg(feature = "enabled")]
 mod imp {
-    use super::{Counter, MetricsSnapshot, PerfCounter, WorkerPerf};
+    use super::{Counter, MetricsSnapshot, PerfCounter};
     use std::borrow::Cow;
     use std::cell::Cell;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -313,7 +304,6 @@ mod imp {
     /// One thread's counters. Shards are append-only in a global list:
     /// a dead thread's totals must keep contributing to snapshots.
     struct Shard {
-        label: String,
         det: [AtomicU64; DET],
         perf: [AtomicU64; PERF],
     }
@@ -331,7 +321,6 @@ mod imp {
         LOCAL.with(|cell| {
             let shard = cell.get_or_init(|| {
                 let shard = Arc::new(Shard {
-                    label: std::thread::current().name().unwrap_or("?").to_string(),
                     det: std::array::from_fn(|_| AtomicU64::new(0)),
                     perf: std::array::from_fn(|_| AtomicU64::new(0)),
                 });
@@ -361,7 +350,6 @@ mod imp {
         let shards = shards().lock().expect("obs shards");
         let mut det = [0u64; DET];
         let mut perf = [0u64; PERF];
-        let mut workers = Vec::new();
         for shard in shards.iter() {
             for (i, slot) in shard.det.iter().enumerate() {
                 det[i] += slot.load(Ordering::Relaxed);
@@ -369,28 +357,7 @@ mod imp {
             for (i, slot) in shard.perf.iter().enumerate() {
                 perf[i] += slot.load(Ordering::Relaxed);
             }
-            if shard.label.starts_with("ksa-exec-") {
-                workers.push(WorkerPerf {
-                    label: shard.label.clone(),
-                    steals: shard.perf[PerfCounter::ExecSteals as usize].load(Ordering::Relaxed),
-                    parks: shard.perf[PerfCounter::ExecParks as usize].load(Ordering::Relaxed),
-                    spawns: shard.perf[PerfCounter::ExecSpawns as usize].load(Ordering::Relaxed),
-                });
-            }
         }
-        workers.sort_by(|a, b| a.label.cmp(&b.label));
-        // Several workers may have indexed shards across different pools
-        // (tests spin up throwaway pools); merge rows sharing a label.
-        workers.dedup_by(|b, a| {
-            if a.label == b.label {
-                a.steals += b.steals;
-                a.parks += b.parks;
-                a.spawns += b.spawns;
-                true
-            } else {
-                false
-            }
-        });
         MetricsSnapshot {
             det: Counter::ALL
                 .iter()
@@ -400,7 +367,6 @@ mod imp {
                 .iter()
                 .map(|&p| (p.name(), perf[p as usize]))
                 .collect(),
-            workers,
         }
     }
 

@@ -20,18 +20,12 @@ use crate::error::RuntimeError;
 use crate::execution::{execute_schedule, ExecutionTrace};
 use ksa_core::algorithms::ObliviousAlgorithm;
 use ksa_core::task::Value;
-use ksa_exec::prelude::*;
 use ksa_graphs::budget::RunBudget;
 use ksa_models::adversary::generator_schedules;
 use ksa_models::ClosedAboveModel;
 use ksa_models::ObliviousModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Generator schedules pulled per parallel round: bounds the memory
-/// held in cloned schedules while keeping every core busy (each
-/// schedule expands to `values^n` executions of work).
-const SCHEDULE_BATCH: usize = 256;
 
 /// Outcome of an exhaustive (or sampled) check.
 #[derive(Debug, Clone)]
@@ -53,18 +47,6 @@ impl CheckReport {
             worst_distinct: 0,
             validity_ok: true,
             witness: None,
-        }
-    }
-
-    /// Folds `other` into `self`. Merging reports in schedule order
-    /// reproduces exactly the sequential scan: the witness is the first
-    /// trace (in enumeration order) achieving the global worst.
-    fn merge(&mut self, other: CheckReport) {
-        self.executions += other.executions;
-        self.validity_ok &= other.validity_ok;
-        if other.worst_distinct > self.worst_distinct {
-            self.worst_distinct = other.worst_distinct;
-            self.witness = other.witness;
         }
     }
 }
@@ -103,7 +85,7 @@ fn for_all_inputs(
 /// [`RuntimeError::TooLarge`] when `|generators|^rounds · values^n`
 /// exceeds `budget`; [`RuntimeError::BadParameter`] for zero
 /// rounds/values.
-pub fn check_exhaustive<A: ObliviousAlgorithm + Sync + ?Sized>(
+pub fn check_exhaustive<A: ObliviousAlgorithm + ?Sized>(
     algorithm: &A,
     model: &ClosedAboveModel,
     values: usize,
@@ -138,37 +120,15 @@ pub fn check_exhaustive<A: ObliviousAlgorithm + Sync + ?Sized>(
     budget.admit("exhaustive check", total)?;
     let _span = ksa_obs::span("runtime", || "check_exhaustive").arg("rounds", rounds as u64);
 
-    // One independent sub-report per generator schedule; merged in
-    // schedule order, so the parallel and sequential paths return
-    // byte-identical reports.
-    let per_schedule = |schedule: &[ksa_graphs::Digraph]| -> Result<CheckReport, RuntimeError> {
-        let mut local = CheckReport::empty();
+    // Schedules stream one at a time (a schedule clones `rounds`
+    // digraphs), so memory stays flat in the execution count.
+    let mut report = CheckReport::empty();
+    for schedule in generator_schedules(model, rounds) {
         for_all_inputs(n, values, |inputs| {
-            let trace = execute_schedule(algorithm, schedule, inputs)?;
-            record(&mut local, trace);
+            let trace = execute_schedule(algorithm, &schedule, inputs)?;
+            record(&mut report, trace);
             Ok(())
         })?;
-        Ok(local)
-    };
-
-    let mut report = CheckReport::empty();
-    // Stream schedules in bounded batches (a schedule clones
-    // `rounds` digraphs, so a full up-front collect could dwarf
-    // the execution count in memory) and merge in schedule order.
-    let mut schedules = generator_schedules(model, rounds);
-    loop {
-        let batch: Vec<Vec<ksa_graphs::Digraph>> =
-            schedules.by_ref().take(SCHEDULE_BATCH).collect();
-        if batch.is_empty() {
-            break;
-        }
-        let partials: Vec<Result<CheckReport, RuntimeError>> = batch
-            .par_iter()
-            .map(|schedule| per_schedule(schedule))
-            .collect();
-        for partial in partials {
-            report.merge(partial?);
-        }
     }
     ksa_obs::count(
         ksa_obs::Counter::CheckerExecutions,
@@ -184,7 +144,7 @@ pub fn check_exhaustive<A: ObliviousAlgorithm + Sync + ?Sized>(
 /// # Errors
 ///
 /// Same conditions as [`check_exhaustive`].
-pub fn check_with_supersets<A: ObliviousAlgorithm + Sync + ?Sized>(
+pub fn check_with_supersets<A: ObliviousAlgorithm + ?Sized>(
     algorithm: &A,
     model: &ClosedAboveModel,
     values: usize,
@@ -200,40 +160,21 @@ pub fn check_with_supersets<A: ObliviousAlgorithm + Sync + ?Sized>(
     let n = model.n();
 
     // Each schedule perturbs with its own generator, derived from
-    // (seed, schedule index) — schedules are independent streams, so the
-    // parallel and sequential paths sample identical supersets.
-    let per_schedule =
-        |(idx, schedule): (usize, &[ksa_graphs::Digraph])| -> Result<CheckReport, RuntimeError> {
-            let mut rng =
-                StdRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut local = CheckReport::empty();
-            for _ in 0..samples {
-                let lifted: Vec<ksa_graphs::Digraph> = schedule
-                    .iter()
-                    .map(|g| ksa_graphs::random::random_superset(g, &mut rng))
-                    .collect::<Result<_, _>>()?;
-                for_all_inputs(n, values, |inputs| {
-                    let trace = execute_schedule(algorithm, &lifted, inputs)?;
-                    record(&mut local, trace);
-                    Ok(())
-                })?;
-            }
-            Ok(local)
-        };
-
-    let mut schedules = generator_schedules(model, rounds).enumerate();
-    loop {
-        let batch: Vec<(usize, Vec<ksa_graphs::Digraph>)> =
-            schedules.by_ref().take(SCHEDULE_BATCH).collect();
-        if batch.is_empty() {
-            break;
-        }
-        let partials: Vec<Result<CheckReport, RuntimeError>> = batch
-            .par_iter()
-            .map(|(idx, schedule)| per_schedule((*idx, schedule.as_slice())))
-            .collect();
-        for partial in partials {
-            base.merge(partial?);
+    // (seed, schedule index), so a schedule's supersets do not depend on
+    // how many samples its predecessors drew.
+    for (idx, schedule) in generator_schedules(model, rounds).enumerate() {
+        let mut rng =
+            StdRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        for _ in 0..samples {
+            let lifted: Vec<ksa_graphs::Digraph> = schedule
+                .iter()
+                .map(|g| ksa_graphs::random::random_superset(g, &mut rng))
+                .collect::<Result<_, _>>()?;
+            for_all_inputs(n, values, |inputs| {
+                let trace = execute_schedule(algorithm, &lifted, inputs)?;
+                record(&mut base, trace);
+                Ok(())
+            })?;
         }
     }
     ksa_obs::count(

@@ -13,6 +13,8 @@
 //! `overloaded` frame (`requests_shed` perf counter) — the server
 //! prefers fast refusal over unbounded memory. The thread count is
 //! fixed: acceptors plus workers, however many connections are open.
+//! A failed `accept` (`accept_failures` perf counter) puts its acceptor
+//! to sleep for [`ACCEPT_RETRY_DELAY`] before it retries.
 //!
 //! Acceptors handle each connection, and workers each job, under
 //! `catch_unwind`: a panic produces a structured `error` frame
@@ -59,6 +61,10 @@ pub const FRONT_THREADS: usize = 4;
 /// silent or trickling client cannot hold an acceptor. It also bounds
 /// how long shutdown waits for a busy acceptor.
 pub const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long an acceptor sleeps after a failed `accept` before it tries
+/// again, so a persistent failure such as `EMFILE` (out of file
+/// descriptors) does not spin every acceptor at full CPU.
+pub const ACCEPT_RETRY_DELAY: Duration = Duration::from_millis(50);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -209,7 +215,11 @@ fn spawn_thread(
 
 fn acceptor_loop(listener: &UnixListener, shared: &Shared) {
     while !shared.stop.load(Ordering::SeqCst) {
-        let Ok((mut stream, _)) = listener.accept() else {
+        let accepted =
+            ksa_faults::maybe_io_error(ksa_faults::Site::AcceptIo).and_then(|()| listener.accept());
+        let Ok((mut stream, _)) = accepted else {
+            obs::perf_count(obs::PerfCounter::AcceptFailures, 1);
+            std::thread::sleep(ACCEPT_RETRY_DELAY);
             continue;
         };
         if shared.stop.load(Ordering::SeqCst) {

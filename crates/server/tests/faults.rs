@@ -10,6 +10,7 @@
 
 use std::path::PathBuf;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use ksa_server::client;
 use ksa_server::json::{parse, Value};
@@ -88,6 +89,31 @@ fn worker_panic_is_absorbed_and_server_keeps_serving() {
     assert_eq!(perf_value("requests_panicked"), panicked_before + 1);
 
     // The worker survived; the very next request computes normally.
+    let (event, _) = rig.terminal_event_kind(SOLV);
+    assert_eq!(event, "result");
+}
+
+#[test]
+fn accept_failure_backs_off_and_server_keeps_serving() {
+    let _guard = SERIAL.lock().unwrap();
+    let rig = Rig::new("accept-io");
+    let failures_before = perf_value("accept_failures");
+    // Every acceptor is already blocked in `accept`, past the fault
+    // site, so the first request is served and its acceptor's next
+    // arrival at the site fails.
+    ksa_faults::arm("accept_io@1").unwrap();
+    let (event, _) = rig.terminal_event_kind(SOLV);
+    assert_eq!(event, "result");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while perf_value("accept_failures") == failures_before {
+        assert!(
+            Instant::now() < deadline,
+            "the injected accept failure never fired"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(perf_value("accept_failures"), failures_before + 1);
+    // The failed acceptor backs off; the next request is still answered.
     let (event, _) = rig.terminal_event_kind(SOLV);
     assert_eq!(event, "result");
 }

@@ -49,20 +49,18 @@
 //!   [`ChainComplex::skeleton_connectivity`] answer skeleton queries from
 //!   the parent's cached ranks without re-closing any faces.
 //!
-//! Determinism (DESIGN.md §4): the closure is sequential and its ids are
-//! sorted positions, so they depend only on the simplex sets; full-Betti
-//! queries fan out per dimension on `ksa-exec`, and ranks are properties
-//! of the matrices, so every verdict is bit-identical to the engine-free
-//! references ([`crate::homology::reduced_betti_numbers_seq`] and the
-//! scalar [`crate::gf2::Gf2Matrix::rank_seq`]) at any `KSA_THREADS` —
-//! proptest-pinned at pool sizes 1/2/8 in `tests/chain_engine.rs`.
+//! Determinism (DESIGN.md §4): the engine runs on the calling thread and
+//! its ids are sorted positions, so they depend only on the simplex sets;
+//! ranks are properties of the matrices, so every verdict is
+//! bit-identical to the engine-free references
+//! ([`crate::homology::reduced_betti_numbers_seq`] and the scalar
+//! [`crate::gf2::Gf2Matrix::rank_seq`]) — proptest-pinned in
+//! `tests/chain_engine.rs`.
 
 use crate::complex::Complex;
 use crate::connectivity::Connectivity;
 use crate::simplex::{Vertex, View};
 use ksa_obs::Counter;
-
-use ksa_exec::prelude::*;
 
 /// The number of bits needed to write every value in `0..=max`.
 pub(crate) fn bits(max: u64) -> u32 {
@@ -561,21 +559,12 @@ impl ChainComplex {
     }
 
     /// The full reduced Z/2 Betti vector `b̃_0, …, b̃_dim` (empty for the
-    /// void complex). The not-yet-cached boundary reductions fan out per
-    /// dimension on `ksa-exec`.
+    /// void complex), reducing the not-yet-cached boundaries bottom up.
     pub fn reduced_betti(&mut self) -> Vec<usize> {
         if self.is_void() {
             return Vec::new();
         }
         let dim = self.counts.len() - 1;
-        let missing: Vec<usize> = (1..=dim).filter(|&k| self.ranks[k].is_none()).collect();
-        if missing.len() > 1 {
-            let this: &Self = self;
-            let computed: Vec<usize> = missing.par_iter().map(|&k| this.compute_rank(k)).collect();
-            for (&k, r) in missing.iter().zip(computed) {
-                self.ranks[k] = Some(r);
-            }
-        }
         (0..=dim).map(|k| self.betti_at(k)).collect()
     }
 

@@ -6,22 +6,13 @@
 //!
 //! The enumeration-heavy operations — face
 //! closure ([`Complex::all_simplexes`]), skeleta ([`Complex::skeleton`])
-//! and facet-pair intersections ([`Complex::intersection`]) — fan their
-//! per-facet work out on the `ksa-exec` pool once past a small grain.
-//! Results are canonical sorted sets either way, so the parallel and
-//! sequential paths are interchangeable bit for bit (DESIGN.md §4).
+//! and facet-pair intersections ([`Complex::intersection`]) — run on the
+//! calling thread and return canonical sorted sets (DESIGN.md §4).
 
 use crate::error::TopologyError;
 use crate::simplex::{Simplex, Vertex, View};
 use std::collections::BTreeSet;
 use std::fmt;
-
-use ksa_exec::prelude::*;
-
-/// Facet count below which the parallel paths stay inline: per-facet work
-/// is exponential in dimension but tiny complexes dominate the call
-/// profile, and forking them costs more than enumerating them.
-const PAR_FACET_GRAIN: usize = 16;
 
 /// The inclusion-maximal simplexes among `candidates`, longest first:
 /// empty and duplicate candidates are dropped, and so is every candidate
@@ -159,24 +150,7 @@ impl<V: View> Complex<V> {
     /// All non-empty simplexes of the complex (the face closure of the
     /// facets), sorted. Exponential in the facet dimensions — this is the
     /// input to homology, not something to keep around.
-    ///
-    /// Past a small facet-count grain the per-facet subset enumerations
-    /// run as parallel tasks; the merged result is the same sorted set.
     pub fn all_simplexes(&self) -> Vec<Simplex<V>> {
-        if self.facets.len() >= PAR_FACET_GRAIN {
-            let per_facet: Vec<BTreeSet<Simplex<V>>> = self
-                .facets
-                .iter()
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|f| f.all_faces().into_iter().collect())
-                .collect();
-            let mut set: BTreeSet<Simplex<V>> = BTreeSet::new();
-            for s in per_facet {
-                set.extend(s);
-            }
-            return set.into_iter().collect();
-        }
         let mut set: BTreeSet<Simplex<V>> = BTreeSet::new();
         for f in &self.facets {
             for sub in f.all_faces() {
@@ -187,22 +161,9 @@ impl<V: View> Complex<V> {
     }
 
     /// The `k`-skeleton: all simplexes of dimension ≤ `k`.
-    ///
-    /// Combination enumeration is per facet and order-independent, so
-    /// large complexes fan it out on the `ksa-exec` pool.
     pub fn skeleton(&self, k: isize) -> Complex<V> {
         if k < 0 {
             return Complex::void();
-        }
-        if self.facets.len() >= PAR_FACET_GRAIN {
-            let groups: Vec<Vec<Simplex<V>>> = self
-                .facets
-                .iter()
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|f| skeleton_candidates(f, k))
-                .collect();
-            return Complex::from_facets(groups.into_iter().flatten());
         }
         Complex::from_facets(self.facets.iter().flat_map(|f| skeleton_candidates(f, k)))
     }
@@ -225,29 +186,7 @@ impl<V: View> Complex<V> {
 
     /// Intersection of two complexes: the simplexes lying in both. Facets
     /// of the intersection arise as maximal pairwise facet intersections.
-    ///
-    /// The pairwise product is quadratic in the facet counts; big pairs
-    /// split the rows of the product across `ksa-exec` workers.
     pub fn intersection(&self, other: &Complex<V>) -> Complex<V> {
-        if self.facets.len() * other.facets.len() >= PAR_FACET_GRAIN * PAR_FACET_GRAIN {
-            let rows: Vec<Vec<Simplex<V>>> = self
-                .facets
-                .iter()
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|a| {
-                    other
-                        .facets
-                        .iter()
-                        .filter_map(|b| {
-                            let i = a.intersection(b);
-                            (!i.is_empty()).then_some(i)
-                        })
-                        .collect()
-                })
-                .collect();
-            return Complex::from_facets(rows.into_iter().flatten());
-        }
         let mut cands = Vec::new();
         for a in &self.facets {
             for b in &other.facets {

@@ -121,10 +121,9 @@ pub fn connectivity_up_to<V: View>(complex: &Complex<V>, k: isize) -> Connectivi
 
 /// The sequential reference for [`connectivity`]: derives the verdict
 /// from the engine-free [`reduced_betti_numbers_seq`] and the exact
-/// union-find [`component_count`], with no chain engine and no
-/// `ksa-exec` involvement. The determinism
-/// proptests (`tests/chain_engine.rs`) pin `connectivity ==
-/// connectivity_seq` at pool sizes 1/2/8.
+/// union-find [`component_count`], with no chain engine. The
+/// proptests of `tests/chain_engine.rs` pin `connectivity ==
+/// connectivity_seq`.
 pub fn connectivity_seq<V: View>(complex: &Complex<V>) -> Connectivity {
     if complex.is_void() {
         return Connectivity::Empty;

@@ -37,10 +37,8 @@ use std::collections::{BTreeSet, HashMap};
 /// Runs on the flat chain-complex engine ([`crate::chain`]): a
 /// sequential top-down face closure emits each boundary operator's
 /// incidence rows, and each operator is reduced sparsely. Simplex ids
-/// are sorted positions and the boundary reductions fan out per
-/// dimension as `ksa-exec` tasks, so every Betti number is
-/// bit-identical to [`reduced_betti_numbers_seq`] at any `KSA_THREADS`
-/// (DESIGN.md §4, §7).
+/// are sorted positions, so every Betti number is bit-identical to
+/// [`reduced_betti_numbers_seq`] (DESIGN.md §4, §7).
 ///
 /// Callers that need both Betti numbers *and* connectivity should build
 /// one [`ChainComplex`] and query it twice — the rank cache is shared.
@@ -63,13 +61,12 @@ pub fn reduced_betti_numbers<V: View>(complex: &Complex<V>) -> Vec<usize> {
 
 /// The sequential reference for [`reduced_betti_numbers`]: enumerates the
 /// face closure, assembles every boundary operator and reduces it with
-/// scalar Gaussian elimination ([`Gf2Matrix::rank_seq`]) on the calling
-/// thread, with no `ksa-exec` involvement.
+/// scalar Gaussian elimination ([`Gf2Matrix::rank_seq`]), with no chain
+/// engine.
 ///
-/// This is the oracle of the parallel-vs-sequential determinism proptests
+/// This is the oracle of the engine-vs-oracle proptests
 /// (`tests/parallel_homology.rs`), which pin
-/// `reduced_betti_numbers == reduced_betti_numbers_seq` at pool sizes
-/// 1/2/8.
+/// `reduced_betti_numbers == reduced_betti_numbers_seq`.
 ///
 /// # Examples
 ///

@@ -9,14 +9,6 @@
 use crate::complex::Complex;
 use crate::simplex::{Simplex, Vertex, View};
 
-use ksa_exec::prelude::*;
-
-/// Frontier size past which a level's expansions fan out on the
-/// `ksa-exec` pool. Expansion of one index set is independent of its
-/// siblings and results merge in frontier order, so the construction is
-/// identical to the sequential sweep.
-const PAR_FRONTIER_GRAIN: usize = 4;
-
 /// The nerve of a cover, as a complex colored by cover indices with unit
 /// views.
 ///
@@ -50,27 +42,14 @@ pub fn nerve_complex<V: View>(cover: &[Complex<V>]) -> Complex<()> {
         }
     }
     while !frontier.is_empty() {
-        // One index set's extensions, plus the set itself when it extends
-        // no further (a facet candidate).
-        let expand = |(set, inter): &(Vec<usize>, Complex<V>)| {
-            let exts = extensions(set, inter, cover);
-            let maximal = exts.is_empty().then(|| set.clone());
-            (exts, maximal)
-        };
-
-        #[allow(clippy::type_complexity)]
-        let expanded: Vec<(Vec<(Vec<usize>, Complex<V>)>, Option<Vec<usize>>)> = {
-            if frontier.len() >= PAR_FRONTIER_GRAIN {
-                frontier.par_iter().map(expand).collect()
-            } else {
-                frontier.iter().map(expand).collect()
-            }
-        };
-
         let mut next: Vec<(Vec<usize>, Complex<V>)> = Vec::new();
-        for (exts, maximal) in expanded {
+        for (set, inter) in &frontier {
+            let exts = extensions(set, inter, cover);
+            // A set that extends no further is a facet candidate.
+            if exts.is_empty() {
+                facet_candidates.push(set.clone());
+            }
             next.extend(exts);
-            facet_candidates.extend(maximal);
         }
         frontier = next;
     }
@@ -98,32 +77,16 @@ pub fn nerve_lemma_violations<V: View>(cover: &[Complex<V>], k: isize) -> Vec<Ve
         frontier.push((vec![i], c.clone()));
     }
     while !frontier.is_empty() {
-        // Check one index set's connectivity requirement and compute its
-        // extensions (the homology checks dominate — each frontier entry
-        // is a task and its Betti computation fans out further inside the
-        // engine).
-        let check = |(set, inter): &(Vec<usize>, Complex<V>)| {
+        let mut next = Vec::new();
+        for (set, inter) in &frontier {
             if inter.is_void() {
-                return (Vec::new(), None);
+                continue;
             }
             let need = k - set.len() as isize + 1;
-            let violation = (!is_k_connected(inter, need)).then(|| set.clone());
-            (extensions(set, inter, cover), violation)
-        };
-
-        #[allow(clippy::type_complexity)]
-        let checked: Vec<(Vec<(Vec<usize>, Complex<V>)>, Option<Vec<usize>>)> = {
-            if frontier.len() >= PAR_FRONTIER_GRAIN {
-                frontier.par_iter().map(check).collect()
-            } else {
-                frontier.iter().map(check).collect()
+            if !is_k_connected(inter, need) {
+                bad.push(set.clone());
             }
-        };
-
-        let mut next = Vec::new();
-        for (exts, violation) in checked {
-            bad.extend(violation);
-            next.extend(exts);
+            next.extend(extensions(set, inter, cover));
         }
         frontier = next;
     }

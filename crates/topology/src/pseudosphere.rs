@@ -111,13 +111,8 @@ impl<V: View> Pseudosphere<V> {
     }
 
     /// Materializes the pseudosphere as an explicit facet complex, bounded
-    /// by `limit` facets.
-    ///
-    /// Large pseudospheres decode facet
-    /// indexes in mixed radix over the view lists and generate them on
-    /// the `ksa-exec` pool — facet `j` is a pure function of `j`, so the
-    /// enumeration order (and the canonicalized complex) matches the
-    /// sequential odometer exactly.
+    /// by `limit` facets: one odometer step per facet over the active
+    /// colors' view lists.
     ///
     /// # Errors
     ///
@@ -137,31 +132,6 @@ impl<V: View> Pseudosphere<V> {
         }
         let lists: Vec<&[V]> = active.iter().map(|&c| self.views_of(c)).collect();
         ksa_obs::count(ksa_obs::Counter::FacetsEnumerated, count as u64);
-
-        // The parallel decode indexes facets as usize; counts beyond that
-        // (possible when the caller passes a limit above usize::MAX) fall
-        // through to the odometer rather than truncate.
-        if count >= 64 && count <= usize::MAX as u128 {
-            use ksa_exec::prelude::*;
-            let facets: Vec<Simplex<V>> = (0..count as usize)
-                .into_par_iter()
-                .map(|j| {
-                    // Mixed-radix decode of j: digit p (least significant
-                    // first) picks the view of active color p — the same
-                    // assignment the sequential odometer reaches at step j.
-                    let mut rem = j;
-                    let verts: Vec<Vertex<V>> = (0..active.len())
-                        .map(|p| {
-                            let pick = rem % lists[p].len();
-                            rem /= lists[p].len();
-                            Vertex::new(active[p], lists[p][pick].clone())
-                        })
-                        .collect();
-                    Simplex::new(verts).expect("distinct colors by construction")
-                })
-                .collect();
-            return Ok(Complex::from_facets(facets));
-        }
 
         // Odometer over the active colors' view lists.
         let mut idx = vec![0usize; active.len()];

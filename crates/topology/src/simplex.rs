@@ -13,10 +13,10 @@ use std::hash::Hash;
 /// Marker trait for view types; blanket-implemented for everything with the
 /// needed structure, so downstream code never implements it manually.
 ///
-/// `Send + Sync` is part of the contract so complexes can be shared across
-/// the `ksa-exec` workers of the parallel homology pipeline (every view
-/// type in the workspace — integers, `ProcSet`s, flat views — is trivially
-/// both).
+/// `Send + Sync` is part of the contract so complexes and verdicts can
+/// cross threads whole: between experiment workers, and between the
+/// server's threads and its cache (every view type in the workspace —
+/// integers, `ProcSet`s, flat views — is trivially both).
 pub trait View: Clone + Ord + Hash + fmt::Debug + Send + Sync {}
 impl<T: Clone + Ord + Hash + fmt::Debug + Send + Sync> View for T {}
 

@@ -1,6 +1,5 @@
 //! Proptests pinning the flat chain-complex engine (`ksa_topology::chain`)
-//! to the behavior of the engine-free references, across `ksa-exec` pool
-//! sizes 1/2/8 (DESIGN.md §4, §7):
+//! to the behavior of the engine-free references (DESIGN.md §4, §7):
 //!
 //! * chain-engine Betti numbers == `reduced_betti_numbers_seq`;
 //! * `connectivity_up_to(c, k)` == the truncation of the full
@@ -13,7 +12,6 @@
 //! * the top-down closure's per-dimension counts == those of the
 //!   independent `Complex::all_simplexes`.
 
-use ksa_exec::ThreadPool;
 use ksa_graphs::cancel::CancelToken;
 use ksa_graphs::Digraph;
 use ksa_topology::chain::ChainComplex;
@@ -26,14 +24,6 @@ use ksa_topology::pseudosphere::Pseudosphere;
 use ksa_topology::rounds::protocol_complex_rounds;
 use ksa_topology::simplex::{Simplex, Vertex};
 use proptest::prelude::*;
-use std::sync::OnceLock;
-
-/// The shared pools (1/2/8 workers), started once for the whole test
-/// binary so proptest cases don't churn threads.
-fn pools() -> &'static [ThreadPool] {
-    static POOLS: OnceLock<Vec<ThreadPool>> = OnceLock::new();
-    POOLS.get_or_init(|| [1, 2, 8].into_iter().map(ThreadPool::new).collect())
-}
 
 /// Strategy: a small complex over colors 0..6 with u8 views.
 fn small_complex() -> impl Strategy<Value = Complex<u8>> {
@@ -73,29 +63,20 @@ proptest! {
     #[test]
     fn chain_betti_matches_seq_reference(c in small_complex()) {
         let reference = reduced_betti_numbers_seq(&c);
-        for pool in pools() {
-            let betti = pool.install(|| ChainComplex::from_complex(&c).reduced_betti());
-            prop_assert_eq!(&betti, &reference, "pool size {}", pool.num_threads());
-        }
+        prop_assert_eq!(ChainComplex::from_complex(&c).reduced_betti(), reference);
     }
 
     #[test]
     fn connectivity_matches_seq_reference(c in small_complex()) {
         let reference = connectivity_seq(&c);
-        for pool in pools() {
-            let verdict = pool.install(|| connectivity(&c));
-            prop_assert_eq!(verdict, reference, "pool size {}", pool.num_threads());
-        }
+        prop_assert_eq!(connectivity(&c), reference);
     }
 
     #[test]
     fn connectivity_up_to_agrees_with_truncation(c in small_complex(), k in -1isize..5) {
         let full = connectivity_seq(&c);
         let expected = truncate(full, k, c.dim());
-        for pool in pools() {
-            let verdict = pool.install(|| connectivity_up_to(&c, k));
-            prop_assert_eq!(verdict, expected, "pool size {}, k = {k}", pool.num_threads());
-        }
+        prop_assert_eq!(connectivity_up_to(&c, k), expected, "k = {}", k);
     }
 
     #[test]
@@ -103,18 +84,13 @@ proptest! {
         let sk = c.skeleton(k);
         let betti_ref = reduced_betti_numbers_seq(&sk);
         let conn_ref = connectivity_seq(&sk);
-        for pool in pools() {
-            let (betti, conn) = pool.install(|| {
-                let mut chain = c.chain();
-                (chain.skeleton_betti(k), chain.skeleton_connectivity(k))
-            });
-            prop_assert_eq!(&betti, &betti_ref, "pool size {}, k = {k}", pool.num_threads());
-            prop_assert_eq!(conn, conn_ref, "pool size {}, k = {k}", pool.num_threads());
-        }
+        let mut chain = c.chain();
+        prop_assert_eq!(chain.skeleton_betti(k), betti_ref, "k = {}", k);
+        prop_assert_eq!(chain.skeleton_connectivity(k), conn_ref, "k = {}", k);
     }
 
     /// The round sweep: every step equals the references of its round's
-    /// complex at every pool size, and a silent token changes nothing.
+    /// complex, and a silent token changes nothing.
     #[test]
     fn homology_sweep_matches_per_round_references(
         gens in random_generators(),
@@ -132,23 +108,13 @@ proptest! {
             .map(|c| (reduced_betti_numbers_seq(c), connectivity_seq(c)))
             .collect();
         let token = CancelToken::new();
-        for pool in pools() {
-            let (steps, silent) = pool.install(|| {
-                (rc.homology_sweep(), rc.homology_sweep_cancellable(&token))
-            });
-            prop_assert_eq!(steps.len(), rounds);
-            for (t, (step, (betti, conn))) in steps.iter().zip(&reference).enumerate() {
-                prop_assert_eq!(
-                    &step.betti, betti,
-                    "pool size {}, round {}", pool.num_threads(), t + 1
-                );
-                prop_assert_eq!(
-                    step.connectivity, *conn,
-                    "pool size {}, round {}", pool.num_threads(), t + 1
-                );
-            }
-            prop_assert_eq!(silent.unwrap(), steps, "pool size {}", pool.num_threads());
+        let steps = rc.homology_sweep();
+        prop_assert_eq!(steps.len(), rounds);
+        for (t, (step, (betti, conn))) in steps.iter().zip(&reference).enumerate() {
+            prop_assert_eq!(&step.betti, betti, "round {}", t + 1);
+            prop_assert_eq!(step.connectivity, *conn, "round {}", t + 1);
         }
+        prop_assert_eq!(rc.homology_sweep_cancellable(&token).unwrap(), steps);
     }
 
     /// The top-down closure is the face closure: its per-dimension

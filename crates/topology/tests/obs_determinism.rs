@@ -1,15 +1,12 @@
 //! Proptests pinning the **deterministic tier** of the `ksa-obs`
-//! instrumentation (DESIGN.md §9): the work counters advance by
-//! bit-identical deltas for one workload regardless of how the work is
-//! scheduled —
+//! instrumentation (DESIGN.md §9): the work counters advance by deltas
+//! that are functions of the workload — the sizes of the face closure,
+//! the boundary matrices, the pseudosphere products and the view tables
+//! — and add up exactly when copies of a workload run side by side.
 //!
-//! * across `ksa-exec` pool sizes 1/2/8 (inline fast paths vs real
-//!   stealing vs oversubscription), and
-//! * between the parallel entry points and their sequential references.
-//!
-//! The perf tier (steals, parks, spawns) is deliberately
-//! *not* compared — it is scheduling-dependent by design; only the
-//! namespace split makes the deterministic diff meaningful.
+//! The perf tier (spawns, deadline trips) is deliberately *not*
+//! compared — it is scheduling-dependent by design; only the namespace
+//! split makes the deterministic diff meaningful.
 //!
 //! The counters are process-global, so every test takes a
 //! test-binary-wide lock before any setup that could count (building an
@@ -19,7 +16,7 @@
 
 #![cfg(feature = "obs")]
 
-use ksa_exec::ThreadPool;
+use ksa_exec::{map_in_order, ThreadPool};
 use ksa_graphs::Digraph;
 use ksa_topology::chain::{reduced_betti_certified, ChainComplex};
 use ksa_topology::complex::Complex;
@@ -31,16 +28,9 @@ use ksa_topology::pseudosphere::Pseudosphere;
 use ksa_topology::rounds::protocol_complex_rounds;
 use ksa_topology::simplex::{Simplex, Vertex};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const BUDGET: u128 = 10_000_000;
-
-/// The shared pools (1/2/8 workers), started once for the whole test
-/// binary so proptest cases don't churn threads.
-fn pools() -> &'static [ThreadPool] {
-    static POOLS: OnceLock<Vec<ThreadPool>> = OnceLock::new();
-    POOLS.get_or_init(|| [1, 2, 8].into_iter().map(ThreadPool::new).collect())
-}
 
 /// Serializes whole tests (see module docs). The guarded data is `()`,
 /// so a guard poisoned by one failing case is recovered rather than
@@ -76,32 +66,32 @@ fn random_generators() -> impl Strategy<Value = Vec<Digraph>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Homology + connectivity through the chain engine: identical
-    /// counter deltas at every pool size. (The `_seq` references are a
+    /// Homology through the chain engine counts the boundary work the
+    /// independent face closure predicts: every face once, one row per
+    /// face of dimension ≥ 1 with `k + 1` entries per `k`-face, and one
+    /// rank per boundary operator. (The `_seq` references are a
     /// *different algorithm* — dense scalar GF(2) with its own counting
-    /// sites — so they pin verdicts elsewhere, not counters here; the
-    /// shared-site parallel-vs-sequential pin lives in the rounds and
-    /// GF(2) tests below.)
+    /// sites — so they pin verdicts, not counters.)
     #[test]
-    fn homology_counters_identical_across_pool_sizes(c in small_complex()) {
+    fn homology_counters_match_the_face_closure(c in small_complex()) {
         let _guard = counter_lock();
-        let mut reference: Option<Vec<(&'static str, u64)>> = None;
-        for pool in pools() {
-            let delta = det_delta(|| {
-                pool.install(|| {
-                    reduced_betti_numbers(&c);
-                    connectivity(&c);
-                });
-            });
-            match &reference {
-                None => reference = Some(delta),
-                Some(r) => prop_assert_eq!(
-                    &delta, r,
-                    "deterministic tier diverged on a {}-worker pool",
-                    pool.num_threads()
-                ),
-            }
-        }
+        let delta = det_delta(|| {
+            reduced_betti_numbers(&c);
+        });
+        let faces = c.all_simplexes();
+        let rows = faces.iter().filter(|s| s.dim() >= 1).count() as u64;
+        let nnz: u64 = faces.iter().filter(|s| s.dim() >= 1).map(|s| s.dim() as u64 + 1).sum();
+        let nonzero: Vec<(&str, u64)> = delta.into_iter().filter(|&(_, v)| v != 0).collect();
+        let expected: Vec<(&str, u64)> = [
+            ("faces_closed", faces.len() as u64),
+            ("boundary_rows", rows),
+            ("boundary_nnz", nnz),
+            ("ranks_computed", c.dim() as u64),
+        ]
+        .into_iter()
+        .filter(|&(_, v)| v != 0)
+        .collect();
+        prop_assert_eq!(nonzero, expected);
         // The different algorithm still reaches the same verdicts.
         let seq = (reduced_betti_numbers_seq(&c), connectivity_seq(&c));
         prop_assert_eq!(seq.0, reduced_betti_numbers(&c));
@@ -123,29 +113,28 @@ proptest! {
 
     /// The certified path skips exactly the rows the basis one
     /// dimension up leads with: `boundary_rows_cleared` advances by
-    /// `Σ_{k≥2} rank ∂_k` per certified complex, at every pool size.
+    /// `Σ_{k≥2} rank ∂_k` per certified complex.
     #[test]
     fn certified_rows_cleared_is_the_rank_above(c in small_complex()) {
         let _guard = counter_lock();
-        for pool in pools() {
-            let mut certified = None;
-            let delta = det_delta(|| {
-                certified = pool.install(|| reduced_betti_certified(&c, "small"));
-            });
-            let (_, cert) = certified.expect("nonvoid complex");
-            let above: u64 = cert.ranks.iter().skip(1).map(|w| u64::from(w.rank)).sum();
-            let cleared = delta
-                .iter()
-                .find(|&&(name, _)| name == "boundary_rows_cleared")
-                .map(|&(_, v)| v);
-            prop_assert_eq!(cleared, Some(above));
-        }
+        let mut certified = None;
+        let delta = det_delta(|| {
+            certified = reduced_betti_certified(&c, "small");
+        });
+        let (_, cert) = certified.expect("nonvoid complex");
+        let above: u64 = cert.ranks.iter().skip(1).map(|w| u64::from(w.rank)).sum();
+        let cleared = delta
+            .iter()
+            .find(|&&(name, _)| name == "boundary_rows_cleared")
+            .map(|&(_, v)| v);
+        prop_assert_eq!(cleared, Some(above));
     }
 
     /// Pseudosphere materialization + nerve expansion: the facet
-    /// enumeration counters don't depend on the fan-out.
+    /// enumeration counter advances by the pseudosphere's product size
+    /// plus the nerve's two candidate index sets, `{0, 1}` and `{1}`.
     #[test]
-    fn enumeration_counters_identical_across_pool_sizes(
+    fn enumeration_counters_match_the_facet_counts(
         views in prop::collection::vec(prop::collection::btree_set(0u32..4, 1..=3), 3..=4),
     ) {
         let _guard = counter_lock();
@@ -157,31 +146,22 @@ proptest! {
                 .collect(),
         )
         .unwrap();
-        let mut reference: Option<Vec<(&'static str, u64)>> = None;
-        for pool in pools() {
-            let delta = det_delta(|| {
-                pool.install(|| {
-                    let c = ps.to_complex();
-                    nerve_complex(&[c.clone(), c]);
-                });
-            });
-            match &reference {
-                None => reference = Some(delta),
-                Some(r) => prop_assert_eq!(
-                    &delta, r,
-                    "deterministic tier diverged on a {}-worker pool",
-                    pool.num_threads()
-                ),
-            }
-        }
+        let delta = det_delta(|| {
+            let c = ps.to_complex();
+            nerve_complex(&[c.clone(), c]);
+        });
+        let enumerated = delta
+            .iter()
+            .find(|&&(name, _)| name == "facets_enumerated")
+            .map(|&(_, v)| u128::from(v));
+        prop_assert_eq!(enumerated, Some(ps.facet_count() + 2));
     }
 
     /// The multi-round pipeline (view interning, facet materialization,
-    /// budget admissions): every pool size counts what the calling
-    /// thread counts, and the view and facet counters are the table
+    /// budget admissions): the view and facet counters are the table
     /// sizes and the round products.
     #[test]
-    fn rounds_counters_identical_across_pool_sizes(gens in random_generators()) {
+    fn rounds_counters_match_the_round_products(gens in random_generators()) {
         let _guard = counter_lock();
         let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
             .unwrap()
@@ -205,24 +185,12 @@ proptest! {
         };
         let products = product(&input) + product(rc.complex_at(1).unwrap());
         prop_assert_eq!(u128::from(counter("facets_enumerated")), products);
-        for pool in pools() {
-            let delta = det_delta(|| {
-                pool.install(|| {
-                    protocol_complex_rounds(&gens, &input, 2, BUDGET).unwrap();
-                });
-            });
-            prop_assert_eq!(
-                &delta, &reference,
-                "deterministic tier diverged on a {}-worker pool",
-                pool.num_threads()
-            );
-        }
     }
 }
 
-/// Oversubscribed repetition: the same pool, invoked repeatedly, keeps
-/// producing the same deterministic delta even as steal races land
-/// differently run to run.
+/// Repetition on one fan-out: four copies of a workload run side by side
+/// on scoped workers count exactly four times what one run counts, so
+/// counts made on worker threads are neither lost nor double-merged.
 #[test]
 fn repeated_runs_on_one_pool_are_stable() {
     let _guard = counter_lock();
@@ -230,20 +198,20 @@ fn repeated_runs_on_one_pool_are_stable() {
     let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
         .unwrap()
         .to_complex();
-    let pool = &pools()[2]; // 8 workers on a smaller CI box
-    let mut reference: Option<Vec<(&'static str, u64)>> = None;
-    for _ in 0..5 {
-        let delta = det_delta(|| {
-            pool.install(|| {
-                let rc = protocol_complex_rounds(&gens, &input, 2, BUDGET).unwrap();
-                connectivity(rc.complexes().last().unwrap());
-            });
-        });
-        match &reference {
-            None => reference = Some(delta),
-            Some(r) => assert_eq!(&delta, r, "deterministic tier unstable across reruns"),
-        }
-    }
+    let run = || {
+        let rc = protocol_complex_rounds(&gens, &input, 2, BUDGET).unwrap();
+        connectivity(rc.complexes().last().unwrap());
+    };
+    let once = det_delta(run);
+    let copies: Vec<usize> = (0..4).collect();
+    let four = det_delta(|| {
+        ThreadPool::new(4).install(|| map_in_order(&copies, |_| run()));
+    });
+    let expected: Vec<(&str, u64)> = once.iter().map(|&(name, v)| (name, 4 * v)).collect();
+    assert_eq!(
+        four, expected,
+        "deterministic tier unstable across side-by-side runs"
+    );
 }
 
 /// `∂_1` is ranked by union-find, yet it counts as its assembled

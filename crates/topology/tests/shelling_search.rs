@@ -7,8 +7,9 @@
 //! exhaustion claim, an exhaustion claim becomes a non-shelling order.
 //! Up to `BRUTE_FORCE_MAX_FACETS` facets the checker decides both
 //! directions outright, so on those complexes the search's verdict is
-//! pinned from both sides (DESIGN.md §11.3). Searches are also
-//! bit-identical on pools of 1, 2 and 8 workers, and honour the token.
+//! pinned from both sides (DESIGN.md §11.3). Searches also repeat bit
+//! for bit when run side by side on several threads, and honour the
+//! token.
 //!
 //! Random instances come from two directions, mirroring the paper's two
 //! sources of complexes: registry-sampled `random{n=3,…}` models (their
@@ -16,7 +17,7 @@
 //! from the vendored proptest `TestRng`.
 
 use ksa_cert::{check_shelling, ShellingVerdict, BRUTE_FORCE_MAX_FACETS};
-use ksa_exec::ThreadPool;
+use ksa_exec::{map_in_order, ThreadPool};
 use ksa_graphs::budget::RunBudget;
 use ksa_models::registry;
 use ksa_topology::complex::Complex;
@@ -24,14 +25,6 @@ use ksa_topology::shelling::{find_shelling_order, is_shellable_certified, is_she
 use ksa_topology::simplex::{Simplex, Vertex, View};
 use ksa_topology::uninterpreted::closed_above_uninterpreted_complex;
 use proptest::TestRng;
-use std::sync::OnceLock;
-
-/// The shared pools (1/2/8 workers), started once for the whole test
-/// binary.
-fn pools() -> &'static [ThreadPool] {
-    static POOLS: OnceLock<Vec<ThreadPool>> = OnceLock::new();
-    POOLS.get_or_init(|| [1, 2, 8].into_iter().map(ThreadPool::new).collect())
-}
 
 /// Asserts the certificate of `complex` checks, agrees with the plain
 /// search, and — when the checker can brute-force the complex — is
@@ -141,8 +134,9 @@ fn certificates_pin_verdicts_on_registry_sampled_models() {
 #[test]
 fn repeated_runs_stable_when_oversubscribed() {
     // The octahedron (boundary of the 3-dim cross-polytope): 8 facets,
-    // shellable, with many valid orders. The search returns the same
-    // witness and certificate on every pool size and run.
+    // shellable, with many valid orders. Run on eight scoped workers side
+    // by side, the search returns the same witness and certificate every
+    // time.
     let tri = |a: usize, b: usize, c: usize| {
         Simplex::new(vec![
             Vertex::new(a, 0u32),
@@ -166,16 +160,19 @@ fn repeated_runs_stable_when_oversubscribed() {
     assert!(is_shelling_order(&reference).unwrap());
     let (_, reference_cert) = is_shellable_certified(&octa, "octahedron").unwrap();
     check_shelling(&reference_cert).unwrap();
-    for pool in pools() {
-        for run in 0..3 {
-            let what = format!("pool {}, run {run}", pool.num_threads());
-            let order = pool.install(|| find_shelling_order(&octa, None)).unwrap();
-            assert_eq!(order.as_ref(), Some(&reference), "{what}");
-            let (shellable, cert) =
-                pool.install(|| is_shellable_certified(&octa, "octahedron").unwrap());
-            assert!(shellable, "{what}");
-            assert_eq!(cert, reference_cert, "{what}");
-        }
+    let runs: Vec<usize> = (0..8).collect();
+    let again = ThreadPool::new(8).install(|| {
+        map_in_order(&runs, |_| {
+            (
+                find_shelling_order(&octa, None).unwrap(),
+                is_shellable_certified(&octa, "octahedron").unwrap(),
+            )
+        })
+    });
+    for (run, (order, (shellable, cert))) in again.into_iter().enumerate() {
+        assert_eq!(order.as_ref(), Some(&reference), "run {run}");
+        assert!(shellable, "run {run}");
+        assert_eq!(cert, reference_cert, "run {run}");
     }
 }
 

@@ -8,7 +8,7 @@
 //!
 //! | Layer | Crate | What it is |
 //! |---|---|---|
-//! | exec | [`exec`] | the work-stealing execution engine behind every fan-out |
+//! | exec | [`exec`] | the whole-experiment fan-out (`map_in_order`) |
 //! | graphs | [`graphs`] | communication graphs + the paper's combinatorial numbers |
 //! | topology | [`topology`] | simplicial complexes, pseudospheres, homology, protocol complexes |
 //! | models | [`models`] | oblivious / closed-above models, the model zoo, adversaries |
