@@ -167,30 +167,28 @@ fn trace_of_a_real_run_is_wellformed_trace_event_json() {
 
     assert_valid_json(&doc);
     assert!(doc.contains("\"traceEvents\""), "missing traceEvents array");
-    if cfg!(feature = "obs") {
-        // The span layers the rounds and hunt experiments cross:
-        // experiment, round construction (interpretation, interning,
-        // facet materialization), face closure, rank reduction,
-        // certificate production, checking and serialization, and the
-        // solvability CSP's enumeration, symmetry detection and witness
-        // lifts.
-        for needle in [
-            "\"cat\": \"experiment\"",
-            "\"name\": \"round\"",
-            "\"name\": \"interpret\", \"cat\": \"topology\"",
-            "\"name\": \"intern\", \"cat\": \"topology\"",
-            "\"name\": \"materialize\", \"cat\": \"topology\"",
-            "\"name\": \"closure\"",
-            "\"name\": \"rank_reduce\"",
-            "\"name\": \"produce\", \"cat\": \"cert\"",
-            "\"name\": \"check\", \"cat\": \"cert\"",
-            "\"name\": \"serialize\", \"cat\": \"cert\"",
-            "\"name\": \"csp_enumerate\", \"cat\": \"core\"",
-            "\"name\": \"csp_symmetry\", \"cat\": \"core\"",
-            "\"name\": \"csp_lift\", \"cat\": \"core\"",
-        ] {
-            assert!(doc.contains(needle), "trace lacks {needle}:\n{doc}");
-        }
+    // The span layers the rounds and hunt experiments cross:
+    // experiment, round construction (interpretation, interning,
+    // facet materialization), face closure, rank reduction,
+    // certificate production, checking and serialization, and the
+    // solvability CSP's enumeration, symmetry detection and witness
+    // lifts.
+    for needle in [
+        "\"cat\": \"experiment\"",
+        "\"name\": \"round\"",
+        "\"name\": \"interpret\", \"cat\": \"topology\"",
+        "\"name\": \"intern\", \"cat\": \"topology\"",
+        "\"name\": \"materialize\", \"cat\": \"topology\"",
+        "\"name\": \"closure\"",
+        "\"name\": \"rank_reduce\"",
+        "\"name\": \"produce\", \"cat\": \"cert\"",
+        "\"name\": \"check\", \"cat\": \"cert\"",
+        "\"name\": \"serialize\", \"cat\": \"cert\"",
+        "\"name\": \"csp_enumerate\", \"cat\": \"core\"",
+        "\"name\": \"csp_symmetry\", \"cat\": \"core\"",
+        "\"name\": \"csp_lift\", \"cat\": \"core\"",
+    ] {
+        assert!(doc.contains(needle), "trace lacks {needle}:\n{doc}");
     }
 }
 
@@ -218,24 +216,22 @@ fn single_experiment_spans_stay_on_one_thread() {
     let results = ksa_exec::ThreadPool::new(1).install(|| ksa_bench::run_experiments(&["hunt"]));
     let doc = ksa_obs::trace_stop();
     assert!(results[0].0.as_ref().is_ok_and(|o| o.passed));
-    if cfg!(feature = "obs") {
-        let tids = span_tids(&doc);
-        assert!(
-            doc.contains("\"name\": \"rank_reduce\""),
-            "hunt reduces ranks"
-        );
-        assert!(tids.len() > 1, "hunt records spans: {doc}");
-        assert!(
-            tids.iter().all(|&t| t == tids[0]),
-            "spans on several threads: {tids:?}"
-        );
-    }
+    let tids = span_tids(&doc);
+    assert!(
+        doc.contains("\"name\": \"rank_reduce\""),
+        "hunt reduces ranks"
+    );
+    assert!(tids.len() > 1, "hunt records spans: {doc}");
+    assert!(
+        tids.iter().all(|&t| t == tids[0]),
+        "spans on several threads: {tids:?}"
+    );
 }
 
 #[test]
 fn empty_trace_is_wellformed_too() {
-    // Without trace_start (or with obs compiled out) the export is still
-    // a valid, loadable document.
+    // Without trace_start the export is still a valid, loadable
+    // document.
     let _guard = trace_lock();
     assert_valid_json(&ksa_obs::trace_stop());
 }

@@ -3,9 +3,8 @@
 //!
 //! The replay checker enumerates input assignments and process views
 //! with its own counting loop — it shares no code with the CSP search,
-//! propagation, or symmetry machinery in `ksa_core::solvability`, nor
-//! with `ksa_core::verify::verify_decision_map` (the in-tree
-//! differential tool the paper pipeline already had).
+//! propagation, or symmetry machinery in `ksa_core::solvability`. It is
+//! also the replay the solvability tests run on every witness map.
 
 use crate::text::{push_label, push_nums, Cursor};
 use crate::{strictly_ascending, CertError};

@@ -77,9 +77,8 @@ use ksa_topology::TopologyError;
 use std::collections::{HashMap, HashSet};
 
 /// Iterator over all input assignments of `n` processes over
-/// `{0, …, values − 1}`, in odometer order (process 0 fastest). Shared
-/// with [`crate::verify::verify_decision_map`]'s replay.
-pub(crate) fn input_assignments(n: usize, values: Value) -> impl Iterator<Item = Vec<Value>> {
+/// `{0, …, values − 1}`, in odometer order (process 0 fastest).
+fn input_assignments(n: usize, values: Value) -> impl Iterator<Item = Vec<Value>> {
     let mut next: Option<Vec<Value>> = Some(vec![0 as Value; n]);
     std::iter::from_fn(move || {
         let current = next.take()?;

@@ -5,7 +5,8 @@
 //!
 //! * verdicts agree with the oracle;
 //! * every returned `DecisionMap` witness actually solves the model
-//!   (replayed over all executions through `ksa_core::verify`);
+//!   (replayed over all executions by the independent certificate
+//!   checker `ksa_cert::check_solvability`);
 //! * repeated runs side by side on an oversubscribed fan-out, and the
 //!   k-sweeps of the n = 3 models the analysis-server benchmark serves,
 //!   are bit-identical to a lone run, witnesses included.
@@ -13,18 +14,16 @@
 use ksa_core::solvability::{
     decide_one_round, decide_one_round_seq, decide_one_round_sweep, Solvability,
 };
-use ksa_core::verify::verify_decision_map;
 use ksa_exec::{map_in_order, ThreadPool};
 use ksa_graphs::budget::RunBudget;
 use ksa_models::registry;
 use ksa_models::ClosedAboveModel;
 use proptest::prelude::*;
 
+mod witness;
+
 const EXECS: usize = 1 << 21;
 const NODES: usize = 8_000_000;
-/// Closure budget of the witness replay (n = 3: at most 2^6 supersets
-/// per generator).
-const GRAPHS: usize = 1 << 12;
 
 /// Registry-sampled random closed-above models (DESIGN.md §4.5). The
 /// strategy value is the canonical spec string, so failures shrink to a
@@ -78,8 +77,8 @@ proptest! {
         // Any witness must genuinely solve the model.
         if let Solvability::Solvable(map) = &pruned {
             prop_assert!(!map.is_empty());
-            let replay = verify_decision_map(&model, k, k, map, GRAPHS).expect("replay fits");
-            prop_assert!(replay.is_valid(), "{} k={}: {:?}", name, k, replay);
+            let replay = witness::check_witness(&model, k, map);
+            prop_assert!(replay.is_ok(), "{} k={}: {:?}", name, k, replay);
         }
     }
 }

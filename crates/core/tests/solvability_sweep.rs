@@ -8,18 +8,19 @@
 //! * the vector itself is monotone: solvable at `k` stays solvable at
 //!   `k + 1`, unsolvable at `k` implies unsolvable below;
 //! * every verdict — searched *or* seeded — carries a witness that
-//!   replays cleanly through `ksa_core::verify::verify_decision_map`;
+//!   replays cleanly through the independent certificate checker
+//!   `ksa_cert::check_solvability`;
 //! * the searched/seeded/pruned accounting covers the whole vector.
 
 use ksa_core::solvability::{decide_one_round, decide_one_round_sweep, Solvability};
-use ksa_core::verify::verify_decision_map;
 use ksa_graphs::budget::RunBudget;
 use ksa_models::registry;
+
+mod witness;
 
 const K_MAX: usize = 3;
 const EXECS: usize = 1 << 21;
 const NODES: usize = 8_000_000;
-const GRAPHS: usize = 1 << 12;
 
 /// The feasible (n = 3) slice of the zoo, by canonical registry name.
 /// Kept explicit so a failure names the exact spec to replay.
@@ -101,12 +102,30 @@ fn seeded_witnesses_replay_as_genuine_algorithms() {
         let sweep = decide_one_round_sweep(&model, K_MAX, EXECS, NODES).unwrap();
         for k in 1..=K_MAX {
             if let Solvability::Solvable(map) = &sweep.verdicts[k - 1] {
-                let rep = verify_decision_map(&model, k, k, map, GRAPHS)
+                witness::check_witness(&model, k, map)
                     .unwrap_or_else(|e| panic!("{name} k={k}: {e}"));
-                assert!(rep.is_valid(), "{name} k={k}: {rep:?}");
             }
         }
     }
+}
+
+#[test]
+fn decision_map_replay_validates_a_witness() {
+    // The replay accepts a genuine witness and rejects the same map
+    // against a stricter target: 1-set agreement is unsolvable on
+    // stars{n=3,s=2}, so no map keeps every execution to one decision.
+    let model = ksa_models::named::star_unions(3, 2).unwrap();
+    let (Solvability::Solvable(map), _, _) =
+        decide_one_round(&model, 2, 2, EXECS as u128, NODES, None).unwrap()
+    else {
+        panic!("solvable");
+    };
+    witness::check_witness(&model, 2, &map).unwrap();
+    let strict = witness::check_witness(&model, 1, &map);
+    assert!(
+        matches!(&strict, Err(ksa_cert::CertError::Reject(why)) if why.contains("distinct decisions")),
+        "{strict:?}"
+    );
 }
 
 #[test]

@@ -94,11 +94,6 @@ impl Deadline {
     pub fn remaining(&self) -> Duration {
         self.at.saturating_duration_since(Instant::now())
     }
-
-    /// Whether the deadline has passed.
-    pub fn is_past(&self) -> bool {
-        Instant::now() >= self.at
-    }
 }
 
 const LIVE: u8 = 0;
@@ -263,7 +258,6 @@ mod tests {
     #[test]
     fn future_deadline_stays_live() {
         let d = Deadline::after(Duration::from_secs(3600));
-        assert!(!d.is_past());
         assert!(d.remaining() > Duration::from_secs(3000));
         let t = CancelToken::with_deadline(d);
         assert_eq!(t.checkpoint(), Ok(()));

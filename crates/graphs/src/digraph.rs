@@ -151,25 +151,6 @@ impl Digraph {
         Ok(())
     }
 
-    /// Removes the edge `u → v`. Self-loops cannot be removed (the request
-    /// is ignored), preserving the type invariant.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::ProcessOutOfRange`] if an endpoint is `≥ n`.
-    pub fn remove_edge(&mut self, u: ProcId, v: ProcId) -> Result<(), GraphError> {
-        if u >= self.n {
-            return Err(GraphError::ProcessOutOfRange { proc: u, n: self.n });
-        }
-        if v >= self.n {
-            return Err(GraphError::ProcessOutOfRange { proc: v, n: self.n });
-        }
-        if u != v {
-            self.out[u] &= !(1u64 << v);
-        }
-        Ok(())
-    }
-
     /// Out-neighborhood `Out(u)`: the processes hearing from `u`
     /// (including `u` itself).
     ///
@@ -323,19 +304,6 @@ impl Digraph {
         }
         v
     }
-
-    /// GraphViz DOT rendering (self-loops omitted for readability).
-    pub fn to_dot(&self, name: &str) -> String {
-        let mut s = format!("digraph {name} {{\n");
-        for u in 0..self.n {
-            s.push_str(&format!("  p{u};\n"));
-        }
-        for (u, v) in self.proper_edges() {
-            s.push_str(&format!("  p{u} -> p{v};\n"));
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 // Debug and Display share one rendering.
@@ -427,16 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn self_loops_are_indestructible() {
-        let mut g = Digraph::empty(2).unwrap();
-        g.remove_edge(1, 1).unwrap();
-        assert!(g.has_edge(1, 1));
-        g.add_edge(0, 1).unwrap();
-        g.remove_edge(0, 1).unwrap();
-        assert!(!g.has_edge(0, 1));
-    }
-
-    #[test]
     fn out_union_and_domination() {
         // p0 → p1, p2 isolated.
         let g = Digraph::from_edges(3, &[(0, 1)]).unwrap();
@@ -499,14 +457,6 @@ mod tests {
         let b = Digraph::from_edges(3, &[(1, 0)]).unwrap();
         assert_ne!(a.encode(), b.encode());
         assert_eq!(a.encode(), a.clone().encode());
-    }
-
-    #[test]
-    fn dot_output_contains_edges() {
-        let g = Digraph::from_edges(2, &[(0, 1)]).unwrap();
-        let dot = g.to_dot("g");
-        assert!(dot.contains("p0 -> p1;"));
-        assert!(!dot.contains("p0 -> p0"));
     }
 
     #[test]

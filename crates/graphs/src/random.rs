@@ -5,8 +5,7 @@
 
 use crate::digraph::Digraph;
 use crate::error::GraphError;
-use crate::proc_set::{ProcId, ProcSet};
-use rand::seq::SliceRandom;
+use crate::proc_set::ProcSet;
 use rand::Rng;
 
 /// A random digraph on `n` processes where each non-loop edge is present
@@ -64,17 +63,6 @@ pub fn random_superset_with(
     Ok(h)
 }
 
-/// A random permutation image of `g` (uniform over relabelings).
-///
-/// # Errors
-///
-/// Never fails for a valid `g`; signature kept fallible for uniformity.
-pub fn random_relabeling(g: &Digraph, rng: &mut impl Rng) -> Result<Digraph, GraphError> {
-    let mut map: Vec<ProcId> = (0..g.n()).collect();
-    map.shuffle(rng);
-    crate::perm::Permutation::new(map)?.apply_graph(g)
-}
-
 /// A random `k`-subset of `{0, …, n-1}` (uniform).
 ///
 /// # Panics
@@ -92,21 +80,6 @@ pub fn random_k_subset(n: usize, k: usize, rng: &mut impl Rng) -> ProcSet {
     }
     debug_assert_eq!(s.len(), k);
     s
-}
-
-/// A random union of `s` broadcast stars with distinct centers (uniform
-/// over center sets) — the Thm 6.13 workload.
-///
-/// # Errors
-///
-/// Propagates size errors.
-///
-/// # Panics
-///
-/// Panics if `s > n`.
-pub fn random_star_union(n: usize, s: usize, rng: &mut impl Rng) -> Result<Digraph, GraphError> {
-    let centers = random_k_subset(n, s, rng);
-    crate::families::broadcast_stars(n, centers)
 }
 
 #[cfg(test)]
@@ -152,17 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn relabeling_preserves_isomorphism_class() {
-        use crate::perm::canonical_form;
-        let g = crate::families::fig1_second_graph();
-        let mut r = rng();
-        for _ in 0..10 {
-            let h = random_relabeling(&g, &mut r).unwrap();
-            assert_eq!(canonical_form(&h), canonical_form(&g));
-        }
-    }
-
-    #[test]
     fn k_subset_sizes() {
         let mut r = rng();
         for k in 0..=8 {
@@ -181,15 +143,5 @@ mod tests {
             seen = seen.union(random_k_subset(6, 2, &mut r));
         }
         assert_eq!(seen, ProcSet::full(6));
-    }
-
-    #[test]
-    fn star_union_has_s_centers() {
-        let mut r = rng();
-        for s in 1..4 {
-            let g = random_star_union(5, s, &mut r).unwrap();
-            let centers = (0..5).filter(|&c| g.out_set(c) == ProcSet::full(5)).count();
-            assert_eq!(centers, s);
-        }
     }
 }

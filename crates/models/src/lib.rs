@@ -62,7 +62,6 @@ pub use registry::Registry;
 pub use spec::{ModelSpec, ResolvedModel};
 
 use ksa_graphs::Digraph;
-use rand::Rng;
 
 /// An oblivious communication model (Def 2.2): one fixed set of allowed
 /// graphs, used at every round.
@@ -79,10 +78,4 @@ pub trait ObliviousModel {
 
     /// Samples an allowed graph (seeded by the caller's `rng`).
     fn sample(&self, rng: &mut dyn rand::RngCore) -> Digraph;
-}
-
-/// Samples with a concrete `Rng` without the `dyn` indirection (blanket
-/// helper).
-pub fn sample_with<M: ObliviousModel + ?Sized, R: Rng>(model: &M, rng: &mut R) -> Digraph {
-    model.sample(rng)
 }

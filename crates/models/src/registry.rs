@@ -59,12 +59,6 @@ impl Registry {
         name
     }
 
-    /// Registers `spec` under an explicit alias (in addition to nothing
-    /// else — the canonical name resolves anyway via the parse fallback).
-    pub fn insert_named(&mut self, name: impl Into<String>, spec: ModelSpec) {
-        self.specs.insert(name.into(), spec);
-    }
-
     /// Number of registered entries.
     pub fn len(&self) -> usize {
         self.specs.len()
@@ -334,14 +328,5 @@ mod tests {
         let b = builtin();
         assert!(std::ptr::eq(a, b));
         assert!(a.len() >= 100, "builtin zoo has {} entries", a.len());
-    }
-
-    #[test]
-    fn aliases_resolve() {
-        let mut reg = Registry::new();
-        reg.insert_named("fav", ModelSpec::ring(3, false));
-        let m = reg.resolve("fav", 10u128).unwrap();
-        assert_eq!(m.as_closed_above().unwrap().generators().len(), 1);
-        assert_eq!(reg.spec("fav"), Some(&ModelSpec::ring(3, false)));
     }
 }

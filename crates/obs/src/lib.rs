@@ -20,7 +20,7 @@
 //!
 //! # Sharding and merging
 //!
-//! Counts land in per-thread shards (one cache line of relaxed atomics
+//! Counts land in per-thread shards (a fixed block of relaxed atomics
 //! per thread, registered on first use) so the hot path is a single
 //! uncontended `fetch_add`. A [`snapshot`] merges shards in their
 //! registration order; since merging is integer addition, the totals are
@@ -29,14 +29,16 @@
 //! joining the work they want counted, and the join's synchronization
 //! publishes the increments.
 //!
-//! # Feature gating
-//!
-//! With the `enabled` feature off, every entry point is a no-op that the
-//! optimizer deletes: counters vanish, [`span`] returns a unit guard and
-//! never evaluates its name closure, [`snapshot`] returns empty tiers.
-//! Downstream crates therefore call the API unconditionally.
+//! A thread's shard is retired when the thread exits: its counts fold
+//! into one retired total and the shard leaves the list, so the list
+//! holds only live threads however many scoped workers have come and
+//! gone.
 
 use std::borrow::Cow;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// The deterministic tier: work performed, invariant across
 /// `KSA_THREADS` by the determinism contract.
@@ -261,14 +263,10 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The deterministic-tier value for `c` (0 when the tier is empty,
-    /// i.e. instrumentation compiled out).
+    /// The deterministic-tier value for `c` (0 when the tier lacks it,
+    /// as in a default snapshot).
     pub fn det_value(&self, c: Counter) -> u64 {
-        self.det
-            .iter()
-            .find(|(name, _)| *name == c.name())
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
+        self.det_value_by_name(c.name())
     }
 
     /// Deterministic tier as a delta against an `earlier` snapshot —
@@ -289,335 +287,77 @@ impl MetricsSnapshot {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{Counter, MetricsSnapshot, PerfCounter};
-    use std::borrow::Cow;
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
-    use std::time::Instant;
+const DET: usize = Counter::ALL.len();
+/// Slots per shard: the deterministic tier, then the perf tier.
+const SLOTS: usize = DET + PerfCounter::ALL.len();
 
-    const DET: usize = Counter::ALL.len();
-    const PERF: usize = PerfCounter::ALL.len();
+/// One live thread's counters.
+struct Shard([AtomicU64; SLOTS]);
 
-    /// One thread's counters. Shards are append-only in a global list:
-    /// a dead thread's totals must keep contributing to snapshots.
-    struct Shard {
-        det: [AtomicU64; DET],
-        perf: [AtomicU64; PERF],
-    }
+/// Every live thread's shard, plus the folded totals of threads that
+/// have exited. A shard moves from `live` into `retired` in one
+/// critical section, so a [`snapshot`] (which takes the same lock) sees
+/// each count exactly once.
+struct Shards {
+    live: Vec<Arc<Shard>>,
+    retired: [u64; SLOTS],
+}
 
-    fn shards() -> &'static Mutex<Vec<Arc<Shard>>> {
-        static SHARDS: OnceLock<Mutex<Vec<Arc<Shard>>>> = OnceLock::new();
-        SHARDS.get_or_init(|| Mutex::new(Vec::new()))
-    }
+fn shards() -> MutexGuard<'static, Shards> {
+    static SHARDS: Mutex<Shards> = Mutex::new(Shards {
+        live: Vec::new(),
+        retired: [0; SLOTS],
+    });
+    // Nothing panics while holding the lock, and a thread-exit hook
+    // must not panic either, so a poisoned guard is taken as is.
+    SHARDS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
-    thread_local! {
-        static LOCAL: OnceLock<Arc<Shard>> = const { OnceLock::new() };
-    }
-
-    fn with_local<R>(f: impl FnOnce(&Shard) -> R) -> R {
-        LOCAL.with(|cell| {
-            let shard = cell.get_or_init(|| {
-                let shard = Arc::new(Shard {
-                    det: std::array::from_fn(|_| AtomicU64::new(0)),
-                    perf: std::array::from_fn(|_| AtomicU64::new(0)),
-                });
-                shards()
-                    .lock()
-                    .expect("obs shards")
-                    .push(Arc::clone(&shard));
-                shard
-            });
-            f(shard)
-        })
-    }
-
-    pub fn count(c: Counter, n: u64) {
-        if n != 0 {
-            with_local(|s| s.det[c as usize].fetch_add(n, Ordering::Relaxed));
-        }
-    }
-
-    pub fn perf_count(p: PerfCounter, n: u64) {
-        if n != 0 {
-            with_local(|s| s.perf[p as usize].fetch_add(n, Ordering::Relaxed));
-        }
-    }
-
-    pub fn snapshot() -> MetricsSnapshot {
-        let shards = shards().lock().expect("obs shards");
-        let mut det = [0u64; DET];
-        let mut perf = [0u64; PERF];
-        for shard in shards.iter() {
-            for (i, slot) in shard.det.iter().enumerate() {
-                det[i] += slot.load(Ordering::Relaxed);
-            }
-            for (i, slot) in shard.perf.iter().enumerate() {
-                perf[i] += slot.load(Ordering::Relaxed);
-            }
-        }
-        MetricsSnapshot {
-            det: Counter::ALL
-                .iter()
-                .map(|&c| (c.name(), det[c as usize]))
-                .collect(),
-            perf: PerfCounter::ALL
-                .iter()
-                .map(|&p| (p.name(), perf[p as usize]))
-                .collect(),
-        }
-    }
-
-    // ---- span layer / trace export -------------------------------------
-
-    struct TraceEvent {
-        name: Cow<'static, str>,
-        cat: &'static str,
-        tid: u32,
-        ts_ns: u64,
-        dur_ns: u64,
-        args: Vec<(&'static str, u64)>,
-    }
-
-    struct TraceShared {
-        enabled: AtomicBool,
-        state: Mutex<TraceState>,
-    }
-
-    struct TraceState {
-        epoch: Instant,
-        events: Vec<TraceEvent>,
-        threads: Vec<(u32, String)>,
-        next_tid: u32,
-    }
-
-    fn trace_shared() -> &'static TraceShared {
-        static TRACE: OnceLock<TraceShared> = OnceLock::new();
-        TRACE.get_or_init(|| TraceShared {
-            enabled: AtomicBool::new(false),
-            state: Mutex::new(TraceState {
-                epoch: Instant::now(),
-                events: Vec::new(),
-                threads: Vec::new(),
-                next_tid: 0,
-            }),
-        })
-    }
-
-    thread_local! {
-        static TID: Cell<u32> = const { Cell::new(u32::MAX) };
-    }
-
-    fn current_tid(state: &mut TraceState) -> u32 {
-        TID.with(|cell| {
-            let mut tid = cell.get();
-            if tid == u32::MAX {
-                tid = state.next_tid;
-                state.next_tid += 1;
-                state.threads.push((
-                    tid,
-                    std::thread::current().name().unwrap_or("?").to_string(),
-                ));
-                cell.set(tid);
-            }
-            tid
-        })
-    }
-
-    pub fn trace_enabled() -> bool {
-        trace_shared().enabled.load(Ordering::Relaxed)
-    }
-
-    pub fn trace_start() {
-        let shared = trace_shared();
-        {
-            let mut state = shared.state.lock().expect("obs trace");
-            state.epoch = Instant::now();
-            state.events.clear();
-        }
-        shared.enabled.store(true, Ordering::SeqCst);
-    }
-
-    pub fn trace_stop() -> String {
-        let shared = trace_shared();
-        shared.enabled.store(false, Ordering::SeqCst);
-        let state = shared.state.lock().expect("obs trace");
-        render_trace(&state)
-    }
-
-    pub struct SpanGuard {
-        open: Option<OpenSpan>,
-    }
-
-    struct OpenSpan {
-        name: Cow<'static, str>,
-        cat: &'static str,
-        start: Instant,
-        args: Vec<(&'static str, u64)>,
-    }
-
-    impl SpanGuard {
-        pub fn arg(mut self, key: &'static str, value: u64) -> Self {
-            if let Some(open) = self.open.as_mut() {
-                open.args.push((key, value));
-            }
-            self
-        }
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            let Some(open) = self.open.take() else {
-                return;
-            };
-            let end = Instant::now();
-            let shared = trace_shared();
-            // Tracing may have stopped while the span was open; keep the
-            // event only if the collector is still live.
-            if !shared.enabled.load(Ordering::Relaxed) {
-                return;
-            }
-            let mut state = shared.state.lock().expect("obs trace");
-            let tid = current_tid(&mut state);
-            let ts_ns = open.start.saturating_duration_since(state.epoch).as_nanos() as u64;
-            let dur_ns = end.saturating_duration_since(open.start).as_nanos() as u64;
-            state.events.push(TraceEvent {
-                name: open.name,
-                cat: open.cat,
-                tid,
-                ts_ns,
-                dur_ns,
-                args: open.args,
-            });
-        }
-    }
-
-    pub fn span<N>(cat: &'static str, name: impl FnOnce() -> N) -> SpanGuard
-    where
-        N: Into<Cow<'static, str>>,
-    {
-        if !trace_enabled() {
-            return SpanGuard { open: None };
-        }
-        SpanGuard {
-            open: Some(OpenSpan {
-                name: name().into(),
-                cat,
-                start: Instant::now(),
-                args: Vec::new(),
-            }),
-        }
-    }
-
-    fn render_trace(state: &TraceState) -> String {
-        let mut out = String::with_capacity(256 + state.events.len() * 128);
-        out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [");
-        let mut first = true;
-        for (tid, name) in &state.threads {
-            push_event_sep(&mut out, &mut first);
-            out.push_str(&format!(
-                "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \"name\": \"thread_name\", \
-                 \"args\": {{\"name\": \"{}\"}}}}",
-                escape(name)
-            ));
-        }
-        for ev in &state.events {
-            push_event_sep(&mut out, &mut first);
-            out.push_str(&format!(
-                "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"name\": \"{}\", \"cat\": \"{}\", \
-                 \"ts\": {:.3}, \"dur\": {:.3}",
-                ev.tid,
-                escape(&ev.name),
-                escape(ev.cat),
-                ev.ts_ns as f64 / 1_000.0,
-                ev.dur_ns as f64 / 1_000.0,
-            ));
-            if !ev.args.is_empty() {
-                out.push_str(", \"args\": {");
-                for (i, (key, value)) in ev.args.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("\"{}\": {value}", escape(key)));
-                }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    fn push_event_sep(out: &mut String, first: &mut bool) {
-        if *first {
-            *first = false;
-        } else {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-    }
-
-    fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
+fn fold_into(totals: &mut [u64; SLOTS], shard: &Shard) {
+    for (total, slot) in totals.iter_mut().zip(&shard.0) {
+        *total += slot.load(Ordering::Relaxed);
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::{Counter, MetricsSnapshot, PerfCounter};
-    use std::borrow::Cow;
+/// This thread's shard, registered on first use and retired when the
+/// thread exits.
+struct LocalShard(OnceLock<Arc<Shard>>);
 
-    #[inline(always)]
-    pub fn count(_c: Counter, _n: u64) {}
-
-    #[inline(always)]
-    pub fn perf_count(_p: PerfCounter, _n: u64) {}
-
-    pub fn snapshot() -> MetricsSnapshot {
-        MetricsSnapshot::default()
-    }
-
-    #[inline(always)]
-    pub fn trace_enabled() -> bool {
-        false
-    }
-
-    pub fn trace_start() {}
-
-    pub fn trace_stop() -> String {
-        "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n  ]\n}\n".to_string()
-    }
-
-    /// Unit guard: the span was compiled out.
-    pub struct SpanGuard;
-
-    impl SpanGuard {
-        pub fn arg(self, _key: &'static str, _value: u64) -> Self {
-            self
-        }
-    }
-
-    #[inline(always)]
-    pub fn span<N>(_cat: &'static str, _name: impl FnOnce() -> N) -> SpanGuard
-    where
-        N: Into<Cow<'static, str>>,
-    {
-        SpanGuard
+impl Drop for LocalShard {
+    fn drop(&mut self) {
+        let Some(shard) = self.0.get() else {
+            return;
+        };
+        let mut guard = shards();
+        let shards = &mut *guard;
+        fold_into(&mut shards.retired, shard);
+        shards.live.retain(|s| !Arc::ptr_eq(s, shard));
     }
 }
 
-pub use imp::SpanGuard;
+thread_local! {
+    static LOCAL: LocalShard = const { LocalShard(OnceLock::new()) };
+}
+
+/// Adds `n` to `slot` of this thread's shard. Once the thread's shard
+/// has been retired (a count from another thread-local's destructor),
+/// the count goes to the retired total.
+fn add(slot: usize, n: u64) {
+    if n == 0 {
+        return;
+    }
+    let counted = LOCAL.try_with(|local| {
+        let shard = local.0.get_or_init(|| {
+            let shard = Arc::new(Shard(std::array::from_fn(|_| AtomicU64::new(0))));
+            shards().live.push(Arc::clone(&shard));
+            shard
+        });
+        shard.0[slot].fetch_add(n, Ordering::Relaxed);
+    });
+    if counted.is_err() {
+        shards().retired[slot] += n;
+    }
+}
 
 /// Adds `n` to a deterministic-tier counter on this thread's shard.
 ///
@@ -626,31 +366,115 @@ pub use imp::SpanGuard;
 /// function, is what makes [`snapshot`] totals deterministic.
 #[inline]
 pub fn count(c: Counter, n: u64) {
-    imp::count(c, n);
+    add(c as usize, n);
 }
 
 /// Adds `n` to a perf-tier counter on this thread's shard.
 #[inline]
 pub fn perf_count(p: PerfCounter, n: u64) {
-    imp::perf_count(p, n);
+    add(DET + p as usize, n);
 }
 
-/// Merges every shard into one [`MetricsSnapshot`]. Counts from work
-/// that was joined before this call are fully visible.
+/// Merges the retired totals and every live shard into one
+/// [`MetricsSnapshot`]. Counts from work that was joined before this
+/// call are fully visible.
 pub fn snapshot() -> MetricsSnapshot {
-    imp::snapshot()
+    let shards = shards();
+    let mut totals = shards.retired;
+    for shard in &shards.live {
+        fold_into(&mut totals, shard);
+    }
+    MetricsSnapshot {
+        det: Counter::ALL
+            .iter()
+            .map(|&c| (c.name(), totals[c as usize]))
+            .collect(),
+        perf: PerfCounter::ALL
+            .iter()
+            .map(|&p| (p.name(), totals[DET + p as usize]))
+            .collect(),
+    }
+}
+
+/// The number of live shards (threads that have counted and not yet
+/// exited).
+#[cfg(test)]
+fn live_shards() -> usize {
+    shards().live.len()
+}
+
+// ---- span layer / trace export -----------------------------------------
+
+struct TraceEvent {
+    name: Cow<'static, str>,
+    cat: &'static str,
+    tid: u32,
+    ts_ns: u64,
+    dur_ns: u64,
+    args: Vec<(&'static str, u64)>,
+}
+
+struct TraceShared {
+    enabled: AtomicBool,
+    state: Mutex<TraceState>,
+}
+
+struct TraceState {
+    epoch: Instant,
+    events: Vec<TraceEvent>,
+    threads: Vec<(u32, String)>,
+    next_tid: u32,
+}
+
+fn trace_shared() -> &'static TraceShared {
+    static TRACE: OnceLock<TraceShared> = OnceLock::new();
+    TRACE.get_or_init(|| TraceShared {
+        enabled: AtomicBool::new(false),
+        state: Mutex::new(TraceState {
+            epoch: Instant::now(),
+            events: Vec::new(),
+            threads: Vec::new(),
+            next_tid: 0,
+        }),
+    })
+}
+
+thread_local! {
+    static TID: Cell<u32> = const { Cell::new(u32::MAX) };
+}
+
+fn current_tid(state: &mut TraceState) -> u32 {
+    TID.with(|cell| {
+        let mut tid = cell.get();
+        if tid == u32::MAX {
+            tid = state.next_tid;
+            state.next_tid += 1;
+            state.threads.push((
+                tid,
+                std::thread::current().name().unwrap_or("?").to_string(),
+            ));
+            cell.set(tid);
+        }
+        tid
+    })
 }
 
 /// Whether the trace collector is currently recording spans.
 #[inline]
 pub fn trace_enabled() -> bool {
-    imp::trace_enabled()
+    trace_shared().enabled.load(Ordering::Relaxed)
 }
 
 /// Starts (or restarts) span collection: clears the buffer and re-bases
 /// timestamps at "now".
 pub fn trace_start() {
-    imp::trace_start()
+    let shared = trace_shared();
+    {
+        let mut state = shared.state.lock().expect("obs trace");
+        state.epoch = Instant::now();
+        state.events.clear();
+    }
+    shared.enabled.store(true, Ordering::SeqCst);
 }
 
 /// Stops span collection and renders the buffer as chrome://tracing
@@ -658,7 +482,59 @@ pub fn trace_start() {
 /// `chrome://tracing` or <https://ui.perfetto.dev>). Spans still open
 /// when collection stops are discarded.
 pub fn trace_stop() -> String {
-    imp::trace_stop()
+    let shared = trace_shared();
+    shared.enabled.store(false, Ordering::SeqCst);
+    let state = shared.state.lock().expect("obs trace");
+    render_trace(&state)
+}
+
+/// An open span; records it when dropped (see [`span`]).
+pub struct SpanGuard {
+    open: Option<OpenSpan>,
+}
+
+struct OpenSpan {
+    name: Cow<'static, str>,
+    cat: &'static str,
+    start: Instant,
+    args: Vec<(&'static str, u64)>,
+}
+
+impl SpanGuard {
+    /// Attaches a numeric argument to the span's trace event.
+    pub fn arg(mut self, key: &'static str, value: u64) -> Self {
+        if let Some(open) = self.open.as_mut() {
+            open.args.push((key, value));
+        }
+        self
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let Some(open) = self.open.take() else {
+            return;
+        };
+        let end = Instant::now();
+        let shared = trace_shared();
+        // Tracing may have stopped while the span was open; keep the
+        // event only if the collector is still live.
+        if !shared.enabled.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut state = shared.state.lock().expect("obs trace");
+        let tid = current_tid(&mut state);
+        let ts_ns = open.start.saturating_duration_since(state.epoch).as_nanos() as u64;
+        let dur_ns = end.saturating_duration_since(open.start).as_nanos() as u64;
+        state.events.push(TraceEvent {
+            name: open.name,
+            cat: open.cat,
+            tid,
+            ts_ns,
+            dur_ns,
+            args: open.args,
+        });
+    }
 }
 
 /// Opens a duration span; the returned guard records the span when
@@ -670,7 +546,78 @@ pub fn span<N>(cat: &'static str, name: impl FnOnce() -> N) -> SpanGuard
 where
     N: Into<Cow<'static, str>>,
 {
-    imp::span(cat, name)
+    if !trace_enabled() {
+        return SpanGuard { open: None };
+    }
+    SpanGuard {
+        open: Some(OpenSpan {
+            name: name().into(),
+            cat,
+            start: Instant::now(),
+            args: Vec::new(),
+        }),
+    }
+}
+
+fn render_trace(state: &TraceState) -> String {
+    let mut out = String::with_capacity(256 + state.events.len() * 128);
+    out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [");
+    let mut first = true;
+    for (tid, name) in &state.threads {
+        push_event_sep(&mut out, &mut first);
+        out.push_str(&format!(
+            "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \"name\": \"thread_name\", \
+             \"args\": {{\"name\": \"{}\"}}}}",
+            escape(name)
+        ));
+    }
+    for ev in &state.events {
+        push_event_sep(&mut out, &mut first);
+        out.push_str(&format!(
+            "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"name\": \"{}\", \"cat\": \"{}\", \
+             \"ts\": {:.3}, \"dur\": {:.3}",
+            ev.tid,
+            escape(&ev.name),
+            escape(ev.cat),
+            ev.ts_ns as f64 / 1_000.0,
+            ev.dur_ns as f64 / 1_000.0,
+        ));
+        if !ev.args.is_empty() {
+            out.push_str(", \"args\": {");
+            for (i, (key, value)) in ev.args.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                out.push_str(&format!("\"{}\": {value}", escape(key)));
+            }
+            out.push('}');
+        }
+        out.push('}');
+    }
+    out.push_str("\n  ]\n}\n");
+    out
+}
+
+fn push_event_sep(out: &mut String, first: &mut bool) {
+    if *first {
+        *first = false;
+    } else {
+        out.push(',');
+    }
+    out.push_str("\n    ");
+}
+
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -687,19 +634,14 @@ mod tests {
         count(Counter::RanksComputed, 0); // no-op, not a panic
         perf_count(PerfCounter::ExecSteals, 2);
         let after = snapshot();
-        if cfg!(feature = "enabled") {
-            let delta = after.det_delta(&before);
-            let rows = delta
-                .iter()
-                .find(|(n, _)| *n == "boundary_rows")
-                .map(|&(_, v)| v);
-            assert_eq!(rows, Some(7));
-            assert_eq!(after.det.len(), Counter::ALL.len());
-            assert_eq!(after.perf.len(), PerfCounter::ALL.len());
-        } else {
-            assert!(after.det.is_empty());
-            assert!(after.perf.is_empty());
-        }
+        let delta = after.det_delta(&before);
+        let rows = delta
+            .iter()
+            .find(|(n, _)| *n == "boundary_rows")
+            .map(|&(_, v)| v);
+        assert_eq!(rows, Some(7));
+        assert_eq!(after.det.len(), Counter::ALL.len());
+        assert_eq!(after.perf.len(), PerfCounter::ALL.len());
     }
 
     #[test]
@@ -712,11 +654,50 @@ mod tests {
             h.join().unwrap();
         }
         let delta = snapshot().det_value(Counter::FacesClosed) - before;
-        if cfg!(feature = "enabled") {
-            assert_eq!(delta, 20);
-        } else {
-            assert_eq!(delta, 0);
+        assert_eq!(delta, 20);
+    }
+
+    #[test]
+    fn exited_threads_retire_their_shards() {
+        let before = snapshot().det_value(Counter::CacheWrites);
+        let live_before = live_shards();
+        for _ in 0..64 {
+            std::thread::spawn(|| count(Counter::CacheWrites, 1))
+                .join()
+                .unwrap();
         }
+        // `join` returns after the thread's thread-local destructors ran,
+        // so every one of the 64 shards has been folded and unlinked;
+        // only other tests' live threads can have added shards since.
+        assert_eq!(snapshot().det_value(Counter::CacheWrites) - before, 64);
+        assert!(
+            live_shards() < live_before + 64,
+            "shards of exited threads stay registered"
+        );
+    }
+
+    #[test]
+    fn counts_after_the_shard_is_gone_land_in_the_retired_total() {
+        // A thread-local whose destructor counts. Thread-locals are
+        // destroyed in reverse order of registration, so registering it
+        // before the first count makes it run after the shard retired.
+        struct CountsOnDrop;
+        impl Drop for CountsOnDrop {
+            fn drop(&mut self) {
+                count(Counter::CacheHits, 3);
+            }
+        }
+        thread_local! {
+            static LATE: CountsOnDrop = const { CountsOnDrop };
+        }
+        let before = snapshot().det_value(Counter::CacheHits);
+        std::thread::spawn(|| {
+            LATE.with(|_| {});
+            count(Counter::CacheHits, 1);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(snapshot().det_value(Counter::CacheHits) - before, 4);
     }
 
     #[test]
@@ -743,15 +724,11 @@ mod tests {
             let _inner = span("test", || format!("inner:{}", 7));
         }
         let json = trace_stop();
-        if cfg!(feature = "enabled") {
-            assert!(json.contains("\"traceEvents\""));
-            assert!(json.contains("\"name\": \"outer\""));
-            assert!(json.contains("\"name\": \"inner:7\""));
-            assert!(json.contains("\"args\": {\"k\": 2}"));
-            assert!(json.contains("\"ph\": \"M\""), "thread metadata present");
-        } else {
-            assert!(json.contains("\"traceEvents\""));
-        }
+        assert!(json.contains("\"traceEvents\""));
+        assert!(json.contains("\"name\": \"outer\""));
+        assert!(json.contains("\"name\": \"inner:7\""));
+        assert!(json.contains("\"args\": {\"k\": 2}"));
+        assert!(json.contains("\"ph\": \"M\""), "thread metadata present");
         // Spans opened while tracing is off are free and recordless.
         let _ = span("test", || -> &'static str { panic!("name must be lazy") });
     }

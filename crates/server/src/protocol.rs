@@ -211,16 +211,6 @@ pub fn progress_frame(k: usize, decided: usize, total: usize) -> Value {
     ])
 }
 
-/// What kind of terminal frame a decoded response is.
-#[must_use]
-pub fn terminal_event(v: &Value) -> Option<&str> {
-    match v.get("event").and_then(Value::as_str) {
-        Some("progress") => None,
-        Some(event) => Some(event),
-        None => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,9 +280,5 @@ mod tests {
             progress_frame(2, 1, 3).to_json(),
             r#"{"event":"progress","k":2,"decided":1,"total":3}"#
         );
-        let progress = parse(br#"{"event":"progress","k":1,"decided":0,"total":2}"#).unwrap();
-        assert_eq!(terminal_event(&progress), None);
-        let result = parse(br#"{"event":"result"}"#).unwrap();
-        assert_eq!(terminal_event(&result), Some("result"));
     }
 }

@@ -420,7 +420,6 @@ fn a_trickled_request_is_cut_off_at_the_read_timeout() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-#[cfg(feature = "obs")]
 #[test]
 fn one_miss_then_hits_look_the_cache_up_once_each() {
     use ksa_obs::Counter;

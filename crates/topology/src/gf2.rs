@@ -76,10 +76,6 @@ impl Gf2Matrix {
         m.rank_destructive_seq()
     }
 
-    fn row(&self, r: usize) -> &[u64] {
-        &self.data[r * self.words_per_row..(r + 1) * self.words_per_row]
-    }
-
     fn xor_row_into(&mut self, src: usize, dst: usize) {
         let (a, b) = if src < dst {
             let (lo, hi) = self.data.split_at_mut(dst * self.words_per_row);
@@ -128,11 +124,6 @@ impl Gf2Matrix {
             }
         }
         rank
-    }
-
-    /// Hamming weight of a row (used in tests/diagnostics).
-    pub fn row_weight(&self, r: usize) -> usize {
-        self.row(r).iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -191,7 +182,6 @@ mod tests {
         assert!(m.get(1, 129));
         assert!(m.get(0, 64));
         assert!(!m.get(0, 63));
-        assert_eq!(m.row_weight(1), 1);
         assert_eq!(m.rank_seq(), 2);
     }
 

@@ -14,8 +14,6 @@
 //! bleeding into a delta would be indistinguishable from a real
 //! determinism bug.
 
-#![cfg(feature = "obs")]
-
 use ksa_exec::{map_in_order, ThreadPool};
 use ksa_graphs::Digraph;
 use ksa_topology::chain::{reduced_betti_certified, ChainComplex};
