@@ -226,6 +226,62 @@ impl ViewKeys {
     }
 }
 
+/// The candidate sender sets of a process that hears `base` from its
+/// generator: every superset of `base` within the `n` processes, in
+/// choice order (bit `i` of a choice adds the `i`-th unheard process).
+fn candidate_senders(base: ProcSet, n: usize) -> impl Iterator<Item = ProcSet> {
+    let free: Vec<usize> = base.complement(n).iter().collect();
+    (0..1u64 << free.len()).map(move |choice| {
+        let mut set = base;
+        for (bit, &q) in free.iter().enumerate() {
+            if choice >> bit & 1 == 1 {
+                set.insert(q);
+            }
+        }
+        set
+    })
+}
+
+/// The views of the one-round instance over `values` input values,
+/// without its executions, as a sorted set: every input assignment seen
+/// through every distinct candidate sender set of any (generator,
+/// process). Each such set occurs in some execution, since processes
+/// choose their supersets independently, so these are exactly the views
+/// of [`enumerate_keyed`]. The witness lift's enumeration, exposed for
+/// its differential tests; not a supported entry point.
+///
+/// # Errors
+///
+/// [`TopologyError::TooLarge`] when the keys do not fit a `u64`.
+#[doc(hidden)]
+pub fn one_round_views(
+    model: &ClosedAboveModel,
+    values: Value,
+) -> Result<Vec<FlatView<Value>>, CoreError> {
+    let n = model.n();
+    let layout = ViewKeys::new(n, values)?;
+    let mut senders: Vec<ProcSet> = model
+        .generators()
+        .iter()
+        .flat_map(|g| (0..n).flat_map(move |p| candidate_senders(g.in_set(p), n)))
+        .collect();
+    senders.sort_unstable();
+    senders.dedup();
+    let mut keys: Vec<u64> = Vec::new();
+    for inputs in input_assignments(n, values) {
+        keys.extend(senders.iter().map(|set| {
+            set.iter()
+                .map(|q| (u64::from(inputs[q]) + 1) * layout.weights[q])
+                .sum::<u64>()
+        }));
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    let mut views: Vec<FlatView<Value>> = keys.into_iter().map(|key| layout.decode(key)).collect();
+    views.sort_unstable();
+    Ok(views)
+}
+
 /// The one-round instance over `values` input values, enumerated by
 /// packed view keys in one sequential pass: input assignments in
 /// odometer order, then generators, superset choices and processes — the
@@ -257,19 +313,9 @@ fn enumerate_keyed(
         .map(|g| {
             (0..n)
                 .map(|p| {
-                    let base = g.in_set(p);
-                    let free: Vec<usize> = base.complement(n).iter().collect();
                     let start = senders.len();
-                    senders.extend((0..1u64 << free.len()).map(|choice| {
-                        let mut set = base;
-                        for (bit, &q) in free.iter().enumerate() {
-                            if choice >> bit & 1 == 1 {
-                                set.insert(q);
-                            }
-                        }
-                        set
-                    }));
-                    (start, 1u64 << free.len())
+                    senders.extend(candidate_senders(g.in_set(p), n));
+                    (start, (senders.len() - start) as u64)
                 })
                 .collect()
         })
@@ -1913,7 +1959,10 @@ fn lift_decision_map(
         "solvability sweep lift enumeration",
         one_round_raw_estimate(model, n, values_to),
     )?;
-    let instance = enumerate_keyed(model, values_to, exec_limit)?;
+    // The admitted estimate counts every execution the keyed enumeration
+    // would walk, so its execution limit cannot trip here; only the views
+    // are read.
+    let views = one_round_views(model, values_to)?;
     // The witness by packed key of the `k_from` instance, whose inputs
     // range over `{0, …, cap}`.
     let layout = ViewKeys::new(n, cap + 1)?;
@@ -1921,8 +1970,10 @@ fn lift_decision_map(
         .entries()
         .map(|(view, d)| (layout.key(view), *d))
         .collect();
-    let mut entries: Vec<(FlatView<Value>, Value)> = Vec::with_capacity(instance.views.len());
-    for view in instance.views {
+    // `views` is sorted and distinct, so the entries come out in the
+    // map's canonical order.
+    let mut entries: Vec<(FlatView<Value>, Value)> = Vec::with_capacity(views.len());
+    for view in views {
         let capped: u64 = view
             .iter()
             .map(|&(q, v)| (u64::from(v.min(cap)) + 1) * layout.weights[q])
@@ -1941,7 +1992,6 @@ fn lift_decision_map(
         };
         entries.push((view, lifted));
     }
-    entries.sort();
     Ok(DecisionMap { entries })
 }
 

@@ -5,13 +5,14 @@
 //! return the oracle's views and executions, order included — the
 //! numbering the CSP's variable order, and so its witnesses, depend on —
 //! and the oracle's `TooLarge` error when the execution limit is hit
-//! partway through.
+//! partway through. The witness lift's views-only pass must return the
+//! same views, as a set.
 //!
 //! The key-width guard is pinned on both sides: 64 processes over one
 //! value is the widest layout that fits a `u64`, and 41 processes over
 //! two values are refused before anything is enumerated.
 
-use ksa_core::solvability::{decide_one_round, one_round_enumerations};
+use ksa_core::solvability::{decide_one_round, one_round_enumerations, one_round_views};
 use ksa_core::CoreError;
 use ksa_graphs::budget::RunBudget;
 use ksa_graphs::Digraph;
@@ -78,6 +79,10 @@ proptest! {
         let oracle = oracle.expect("an unlimited enumeration succeeds");
         prop_assert_eq!(keyed.as_ref().ok(), Some(&oracle), "model {:?}", model);
 
+        let mut views = oracle.0.clone();
+        views.sort_unstable();
+        prop_assert_eq!(one_round_views(&model, values), Ok(views), "model {:?}", model);
+
         // The execution limit trips at the same execution, with the same
         // error, wherever it falls.
         let found = oracle.1.len();
@@ -98,6 +103,7 @@ fn the_widest_fitting_keys_enumerate() {
     let (views, executions) = keyed.expect("2^64 − 1 fits a u64");
     assert_eq!(views, vec![(0..64).map(|q| (q, 0)).collect::<Vec<_>>()]);
     assert_eq!(executions, vec![vec![0]]);
+    assert_eq!(one_round_views(&model, 1).as_ref(), Ok(&views));
     assert_eq!(Ok((views, executions)), oracle);
 }
 
@@ -111,12 +117,11 @@ fn keys_too_wide_are_refused_before_enumerating() {
     let err = decide_one_round(&model, 1, 1, RunBudget::new(u128::MAX), 1_000, None).unwrap_err();
     let elapsed = start.elapsed();
     assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
-    assert_eq!(
-        err,
-        CoreError::Topology(TopologyError::TooLarge {
-            what: "solvability view keys",
-            estimated: 3u128.pow(41),
-            limit: 1 << 64,
-        })
-    );
+    let too_wide = CoreError::Topology(TopologyError::TooLarge {
+        what: "solvability view keys",
+        estimated: 3u128.pow(41),
+        limit: 1 << 64,
+    });
+    assert_eq!(err, too_wide);
+    assert_eq!(one_round_views(&model, 2), Err(too_wide));
 }

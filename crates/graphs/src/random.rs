@@ -5,7 +5,6 @@
 
 use crate::digraph::Digraph;
 use crate::error::GraphError;
-use crate::proc_set::ProcSet;
 use rand::Rng;
 
 /// A random digraph on `n` processes where each non-loop edge is present
@@ -63,25 +62,6 @@ pub fn random_superset_with(
     Ok(h)
 }
 
-/// A random `k`-subset of `{0, …, n-1}` (uniform).
-///
-/// # Panics
-///
-/// Panics if `k > n` or `n > MAX_PROCS`.
-pub fn random_k_subset(n: usize, k: usize, rng: &mut impl Rng) -> ProcSet {
-    assert!(k <= n);
-    // Floyd's algorithm.
-    let mut s = ProcSet::empty();
-    for j in n - k..n {
-        let t = rng.random_range(0..=j);
-        if !s.insert(t) {
-            s.insert(j);
-        }
-    }
-    debug_assert_eq!(s.len(), k);
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,26 +102,5 @@ mod tests {
         }
         assert_eq!(random_superset_with(&g, 0.0, &mut r).unwrap(), g);
         assert!(random_superset_with(&g, 1.0, &mut r).unwrap().is_complete());
-    }
-
-    #[test]
-    fn k_subset_sizes() {
-        let mut r = rng();
-        for k in 0..=8 {
-            let s = random_k_subset(8, k, &mut r);
-            assert_eq!(s.len(), k);
-            assert!(s.is_subset(ProcSet::full(8)));
-        }
-    }
-
-    #[test]
-    fn k_subset_covers_space() {
-        // Over many draws, every process should appear at least once.
-        let mut r = rng();
-        let mut seen = ProcSet::empty();
-        for _ in 0..200 {
-            seen = seen.union(random_k_subset(6, 2, &mut r));
-        }
-        assert_eq!(seen, ProcSet::full(6));
     }
 }

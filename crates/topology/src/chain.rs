@@ -25,21 +25,33 @@
 //!   comparing the faces as slices, which is also the kernel's oracle.
 //!   The multi-round construction ([`crate::rounds`]) numbers its view
 //!   and facet rows with the same kernel.
-//! * **Sparse boundary reduction** — `∂_k`, `k ≥ 2`, is ranked by an
-//!   echelon-basis elimination (`Echelon`) over the incidence rows. The
-//!   matrices are ultra-sparse (`k+1` entries per row) with low
-//!   fill-in on the protocol complexes of the experiments, which makes
-//!   this an order of magnitude faster than dense elimination (the
-//!   scalar [`crate::gf2::Gf2Matrix::rank_seq`] remains as the
-//!   reference oracle). `∂_1` is the incidence matrix of the
-//!   1-skeleton, whose rank over any field is `|V| − #components`, so it
-//!   is ranked by a union-find over the edge rows instead: the echelon
-//!   walked whole paths there, one fresh row per step (DESIGN.md §7.1).
+//! * **Coboundary reduction with clearing** — `∂_k`, `k ≥ 2`, is ranked
+//!   as its transpose, the coboundary `δ^{k−1}`: one counting sort of the
+//!   incidence array gives each `(k−1)`-simplex the ascending ids of the
+//!   `k`-simplexes it is a face of, and an echelon basis (`Echelon`,
+//!   its rows in one flat arena) absorbs those rows in canonical order.
+//!   Every row whose simplex leads a basis row of `δ^{k−2}` is skipped:
+//!   that basis row is a cocycle whose other entries have higher ids, so
+//!   by downward induction the skipped rows lie in the span of the
+//!   absorbed ones (de Silva, Morozov & Vejdemo-Johansson's dualities;
+//!   Bauer's Ripser). `∂_1` is the incidence matrix of the 1-skeleton,
+//!   whose rank over any field is `|V| − #components`, so it is ranked
+//!   by a union-find over the edge rows in ascending order; the edges it
+//!   merges on are exactly the leads of `δ^0` (a Kruskal tree edge is
+//!   the least edge of the cut around the component it joins), so they
+//!   clear `δ^1` with no extra pass (DESIGN.md §7.1). The matrices are
+//!   ultra-sparse (`k+1` entries per boundary row), and the scalar
+//!   [`crate::gf2::Gf2Matrix::rank_seq`] remains the reference oracle.
+//!   The `boundary_rows`, `boundary_nnz` and `ranks_computed` counters
+//!   keep their meaning and values: each rank counts the rows and
+//!   entries of `∂_k`, the same as its transpose's.
 //! * **Clearing in the certified path** — [`reduced_betti_certified`]
-//!   records its rank witnesses from `∂_dim` down to `∂_1` and skips
+//!   keeps the boundary rows, since its witnesses are `∂_k` row
+//!   combinations: it records them from `∂_dim` down to `∂_1` and skips
 //!   every row of `∂_k` that leads a basis row of `∂_{k+1}`, since that
 //!   basis row is a cycle (Chen & Kerber's twist; DESIGN.md §11.2).
-//! * **Laziness** — ranks are computed per dimension on demand and
+//! * **Laziness** — ranks are computed per dimension on demand, bottom
+//!   up (each reduction leaves the clearing set of the next), and
 //!   cached, so [`ChainComplex::connectivity_up_to`] reduces `∂_1, ∂_2,
 //!   …` dimension by dimension and stops at the first non-zero Betti
 //!   number (or at `k+1`), and a Betti query after a connectivity query
@@ -183,20 +195,61 @@ fn sort_dedup_chunks(data: &[u32], stride: usize) -> (Vec<u32>, Vec<u32>) {
     (sorted, id_of)
 }
 
+/// Sparse rows (ascending `u32` ids) stored back to back in one arena:
+/// row `i` is `ids[starts[i]..starts[i + 1]]`.
+#[derive(Debug, Clone)]
+struct Rows {
+    ids: Vec<u32>,
+    starts: Vec<usize>,
+}
+
+impl Rows {
+    fn new() -> Self {
+        Rows {
+            ids: Vec::new(),
+            starts: vec![0],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn get(&self, i: usize) -> &[u32] {
+        &self.ids[self.starts[i]..self.starts[i + 1]]
+    }
+
+    fn push(&mut self, row: &[u32]) {
+        self.ids.extend_from_slice(row);
+        self.starts.push(self.ids.len());
+    }
+
+    /// One owned vector per row, in order.
+    fn into_vecs(self) -> Vec<Vec<u32>> {
+        self.starts
+            .windows(2)
+            .map(|w| self.ids[w[0]..w[1]].to_vec())
+            .collect()
+    }
+}
+
 /// A GF(2) row-echelon basis over sparse rows (ascending `u32` column
-/// ids), the rank kernel of [`ChainComplex`] for `∂_k`, `k ≥ 2`.
+/// ids): the rank kernel of [`ChainComplex`] for `k ≥ 2`, over the
+/// coboundary rows of `δ^{k−1}`, and of the certified producer, over
+/// the boundary rows of `∂_k`.
 ///
 /// `absorb` reduces an incoming row against the basis by its
 /// leading column and either inserts it (rank grows) or cancels it to
-/// zero (dependent). The basis size is the rank of everything absorbed —
-/// a value independent of absorption order, though the engine always
-/// absorbs in canonical simplex order so intermediate bases are
-/// reproducible too. The reduction runs in one reused work row with
-/// [`xor_in_place`]; the only allocation is the exact-size copy of a row
-/// that joins the basis.
+/// zero (dependent). The basis size is the rank of everything absorbed,
+/// and the set of leading columns is the set of least columns of the
+/// nonzero vectors in its span — both independent of absorption order,
+/// though the engine always absorbs in canonical simplex order so
+/// intermediate bases are reproducible too. The reduction runs in one
+/// reused work row with [`xor_in_place`]; a row that joins the basis is
+/// copied onto the end of the flat [`Rows`] arena.
 #[derive(Debug, Clone)]
 struct Echelon {
-    rows: Vec<Vec<u32>>,
+    rows: Rows,
     /// `pivot_of[col]`: index into `rows` of the basis row leading with
     /// `col`, or `u32::MAX`; sized to the column count.
     pivot_of: Vec<u32>,
@@ -208,7 +261,7 @@ impl Echelon {
     /// An empty basis over `cols` columns.
     fn new(cols: usize) -> Self {
         Echelon {
-            rows: Vec::new(),
+            rows: Rows::new(),
             pivot_of: vec![u32::MAX; cols],
             work: Vec::new(),
         }
@@ -226,7 +279,7 @@ impl Echelon {
             if p == u32::MAX {
                 return Some(lead);
             }
-            xor_in_place(&mut self.work, &self.rows[p as usize]);
+            xor_in_place(&mut self.work, self.rows.get(p as usize));
             step(p as usize);
         }
     }
@@ -234,21 +287,24 @@ impl Echelon {
     /// Inserts the reduced work row, which leads with `lead`.
     fn insert(&mut self, lead: u32) {
         self.pivot_of[lead as usize] = self.rows.len() as u32;
-        self.rows.push(self.work.to_vec());
+        self.rows.push(&self.work);
     }
 
     /// Absorbs one sparse row, whose column ids must lie below the count
-    /// given to [`Echelon::new`]; returns whether the rank grew.
-    fn absorb(&mut self, row: &[u32]) -> bool {
-        let Some(lead) = self.reduce(row, |_| {}) else {
-            return false;
-        };
-        self.insert(lead);
-        true
+    /// given to [`Echelon::new`].
+    fn absorb(&mut self, row: &[u32]) {
+        if let Some(lead) = self.reduce(row, |_| {}) {
+            self.insert(lead);
+        }
     }
 
     fn rank(&self) -> usize {
         self.rows.len()
+    }
+
+    /// Whether each column leads a basis row.
+    fn leads(&self) -> Vec<bool> {
+        self.pivot_of.iter().map(|&p| p != u32::MAX).collect()
     }
 }
 
@@ -267,8 +323,8 @@ impl Echelon {
 #[derive(Debug, Clone)]
 struct WitnessEchelon {
     ech: Echelon,
-    /// `combos[i]`: ascending original-row indices XOR-summing to
-    /// `ech.rows[i]`.
+    /// `combos[i]`: ascending original-row indices XOR-summing to basis
+    /// row `i` of `ech`.
     combos: Vec<Vec<u32>>,
     /// The basis rows added to the row being reduced, in order.
     added: Vec<usize>,
@@ -371,6 +427,11 @@ pub struct ChainComplex {
     /// `ranks[k]`: cached rank of `∂_k` (`∂_0` = augmentation,
     /// `∂_{dim+1}` = 0); length `dim + 2` for a non-void complex.
     ranks: Vec<Option<usize>>,
+    /// The clearing set left by the last rank reduced, `∂_j`: whether
+    /// each `j`-simplex leads a basis row of `δ^{j−1}` (for `j = 1`, is
+    /// an edge of the union-find forest). Ranks are reduced bottom up,
+    /// so `∂_{j+1}` is the next one and consumes it; empty otherwise.
+    cleared: Vec<bool>,
 }
 
 impl ChainComplex {
@@ -397,6 +458,7 @@ impl ChainComplex {
                 counts: Vec::new(),
                 rows: Vec::new(),
                 ranks: Vec::new(),
+                cleared: Vec::new(),
             };
         };
         let _span = ksa_obs::span("chain", || "closure").arg("dim", dim as u64);
@@ -438,6 +500,7 @@ impl ChainComplex {
             counts,
             rows,
             ranks,
+            cleared: Vec::new(),
         }
     }
 
@@ -464,28 +527,77 @@ impl ChainComplex {
         self.rows[k].chunks_exact(k + 1)
     }
 
-    /// Computes the rank of `∂_k` without touching the cache (pure, so
-    /// the parallel Betti fan-out can share `&self`).
-    fn compute_rank(&self, k: usize) -> usize {
+    /// Reduces `∂_k`, `k ≥ 1`, whose predecessor `∂_{k−1}` (for `k ≥ 2`)
+    /// was the last rank reduced: returns its rank and leaves its own
+    /// clearing set in `self.cleared` for `∂_{k+1}`.
+    ///
+    /// `∂_1` is ranked by [`ChainComplex::edge_rank`]. For `k ≥ 2` the
+    /// rank is that of the coboundary `δ^{k−1}`, the transpose: its rows
+    /// are the `(k−1)`-simplexes, each listing the `k`-simplexes it is a
+    /// face of, and every row whose simplex leads a basis row of
+    /// `δ^{k−2}` is skipped. Such a basis row lies in the image of
+    /// `δ^{k−2}`, so it is a cocycle, and every other simplex on it has a
+    /// higher id; the skipped row is therefore the XOR of higher-id rows,
+    /// and by downward induction every skipped row lies in the span of
+    /// the absorbed ones. The leads of `δ^{k−1}`'s basis clear `∂_{k+1}`.
+    fn compute_rank(&mut self, k: usize) -> usize {
         let _span = ksa_obs::span("chain", || "rank_reduce").arg("dim", k as u64);
-        let rank = if k == 1 {
+        let cleared = std::mem::take(&mut self.cleared);
+        let (rank, leads) = if k == 1 {
             self.edge_rank()
         } else {
-            let mut ech = Echelon::new(self.counts[k - 1]);
-            for row in self.boundary(k) {
-                ech.absorb(row);
+            debug_assert_eq!(cleared.len(), self.counts[k - 1]);
+            let (starts, cofaces) = self.coboundary(k);
+            let mut ech = Echelon::new(self.counts[k]);
+            for (t, w) in starts.windows(2).enumerate() {
+                if !cleared[t] {
+                    ech.absorb(&cofaces[w[0] as usize..w[1] as usize]);
+                }
             }
-            ech.rank()
+            (ech.rank(), ech.leads())
         };
+        // `∂_{dim+1}` is the fixed zero, so the top rank clears nothing.
+        if k + 1 < self.counts.len() {
+            self.cleared = leads;
+        }
         ksa_obs::count(Counter::RanksComputed, 1);
         rank
     }
 
-    /// The rank of `∂_1`: `|V| − #components` of the 1-skeleton over any
-    /// field, i.e. the number of edges a union-find (path halving)
-    /// merges on. Edge rows are pairs of vertex ids, and vertex ids are
-    /// `0..|V|`.
-    fn edge_rank(&self) -> usize {
+    /// The coboundary rows of `δ^{k−1}`, `k ≥ 1`, by one counting sort of
+    /// `∂_k`'s incidence array: `(starts, cofaces)`, where row `t` is
+    /// `cofaces[starts[t]..starts[t + 1]]`, the ascending ids of the
+    /// `k`-simplexes with the `(k−1)`-simplex `t` as a face.
+    fn coboundary(&self, k: usize) -> (Vec<u32>, Vec<u32>) {
+        let faces = self.counts[k - 1];
+        let mut starts = vec![0u32; faces + 1];
+        for &t in &self.rows[k] {
+            starts[t as usize + 1] += 1;
+        }
+        for t in 0..faces {
+            starts[t + 1] += starts[t];
+        }
+        let mut next = starts.clone();
+        let mut cofaces = vec![0u32; self.rows[k].len()];
+        for (s, row) in self.boundary(k).enumerate() {
+            for &t in row {
+                cofaces[next[t as usize] as usize] = s as u32;
+                next[t as usize] += 1;
+            }
+        }
+        (starts, cofaces)
+    }
+
+    /// The rank of `∂_1`, `|V| − #components` of the 1-skeleton over
+    /// any field, and which edges a union-find (path halving) merges on
+    /// in ascending edge order. Edge rows are pairs of vertex ids, and
+    /// vertex ids are `0..|V|`.
+    ///
+    /// The merging edges are exactly the leads of `δ^0`'s basis: an edge
+    /// merging components `A` and `B` of the lower-id edges is the least
+    /// edge of the cut around `A`, and there are as many of them as the
+    /// rank.
+    fn edge_rank(&self) -> (usize, Vec<bool>) {
         fn find(parent: &mut [u32], mut x: u32) -> u32 {
             while parent[x as usize] != x {
                 parent[x as usize] = parent[parent[x as usize] as usize];
@@ -494,20 +606,22 @@ impl ChainComplex {
             x
         }
         let mut parent: Vec<u32> = (0..self.counts[0] as u32).collect();
+        let mut merged = vec![false; self.counts[1]];
         let mut rank = 0;
-        for e in self.boundary(1) {
-            let (a, b) = (find(&mut parent, e[0]), find(&mut parent, e[1]));
+        for (e, edge) in self.boundary(1).enumerate() {
+            let (a, b) = (find(&mut parent, edge[0]), find(&mut parent, edge[1]));
             if a != b {
                 parent[a as usize] = b;
+                merged[e] = true;
                 rank += 1;
             }
         }
-        rank
+        (rank, merged)
     }
 
-    /// Reduces `∂_k` like [`ChainComplex::compute_rank`] while
-    /// recording the rank witness for certification, skipping every row
-    /// `σ` with `cleared[σ]` (an empty `cleared` skips none).
+    /// Reduces the rows of `∂_k` while recording the rank witness for
+    /// certification, skipping every row `σ` with `cleared[σ]` (an empty
+    /// `cleared` skips none).
     /// Absorption runs in canonical simplex order, so the witness is
     /// schedule-invariant.
     ///
@@ -538,15 +652,19 @@ impl ChainComplex {
         ksa_cert::RankWitness {
             k: k as u32,
             rank: ech.ech.rank() as u32,
-            basis: ech.ech.rows,
+            basis: ech.ech.rows.into_vecs(),
             combo: ech.combos,
         }
     }
 
-    /// The cached rank of `∂_k`, reducing it on first use.
+    /// The cached rank of `∂_k`, reducing it on first use, after every
+    /// rank below it: each reduction clears the next.
     pub(crate) fn rank_boundary(&mut self, k: usize) -> usize {
         if let Some(r) = self.ranks[k] {
             return r;
+        }
+        if k >= 2 {
+            self.rank_boundary(k - 1);
         }
         let r = self.compute_rank(k);
         self.ranks[k] = Some(r);
@@ -958,6 +1076,100 @@ mod tests {
                 reduced_betti_numbers_seq(&c),
                 "{c:?}"
             );
+        }
+    }
+
+    #[test]
+    fn known_betti_numbers() {
+        let complex = |facets: &[[usize; 3]]| -> Complex<u32> {
+            Complex::from_facets(facets.iter().map(|f| simplex(f)))
+        };
+        // The 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3}
+        // mod 7.
+        let torus: Vec<[usize; 3]> = (0..7)
+            .flat_map(|i| [[i, i + 1, i + 3], [i, i + 2, i + 3]])
+            .map(|f| f.map(|v| v % 7))
+            .collect();
+        // The 6-vertex real projective plane, the hemi-icosahedron.
+        let rp2 = [
+            [0, 1, 2],
+            [0, 2, 3],
+            [0, 3, 4],
+            [0, 4, 5],
+            [0, 1, 5],
+            [1, 2, 4],
+            [2, 3, 5],
+            [1, 3, 4],
+            [2, 4, 5],
+            [1, 3, 5],
+        ];
+        let cases = vec![
+            (
+                Complex::boundary_of(&simplex(&[0, 1, 2, 3, 4])),
+                vec![0, 0, 0, 1],
+            ),
+            (complex(&torus), vec![0, 2, 1]),
+            (complex(&rp2), vec![0, 1, 1]),
+            // Two disjoint circles, then a circle beside a solid triangle.
+            (
+                Complex::boundary_of(&simplex(&[0, 1, 2]))
+                    .union(&Complex::boundary_of(&simplex(&[3, 4, 5]))),
+                vec![1, 2],
+            ),
+            (
+                Complex::boundary_of(&simplex(&[0, 1, 2]))
+                    .union(&Complex::of_simplex(simplex(&[3, 4, 5]))),
+                vec![1, 1, 0],
+            ),
+        ];
+        for (c, betti) in cases {
+            assert_eq!(reduced_betti_numbers_seq(&c), betti, "{c:?}");
+            assert_eq!(
+                ChainComplex::from_complex(&c).reduced_betti(),
+                betti,
+                "{c:?}"
+            );
+            let (certified, cert) = reduced_betti_certified(&c, "known").unwrap();
+            assert_eq!(certified, betti, "{c:?}");
+            assert_eq!(ksa_cert::check_homology(&cert), Ok(()), "{c:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Each reduction leaves as its clearing set exactly the leads of
+        /// an unclearing echelon over all of `δ^{k−1}`'s rows: for `k = 1`
+        /// the union-find's merging edges, above it the cleared
+        /// reduction's own leads.
+        #[test]
+        fn clearing_sets_are_the_coboundary_leads(
+            facets in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..7, 2..=5),
+                1..=10,
+            ),
+        ) {
+            let mut filed = Vec::new();
+            for f in &facets {
+                file_facet(&mut filed, &f.iter().copied().collect::<Vec<_>>());
+            }
+            let used: std::collections::BTreeSet<u32> = facets.iter().flatten().copied().collect();
+            let renumber = |v: u32| used.range(..v).count() as u32;
+            for level in &mut filed {
+                for v in level.iter_mut() {
+                    *v = renumber(*v);
+                }
+            }
+            let mut chain = ChainComplex::from_facet_ids(used.len(), filed);
+            let dim = chain.counts.len() - 1;
+            for k in 1..dim {
+                let (starts, cofaces) = chain.coboundary(k);
+                let mut ech = Echelon::new(chain.counts[k]);
+                for w in starts.windows(2) {
+                    ech.absorb(&cofaces[w[0] as usize..w[1] as usize]);
+                }
+                chain.rank_boundary(k);
+                proptest::prop_assert_eq!(&chain.cleared, &ech.leads(), "k = {}", k);
+                proptest::prop_assert_eq!(chain.ranks[k], Some(ech.rank()), "k = {}", k);
+            }
         }
     }
 

@@ -245,8 +245,9 @@ impl<V: View> RoundsComplex<V> {
                 let mut chain = ChainComplex::from_facet_ids(vertex_count, facets);
                 if run.cancel.is_some() {
                     // Warm each dimension's cached rank one at a time,
-                    // polling between, so `reduced_betti` only reads the
-                    // cache (and cannot fan out past a fired token).
+                    // bottom up and polling between, so a fired token
+                    // stops the sweep between two reductions and
+                    // `reduced_betti` only reads the cache.
                     for k in 1..=chain.dim().max(0) as usize {
                         run.checkpoint()?;
                         chain.rank_boundary(k);

@@ -10,7 +10,12 @@
 //!   references of its round, and the cancellable sweep under a silent
 //!   token == the plain one;
 //! * the top-down closure's per-dimension counts == those of the
-//!   independent `Complex::all_simplexes`.
+//!   independent `Complex::all_simplexes`;
+//! * on larger complexes of dimension up to 4 with several components,
+//!   where both clearings run (the union-find forest clears `δ^1`, an
+//!   echelon basis below the top dimension clears the next), the Betti
+//!   numbers == `reduced_betti_numbers_seq`, and Betti, skeleton and
+//!   truncated-connectivity queries answer alike in any order.
 
 use ksa_graphs::cancel::CancelToken;
 use ksa_graphs::Digraph;
@@ -32,6 +37,57 @@ fn small_complex() -> impl Strategy<Value = Complex<u8>> {
             .expect("btree keys are distinct colors")
     });
     prop::collection::vec(simplex, 1..7).prop_map(Complex::from_facets)
+}
+
+/// Strategy: 8–12 pieces over colors 0..7, each a simplex of dimension
+/// 1–4 or its boundary sphere, and each in one of three components (its
+/// vertices' view), so pieces of a component share vertices by color and
+/// different components never meet.
+fn larger_complex() -> impl Strategy<Value = Complex<u8>> {
+    let piece = (
+        0u8..3,
+        prop::collection::btree_set(0usize..7, 2..=5),
+        any::<bool>(),
+    );
+    prop::collection::vec(piece, 8..=12).prop_map(|pieces| {
+        let mut facets = Vec::new();
+        for (comp, colors, hollow) in pieces {
+            let colors: Vec<usize> = colors.into_iter().collect();
+            // A hollow piece drops each vertex in turn; a solid one none.
+            let drops: Vec<Option<usize>> = if hollow {
+                (0..colors.len()).map(Some).collect()
+            } else {
+                vec![None]
+            };
+            for drop in drops {
+                let vertices = colors
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| Some(i) != drop)
+                    .map(|(_, &c)| Vertex::new(c, comp))
+                    .collect();
+                facets.push(Simplex::new(vertices).expect("distinct colors"));
+            }
+        }
+        Complex::from_facets(facets)
+    })
+}
+
+/// The answer to one chain query.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Betti(Vec<usize>),
+    Connectivity(Connectivity),
+}
+
+/// Asks `chain` query `0` (the full Betti vector), `1` (the Betti vector
+/// of the `k`-skeleton) or `2` (the connectivity truncated at `k`).
+fn ask(chain: &mut ChainComplex, (query, k): (u8, isize)) -> Answer {
+    match query {
+        0 => Answer::Betti(chain.reduced_betti()),
+        1 => Answer::Betti(chain.skeleton_betti(k)),
+        _ => Answer::Connectivity(chain.connectivity_up_to(k)),
+    }
 }
 
 /// Strategy: up to two generator digraphs on 3 processes.
@@ -115,6 +171,23 @@ proptest! {
             prop_assert_eq!(step.connectivity, *conn, "round {}", t + 1);
         }
         prop_assert_eq!(rc.homology_sweep_cancellable(&token).unwrap(), steps);
+    }
+
+    /// The coboundary kernel with both clearings against the dense
+    /// reference, and its lazy, cached ranks against query order: every
+    /// query on one shared chain answers as on a fresh one.
+    #[test]
+    fn larger_complexes_match_seq_reference_in_any_query_order(
+        c in larger_complex(),
+        queries in prop::collection::vec((0u8..3, -1isize..6), 1..=6),
+    ) {
+        let reference = reduced_betti_numbers_seq(&c);
+        prop_assert_eq!(ChainComplex::from_complex(&c).reduced_betti(), reference);
+        let mut shared = ChainComplex::from_complex(&c);
+        for &q in &queries {
+            let fresh = ask(&mut ChainComplex::from_complex(&c), q);
+            prop_assert_eq!(ask(&mut shared, q), fresh, "query {:?} of {:?}", q, queries);
+        }
     }
 
     /// The top-down closure is the face closure: its per-dimension
